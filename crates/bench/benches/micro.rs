@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use roulette_core::{ColId, QueryId, QuerySet, QuerySetColumn, RelId};
-use roulette_exec::{GroupedFilter, JoinSpace, PlainFilter, Stem, VERSION_ALL};
+use roulette_exec::{GroupedFilter, JoinSpace, PlainFilter, ProbeScratch, Stem, VERSION_ALL};
 use roulette_policy::{Policy, RandomPolicy};
 use roulette_query::generator::{tpcds_pool, SensitivityParams};
 use roulette_query::QueryBatch;
@@ -101,14 +101,23 @@ fn bench_stem(c: &mut Criterion) {
     let stem = Stem::new(RelId(0), vec![ColId(0)], 1);
     let global = AtomicU32::new(0);
     stem.insert_vector(&vids, &qsets, std::slice::from_ref(&keys), &global);
+    // The operator the engine's probe step drives: one 1024-key vector
+    // through the tiled walker + pair AND-select, gathering target vIDs.
+    let mut row_masks = QuerySetColumn::new(1);
+    row_masks.push_repeat(full.words(), 1024);
+    let mut scratch = ProbeScratch::new();
+    let mut out = QuerySetColumn::new(1);
+    let mut out_vids = Vec::new();
     group.bench_function("probe_64k", |b| {
         b.iter(|| {
-            let reader = stem.read();
-            let mut hits = 0u64;
-            for &k in keys.iter().take(1024) {
-                reader.probe(0, k, VERSION_ALL, |_, _| hits += 1);
-            }
-            black_box(hits)
+            out.clear();
+            out_vids.clear();
+            let probe_keys = keys.get(..1024).unwrap_or(&[]);
+            stem.probe_tiles(0, probe_keys, VERSION_ALL, &row_masks, &mut scratch, &mut out, |t| {
+                t.extend_vids(&mut out_vids);
+                true
+            });
+            black_box((out.len(), out_vids.len()))
         })
     });
     group.finish();

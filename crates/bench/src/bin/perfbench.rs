@@ -2,7 +2,8 @@
 //!
 //! Dependency-free, fixed-seed, median-of-k wall-clock benchmarks over the
 //! engine's hot loops: end-to-end episode throughput on the synthetic chain
-//! workload, STeM insert and probe, windowed-relation expiry (the
+//! workload, STeM insert and the tiled probe operator (in and out of
+//! cache), windowed-relation expiry (the
 //! streaming layer's reclamation path), and the four data-parallel kernels
 //! (filter masking, bulk query-set intersection, survivor compaction,
 //! routing partition — DESIGN.md §14). Emits `BENCH_perf.json` so
@@ -23,7 +24,9 @@
 //! (`--gate-floor`, default 0.85), which is how CI catches regressions.
 
 use roulette_core::{ColId, EngineConfig, QueryId, QuerySet, QuerySetColumn, RelId, RowMask};
-use roulette_exec::{GroupedFilter, Kernels, Partition, RouletteEngine, Stem, VERSION_ALL};
+use roulette_exec::{
+    GroupedFilter, Kernels, Partition, ProbeScratch, RouletteEngine, Stem, VERSION_ALL,
+};
 use roulette_query::generator::chains_queries;
 use roulette_storage::datagen::chains::{self, ChainsParams};
 use std::sync::atomic::AtomicU32;
@@ -254,37 +257,59 @@ fn bench_stem_contended_insert(quick: bool, runs: usize) -> (BenchResult, BenchR
     (sharded, unsharded)
 }
 
-/// STeM probe side over a pre-built index (chain length ≈ 4).
-fn bench_stem_probe(quick: bool, runs: usize) -> BenchResult {
-    let n: u32 = if quick { 1 << 16 } else { 1 << 19 };
-    let probes: u32 = if quick { 1 << 17 } else { 1 << 20 };
-    let q = QuerySet::full(64);
-    let stem = Stem::new(RelId(0), vec![ColId(0)], q.width());
+/// STeM probe side, through the operator `exec_probe` drives: 1024-key
+/// vectors into `Stem::probe_tiles` (tiled chain walk + pair AND-select),
+/// gathering the probe-row and target-vID columns of every surviving pair.
+/// Chain length ≈ 4, half the keys miss, every pair's query-sets
+/// intersect. `entries` × `capacity` picks the regime: the in-cache run
+/// keeps ~1 MB of STeM state with one-word query-sets (the join-heavy
+/// benchmark's shape), the out-of-cache run ~30 MB with four-word
+/// query-sets (the shared-batch shape).
+fn bench_stem_probe(
+    name: &'static str,
+    entries: u32,
+    capacity: usize,
+    probes: u32,
+    runs: usize,
+) -> BenchResult {
+    let q = QuerySet::full(capacity);
+    let stem = Stem::with_capacity_hint(RelId(0), vec![ColId(0)], q.width(), entries as usize);
     let global = AtomicU32::new(0);
     let mut qsets = QuerySetColumn::new(q.width());
-    for _ in 0..1024 {
-        qsets.push(q.words());
-    }
+    qsets.push_repeat(q.words(), 1024);
     let mut vids = vec![0u32; 1024];
     let mut keys = vec![0i64; 1024];
-    for base in (0..n).step_by(1024) {
+    for base in (0..entries).step_by(1024) {
         for i in 0..1024u32 {
             vids[i as usize] = base + i;
-            keys[i as usize] = ((base + i) % (n / 4)) as i64;
+            keys[i as usize] = ((base + i) % (entries / 4)) as i64;
         }
         stem.insert_vector(&vids, &qsets, std::slice::from_ref(&keys), &global);
     }
-    bench("stem_probe", "probes", runs, || {
-        let reader = stem.read();
+    let row_masks = qsets;
+    let mut scratch = ProbeScratch::new();
+    let mut out = QuerySetColumn::new(q.width());
+    let (mut out_rows, mut out_vids) = (Vec::new(), Vec::new());
+    bench(name, "probes", runs, || {
         let mut matches = 0u64;
         // SplitMix-style stride so probe keys are not sequential.
         let mut k = 0x9E37_79B9u32;
-        for _ in 0..probes {
-            k = k.wrapping_mul(0x01000193).wrapping_add(1);
-            let key = (k % (n / 2)) as i64; // half the keys miss
-            reader.probe(0, key, VERSION_ALL, |_, _| matches += 1);
+        for _ in 0..probes / 1024 {
+            for key in keys.iter_mut() {
+                k = k.wrapping_mul(0x01000193).wrapping_add(1);
+                *key = (k % (entries / 2)) as i64; // half the keys miss
+            }
+            out.clear();
+            out_rows.clear();
+            out_vids.clear();
+            stem.probe_tiles(0, &keys, VERSION_ALL, &row_masks, &mut scratch, &mut out, |tile| {
+                out_rows.extend_from_slice(tile.rows());
+                tile.extend_vids(&mut out_vids);
+                true
+            });
+            matches += out.len() as u64;
         }
-        std::hint::black_box(matches);
+        std::hint::black_box((matches, &out_rows, &out_vids));
         probes as u64
     })
 }
@@ -525,6 +550,8 @@ fn write_json(
     s.push_str("{\n");
     s.push_str("  \"schema\": \"roulette-perfbench/v1\",\n");
     s.push_str(&format!("  \"quick\": {quick},\n"));
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    s.push_str(&format!("  \"nproc\": {nproc},\n"));
     let current_eps = results
         .iter()
         .find(|r| r.name == "episode_chains")
@@ -598,7 +625,14 @@ fn main() {
         bench_stem_insert(quick, runs),
         contended_sharded,
         contended_unsharded,
-        bench_stem_probe(quick, runs),
+        bench_stem_probe("stem_probe", 1 << 15, 64, if quick { 1 << 18 } else { 1 << 21 }, runs),
+        bench_stem_probe(
+            "stem_probe_out_of_cache",
+            1 << 19,
+            256,
+            if quick { 1 << 17 } else { 1 << 20 },
+            runs,
+        ),
         bench_stem_expiry(quick, runs),
         bench_filter_mask(quick, runs),
         bench_qset_and(quick, runs),

@@ -11,7 +11,7 @@
 //! to the learned policy.
 
 use crate::fault::{FaultInjector, FaultSite, LiveSet};
-use crate::kernels::Kernels;
+use crate::kernels::{pairs, Kernels};
 use crate::output::{row_hash, Outputs};
 use crate::planner::{
     assign_projections, plan_join_phase, plan_selection_phase, JoinNode, ProbeNode,
@@ -21,9 +21,7 @@ use crate::scratch::EpisodeScratch;
 use crate::spaces::{JoinSpace, SelectionSpace};
 use crate::stem::Stem;
 use crate::vector::DataVector;
-use roulette_core::{
-    queryset::and_into, ColId, EngineConfig, Error, QueryId, QuerySet, RelId, RelSet,
-};
+use roulette_core::{ColId, EngineConfig, Error, QueryId, QuerySet, RelId, RelSet};
 use roulette_policy::{ExecutionLog, GreedyPolicy, Policy, Scope};
 use roulette_query::QueryBatch;
 use roulette_storage::{Catalog, IngestVector};
@@ -164,6 +162,9 @@ pub struct EpisodeSink {
     collecting: bool,
     acc: Vec<SinkEntry>,
     spare: Vec<SinkEntry>,
+    /// Dense query-id → `acc` position + 1 (0 = not staged): entry lookup
+    /// is one load however many queries the episode touches.
+    slot_of: Vec<u32>,
 }
 
 impl EpisodeSink {
@@ -173,22 +174,28 @@ impl EpisodeSink {
     }
 
     fn entry(&mut self, q: QueryId) -> &mut SinkEntry {
-        // Linear scan: an episode touches few distinct queries.
-        match self.acc.iter().position(|e| e.q == q) {
-            Some(i) => &mut self.acc[i],
-            None => {
-                let mut e = self.spare.pop().unwrap_or_else(|| SinkEntry {
-                    q,
-                    rows: 0,
-                    checksum: 0,
-                    data: Vec::new(),
-                    offsets: Vec::new(),
-                });
-                e.q = q;
-                self.acc.push(e);
-                self.acc.last_mut().unwrap()
-            }
+        if self.slot_of.len() <= q.index() {
+            self.slot_of.resize(q.index() + 1, 0);
         }
+        let staged = self.slot_of.get(q.index()).copied().unwrap_or(0) as usize;
+        let pos = if staged != 0 {
+            staged - 1
+        } else {
+            let mut e = self.spare.pop().unwrap_or_else(|| SinkEntry {
+                q,
+                rows: 0,
+                checksum: 0,
+                data: Vec::new(),
+                offsets: Vec::new(),
+            });
+            e.q = q;
+            self.acc.push(e);
+            if let Some(slot) = self.slot_of.get_mut(q.index()) {
+                *slot = self.acc.len() as u32;
+            }
+            self.acc.len() - 1
+        };
+        &mut self.acc[pos]
     }
 
     fn push(&mut self, q: QueryId, values: &[i64]) {
@@ -199,33 +206,37 @@ impl EpisodeSink {
     /// Discards everything staged so far (watchdog abort), parking the
     /// entries for reuse.
     pub fn reset(&mut self) {
-        let EpisodeSink { acc, spare, .. } = self;
-        for mut e in acc.drain(..) {
-            e.rows = 0;
-            e.checksum = 0;
-            e.data.clear();
-            e.offsets.clear();
-            spare.push(e);
+        let EpisodeSink { acc, spare, slot_of, .. } = self;
+        for e in acc.drain(..) {
+            retire(e, spare, slot_of);
         }
     }
 
     /// Commits staged outputs for queries still live at flush time.
     pub fn flush(&mut self, outputs: &Outputs, live: &LiveSet) {
-        let EpisodeSink { acc, spare, .. } = self;
-        for mut e in acc.drain(..) {
+        let EpisodeSink { acc, spare, slot_of, .. } = self;
+        for e in acc.drain(..) {
             if e.rows > 0 && live.contains(e.q) {
                 outputs.push_batch(e.q, e.rows, e.checksum);
                 if !e.offsets.is_empty() {
                     outputs.extend_collected_flat(e.q, &e.data, &e.offsets);
                 }
             }
-            e.rows = 0;
-            e.checksum = 0;
-            e.data.clear();
-            e.offsets.clear();
-            spare.push(e);
+            retire(e, spare, slot_of);
         }
     }
+}
+
+/// Empties a drained sink entry, frees its query's slot, and parks it.
+fn retire(mut e: SinkEntry, spare: &mut Vec<SinkEntry>, slot_of: &mut [u32]) {
+    if let Some(slot) = slot_of.get_mut(e.q.index()) {
+        *slot = 0;
+    }
+    e.rows = 0;
+    e.checksum = 0;
+    e.data.clear();
+    e.offsets.clear();
+    spare.push(e);
 }
 
 /// Watchdog over one episode's join phase: trips once the phase exceeds its
@@ -252,7 +263,8 @@ impl JoinGuard {
         JoinGuard { tuples_left: None, deadline: None, tripped: false }
     }
 
-    /// Charges `n` produced tuples; returns whether the guard is tripped.
+    /// Charges `n` produced tuples (one probe tile's survivors); returns
+    /// whether the guard is tripped.
     fn charge(&mut self, n: u64) -> bool {
         if !self.tripped {
             if let Some(left) = &mut self.tuples_left {
@@ -785,24 +797,17 @@ fn prune_vector(
         let n_in = vec.len();
         // allowed(i) = (∪ matching entry query-sets) ∪ ¬Q_edge — queries
         // without this edge are unaffected by the semi-join. Seed every
-        // row's mask with ¬Q_edge, then let the batched two-phase
-        // semi-join OR the matching entry sets in.
-        scratch.row_masks.clear();
-        for _ in 0..n_in {
-            scratch.row_masks.extend(edge_q.words().iter().map(|&w| !w));
-        }
-        {
-            let EpisodeScratch { values, probe, row_masks, .. } = scratch;
-            stem.semijoin_batch(index_id, values, probe, |i, entry_q| {
-                let row = &mut row_masks[i * width..(i + 1) * width];
-                for (a, &w) in row.iter_mut().zip(entry_q) {
-                    *a |= w;
-                }
-            });
-        }
+        // row's mask with ¬Q_edge, then let the tiled semi-join OR the
+        // matching entry sets in.
+        let EpisodeScratch { values, probe, row_masks, mask, .. } = scratch;
+        mask.clear();
+        mask.extend(edge_q.words().iter().map(|&w| !w));
+        row_masks.reset(width);
+        row_masks.push_repeat(mask, n_in);
+        stem.semijoin_batch(index_id, values, probe, row_masks);
         // One bulk AND over the whole row range replaces the per-row
         // `and_row` loop; the survivor count falls out of the keep mask.
-        shared.kernels.qset_and(&mut vec.qsets, &scratch.row_masks, &mut scratch.keep);
+        shared.kernels.qset_and(&mut vec.qsets, scratch.row_masks.raw(), &mut scratch.keep);
         let dropped = (n_in - scratch.keep.count()) as u64;
         shared.stats.pruned_tuples.fetch_add(dropped, Ordering::Relaxed);
         vec.retain_mask(&scratch.keep, shared.kernels);
@@ -865,16 +870,20 @@ fn exec_join(
     }
 }
 
-/// One probe step, batch-oriented: the probe rows intersecting the main
-/// branch are compacted first (saving their intersected query-sets), their
-/// keys gathered in one pass, and the STeM probed through the two-phase
-/// [`probe_batch`](crate::stem::Stem::probe_batch) — hash and
-/// bucket-head lookups run over the whole batch before any chain is
-/// walked, so the head fetches are independent loads the hardware can
-/// overlap instead of per-row dependent misses. On unsharded STeMs the
-/// match visit order is identical to per-key probing, so outputs are
-/// byte-identical; sharded probes visit shard-grouped (a result-safe
-/// permutation, since the sink accumulates order-insensitively).
+/// One probe step, column-at-a-time: a broadcast AND-select compacts the
+/// probe rows intersecting the main branch (their intersected query-sets
+/// plus a selection list), the selected rows' keys are gathered in one
+/// pass, and the STeM is probed through
+/// [`probe_tiles`](crate::stem::Stem::probe_tiles) — per tile of at most
+/// [`PROBE_TILE`](crate::stem::PROBE_TILE) match pairs, one pass ANDs the
+/// pair query-sets straight into the output vector and the carried vID
+/// columns are then gathered one column at a time from the surviving
+/// pairs. The watchdog is charged per tile, so an exploding probe stops
+/// within one tile of its budget. The divergence branch is the same
+/// AND-select over the full vector. On unsharded STeMs the output order is
+/// identical to per-key probing, so outputs are byte-identical; sharded
+/// probes visit shard-grouped (a result-safe permutation, since the sink
+/// accumulates order-insensitively).
 // lint: hot-loop
 fn exec_probe(
     shared: &EngineShared<'_>,
@@ -937,55 +946,64 @@ fn exec_probe(
     }
     let mut target_buf = scratch.take_col();
 
-    // Phase 1: compact the rows whose query-set intersects the main
-    // branch, saving each survivor's intersected mask and probe vID.
-    let main_words = p.main_queries.words();
-    scratch.mask.clear();
-    scratch.mask.resize(width, 0);
-    scratch.active_rows.clear();
-    scratch.active_vids.clear();
-    scratch.row_masks.clear();
-    for (i, &pv) in probe_vids.iter().enumerate().take(vec.len()) {
-        if and_into(&mut scratch.mask, vec.qsets.row(i), main_words) {
-            scratch.active_rows.push(i as u32);
-            scratch.active_vids.push(pv);
-            scratch.row_masks.extend_from_slice(&scratch.mask);
-        }
-    }
-
-    // Phase 2: gather the keys of the compacted rows in one pass.
-    shared
-        .catalog
-        .relation(p.probe_rel)
-        .column(p.probe_col)
-        .gather(&scratch.active_vids, &mut scratch.probe_keys);
-
-    // Phase 3: batched two-phase probe over the compacted keys, one shard
-    // read latch at a time (single latch on unsharded STeMs).
     {
-        let EpisodeScratch { probe, probe_keys, row_masks, active_rows, main_bufs, carry_main, .. } =
-            scratch;
-        stem.probe_batch(index_id, probe_keys, version, probe, |j, entry_q, entry_vid| {
-            if main_out.qsets.push_and(&row_masks[j * width..(j + 1) * width], entry_q) {
-                let i = active_rows[j] as usize;
+        let EpisodeScratch {
+            probe,
+            probe_keys,
+            row_masks,
+            active_rows,
+            active_vids,
+            src_rows,
+            main_bufs,
+            carry_main,
+            ..
+        } = scratch;
+
+        // Pass 1: AND-select the rows whose query-set intersects the main
+        // branch, then gather their probe vIDs and keys.
+        row_masks.reset(width);
+        pairs::and_select_rows(&vec.qsets, p.main_queries.words(), row_masks, active_rows);
+        active_vids.clear();
+        pairs::gather_u32(probe_vids, active_rows, active_vids);
+        shared
+            .catalog
+            .relation(p.probe_rel)
+            .column(p.probe_col)
+            .gather(active_vids, probe_keys);
+
+        // Passes 2 and 3, per tile of match pairs and one shard read latch
+        // at a time: the STeM ANDs the pair query-sets into `main_out`,
+        // the carried columns are gathered here from the surviving pairs.
+        stem.probe_tiles(
+            index_id,
+            probe_keys,
+            version,
+            row_masks,
+            probe,
+            &mut main_out.qsets,
+            |tile| {
+                src_rows.clear();
+                pairs::gather_u32(active_rows, tile.rows(), src_rows);
                 for (buf, &src) in main_bufs.iter_mut().zip(carry_main.iter()) {
-                    buf.push(cols[src].1[i]);
+                    if let Some((_, col)) = cols.get(src) {
+                        pairs::gather_u32(col, src_rows, buf);
+                    }
                 }
                 if keep_target {
-                    target_buf.push(entry_vid);
+                    tile.extend_vids(&mut target_buf);
                 }
-            }
-        });
+                !guard.charge(tile.len() as u64)
+            },
+        );
     }
 
-    // Divergence branch: a straight selection over the full vector.
+    // Divergence branch: the same AND-select over the full vector.
     if let (Some(dv), Some(div_q)) = (&mut div_out, &p.div_queries) {
-        let div_words = div_q.words();
-        for i in 0..vec.len() {
-            if dv.qsets.push_and(vec.qsets.row(i), div_words) {
-                for (buf, &src) in scratch.div_bufs.iter_mut().zip(scratch.carry_div.iter()) {
-                    buf.push(cols[src].1[i]);
-                }
+        let EpisodeScratch { active_rows, div_bufs, carry_div, .. } = scratch;
+        pairs::and_select_rows(&vec.qsets, div_q.words(), &mut dv.qsets, active_rows);
+        for (buf, &src) in div_bufs.iter_mut().zip(carry_div.iter()) {
+            if let Some((_, col)) = cols.get(src) {
+                pairs::gather_u32(col, active_rows, buf);
             }
         }
     }
@@ -1034,7 +1052,6 @@ fn exec_probe(
         main_out.len() as u64,
         div_vec.as_ref().map(|d| d.len() as u64),
     );
-    guard.charge(main_out.len() as u64);
 
     (main_out, div_vec)
 }

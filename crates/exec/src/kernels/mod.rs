@@ -21,6 +21,10 @@
 //!   the widest-impact kernels, selected by runtime feature detection and
 //!   falling back to `wide` otherwise.
 //!
+//! The shared probe's selection-list kernels (`pairs`: pair AND-select,
+//! pair OR, broadcast AND-select, column gather) sit beside these with a
+//! single implementation each — their reference is the per-key probe.
+//!
 //! Every kernel writes bit-exact results regardless of mode: lane order
 //! never changes the value written to a given output position, and tail
 //! rows (row counts or query counts not a multiple of the lane width) take
@@ -30,6 +34,7 @@ use roulette_core::{EngineConfig, QuerySet, QuerySetColumn, RowMask};
 
 use crate::filter::{GroupedFilter, PlainFilter};
 
+pub mod pairs;
 pub(crate) mod scalar;
 #[cfg(feature = "simd")]
 pub(crate) mod simd;

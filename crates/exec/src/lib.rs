@@ -43,5 +43,8 @@ pub use planner::{JoinNode, ProbeNode};
 pub use profile::{Category, Profile};
 pub use scratch::EpisodeScratch;
 pub use spaces::{JoinSpace, SelectionSpace};
-pub use stem::{shard_for_key, ProbeScratch, Stem, StemReader, MAX_STEM_SHARDS, VERSION_ALL};
+pub use stem::{
+    shard_for_key, MatchTile, ProbeScratch, Stem, StemReader, MAX_STEM_SHARDS, PROBE_TILE,
+    VERSION_ALL,
+};
 pub use vector::DataVector;

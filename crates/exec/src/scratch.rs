@@ -19,7 +19,7 @@ use crate::episode::EpisodeSink;
 use crate::kernels::Partition;
 use crate::stem::ProbeScratch;
 use crate::vector::DataVector;
-use roulette_core::RowMask;
+use roulette_core::{QuerySetColumn, RowMask};
 
 /// Reusable per-episode working state (see module docs). Acquire one per
 /// worker and pass it to every episode; `reset` only on the panic path.
@@ -36,16 +36,21 @@ pub struct EpisodeScratch {
     /// Per-index insert key columns (outer Vec tracks the widest STeM
     /// seen; inner buffers are reused by `Column::gather`).
     pub(crate) insert_keys: Vec<Vec<i64>>,
-    /// Two-phase probe staging (hashes + bucket heads + shard partition).
+    /// Tiled probe staging (hashes + bucket heads + shard partition + the
+    /// fixed-capacity match-pair tile).
     pub(crate) probe: ProbeScratch,
     /// Owning shard of each insert row (sharded-STeM build phase).
     pub(crate) shard_ids: Vec<u8>,
     /// Per-index key columns of the sub-chunk being built for one shard.
     pub(crate) shard_keys: Vec<Vec<i64>>,
-    /// Concatenated main-branch query-set masks of the active probe rows.
-    pub(crate) row_masks: Vec<u64>,
-    /// Probe-vector row index of each active probe row.
+    /// Per-row query-set masks: the main-branch intersections of the
+    /// active probe rows, or the `allowed` sets of a pruning semi-join.
+    pub(crate) row_masks: QuerySetColumn,
+    /// Probe-vector row index of each active probe row (then of each
+    /// divergence-branch row).
     pub(crate) active_rows: Vec<u32>,
+    /// Probe-vector row index of each surviving match pair of one tile.
+    pub(crate) src_rows: Vec<u32>,
     /// Probe-relation vIDs of the active probe rows (gather input).
     pub(crate) active_vids: Vec<u32>,
     /// Gathered probe keys of the active probe rows.

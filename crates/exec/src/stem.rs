@@ -39,6 +39,7 @@
 //! constructed without key columns has no routing index: everything lives
 //! in shard 0 and probes scan all shards (only shard 0 is nonempty).
 
+use crate::kernels::pairs;
 use parking_lot::{RwLock, RwLockReadGuard};
 use roulette_core::{ColId, QuerySetColumn, RelId};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -56,6 +57,11 @@ pub const VERSION_ALL: u32 = u32::MAX;
 /// `EngineConfig::with_stem_shards`'s validation and bounds the fixed-size
 /// per-probe partition buffers.
 pub const MAX_STEM_SHARDS: usize = 64;
+
+/// Capacity of the probe's match-pair tile: the chain walk hands pairs to
+/// the AND and gather passes this many at a time, so the staging of one
+/// probe is 32 KB of pairs whatever the fan-out (DESIGN.md §10).
+pub const PROBE_TILE: usize = 4096;
 
 #[inline]
 fn hash_key(key: i64) -> u64 {
@@ -145,29 +151,36 @@ impl StemIndex {
     }
 
     /// Walks the chain starting at `head`, calling `f(entry_index)` for
-    /// every entry whose key equals `key`. A corrupt link ends the walk
-    /// instead of panicking mid-episode.
+    /// every entry whose key equals `key` until `f` returns `false`;
+    /// returns whether the walk ran to the end. A corrupt link ends the
+    /// walk instead of panicking mid-episode. This is the only chain-walk
+    /// loop: per-key and tiled probes both go through it.
     // lint: hot-loop
     #[inline]
-    fn walk_chain(&self, head: u32, key: i64, mut f: impl FnMut(usize)) {
+    fn walk_chain(&self, head: u32, key: i64, mut f: impl FnMut(u32) -> bool) -> bool {
         let mut cur = head;
         while cur != 0 {
-            let e = (cur - 1) as usize;
-            let (Some(&k), Some(&nx)) = (self.keys.get(e), self.next.get(e)) else {
+            let e = cur - 1;
+            let (Some(&k), Some(&nx)) = (self.keys.get(e as usize), self.next.get(e as usize))
+            else {
                 break;
             };
-            if k == key {
-                f(e);
+            if k == key && !f(e) {
+                return false;
             }
             cur = nx;
         }
+        true
     }
 
     /// Calls `f(entry_index)` for every entry with this key.
     // lint: hot-loop
     #[inline]
-    fn for_each_match(&self, key: i64, f: impl FnMut(usize)) {
-        self.walk_chain(self.head_of_hash(hash_key(key)), key, f);
+    fn for_each_match(&self, key: i64, mut f: impl FnMut(usize)) {
+        self.walk_chain(self.head_of_hash(hash_key(key)), key, |e| {
+            f(e as usize);
+            true
+        });
     }
 }
 
@@ -177,6 +190,24 @@ struct StemInner {
     versions: Vec<u32>,
     qsets: QuerySetColumn,
     indices: Vec<StemIndex>,
+}
+
+impl StemInner {
+    /// Per-key probe of this shard: `f(entry_qset_words, entry_vid)` for
+    /// every match of `key` with version strictly older than `version`.
+    #[inline]
+    fn probe(&self, index_id: usize, key: i64, version: u32, f: &mut impl FnMut(&[u64], u32)) {
+        let Some(index) = self.indices.get(index_id) else {
+            return;
+        };
+        index.for_each_match(key, |e| {
+            if let (Some(&v), Some(&vid)) = (self.versions.get(e), self.vids.get(e)) {
+                if v < version {
+                    f(self.qsets.row(e), vid);
+                }
+            }
+        });
+    }
 }
 
 /// Resident bytes of one shard's entry block + indices.
@@ -452,7 +483,7 @@ impl Stem {
 
     /// Acquires the probe-side read latch on every shard (ascending shard
     /// order) for the duration of one probe vector. The engine's episode
-    /// path uses the shard-at-a-time [`probe_batch`](Self::probe_batch)
+    /// path uses the shard-at-a-time [`probe_tiles`](Self::probe_tiles)
     /// instead; a reader pins a consistent snapshot across shards for
     /// loaders, benchmarks, and tests.
     pub fn read(&self) -> StemReader<'_> {
@@ -469,196 +500,185 @@ impl Stem {
     /// a time. The routing index visits only the key's shard.
     #[inline]
     pub fn probe(&self, index_id: usize, key: i64, version: u32, mut f: impl FnMut(&[u64], u32)) {
-        let visit = |inner: &StemInner, f: &mut dyn FnMut(&[u64], u32)| {
-            let Some(index) = inner.indices.get(index_id) else {
-                return;
-            };
-            index.for_each_match(key, |e| {
-                if let (Some(&v), Some(&vid)) = (inner.versions.get(e), inner.vids.get(e)) {
-                    if v < version {
-                        f(inner.qsets.row(e), vid);
-                    }
-                }
-            });
-        };
         if self.routed && index_id == 0 {
             if let Some(shard) = self.shards.get(self.shard_of_key(key)) {
-                visit(&shard.read(), &mut f);
+                shard.read().probe(index_id, key, version, &mut f);
             }
         } else {
             for shard in self.shards.iter() {
-                visit(&shard.read(), &mut f);
+                shard.read().probe(index_id, key, version, &mut f);
             }
         }
     }
 
-    /// Batched two-phase probe: for every key in `keys` (one per probe
-    /// row), calls `f(probe_row, entry_qset_words, entry_vid)` for each
-    /// match with version strictly older than `version`.
+    /// The one batched chain walker behind [`probe_tiles`](Self::probe_tiles)
+    /// and [`semijoin_batch`](Self::semijoin_batch): for every key in
+    /// `keys` (one per probe row) it emits a `(probe_row, entry)` pair per
+    /// match with version strictly older than `version` into the
+    /// fixed-capacity pair tile of `scratch`, and hands the tile to
+    /// `on_tile(rows, entries, shard)` whenever it fills and when a shard's
+    /// walk ends (entry indices are shard-local, and the shard's read latch
+    /// is held across the call). A hot key's fan-out therefore never grows
+    /// a buffer. `on_tile` returns whether to keep walking.
     ///
-    /// Unsharded, the visit order is probe-row order then chain order —
-    /// the same order as calling [`probe`](Self::probe) per key, and
-    /// byte-identical to the pre-sharding reader path. Sharded, rows are
-    /// counting-sorted by owning shard (routing index) or re-probed per
-    /// shard (secondary indices), so the visit order is shard-grouped —
-    /// a permutation of the unsharded matches. Only one shard's read
-    /// latch is held at a time.
+    /// Unsharded, pairs come in probe-row order then chain order. Sharded,
+    /// rows are counting-sorted by owning shard (routing index) or
+    /// re-probed per shard (secondary indices), so the order is
+    /// shard-grouped — a permutation of the unsharded matches. Only one
+    /// shard's read latch is held at a time.
     ///
-    /// Phase one hashes the whole batch and fetches every bucket head in a
+    /// Per shard, phase one fetches every bucket head of the batch in a
     /// tight loop over the bucket table (independent loads the hardware
     /// can overlap and prefetch); only phase two walks the dependent chain
-    /// links. `scratch` holds the per-batch hash/head/partition slices;
-    /// after the call, [`ProbeScratch::shard_key_counts`] exposes how many
-    /// keys each visited shard saw.
+    /// links.
     // lint: hot-loop
-    pub fn probe_batch(
+    fn walk_tiles(
         &self,
         index_id: usize,
         keys: &[i64],
         version: u32,
         scratch: &mut ProbeScratch,
-        mut f: impl FnMut(usize, &[u64], u32),
+        mut on_tile: impl FnMut(&mut [u32], &mut [u32], &StemInner) -> bool,
     ) {
-        let n_shards = self.shards.len();
-        let ProbeScratch { hashes, heads, shard_of, order, counts } = scratch;
+        let ProbeScratch { hashes, heads, shard_of, order, counts, tile_rows, tile_entries } =
+            scratch;
         hashes.clear();
         hashes.extend(keys.iter().map(|&k| hash_key(k)));
-        if self.routed && index_id == 0 {
-            let offs = partition_probe_rows(n_shards, hashes, shard_of, order, counts);
-            for (s, shard) in self.shards.iter().enumerate() {
-                let (Some(&start), Some(&end)) = (offs.get(s), offs.get(s + 1)) else {
-                    break;
-                };
-                let rows = order.get(start as usize..end as usize).unwrap_or(&[]);
-                if rows.is_empty() {
-                    continue;
-                }
-                let inner = shard.read();
-                let Some(index) = inner.indices.get(index_id) else {
-                    continue;
-                };
-                for &oi in rows {
-                    let i = oi as usize;
-                    let (Some(&key), Some(&h)) = (keys.get(i), hashes.get(i)) else {
-                        continue;
-                    };
-                    index.walk_chain(index.head_of_hash(h), key, |e| {
-                        if let (Some(&v), Some(&vid)) = (inner.versions.get(e), inner.vids.get(e))
-                        {
-                            if v < version {
-                                f(i, inner.qsets.row(e), vid);
-                            }
-                        }
-                    });
-                }
-            }
+        // The tile is a pair of fixed `PROBE_TILE`-slot arrays with a
+        // cursor: a match is written to the cursor's slot unconditionally
+        // and the cursor advances only if the entry's version qualifies, so
+        // the version filter costs no branch.
+        tile_rows.resize(PROBE_TILE, 0);
+        tile_entries.resize(PROBE_TILE, 0);
+        let mut pending = 0usize;
+        let offs = if self.routed && index_id == 0 {
+            Some(partition_probe_rows(self.shards.len(), hashes, shard_of, order, counts))
         } else {
+            // Full scan: every shard sees the whole batch in row order.
+            order.clear();
+            order.extend(0..keys.len() as u32);
             counts.clear();
-            for shard in self.shards.iter() {
-                let inner = shard.read();
-                let Some(index) = inner.indices.get(index_id) else {
-                    continue;
-                };
-                heads.clear();
-                heads.extend(hashes.iter().map(|&h| index.head_of_hash(h)));
-                for (i, (&key, &head)) in keys.iter().zip(heads.iter()).enumerate() {
-                    index.walk_chain(head, key, |e| {
-                        if let (Some(&v), Some(&vid)) = (inner.versions.get(e), inner.vids.get(e))
-                        {
-                            if v < version {
-                                f(i, inner.qsets.row(e), vid);
-                            }
-                        }
-                    });
+            None
+        };
+        for (s, shard) in self.shards.iter().enumerate() {
+            let rows = match &offs {
+                Some(offs) => {
+                    let (Some(&start), Some(&end)) = (offs.get(s), offs.get(s + 1)) else {
+                        break;
+                    };
+                    order.get(start as usize..end as usize).unwrap_or(&[])
                 }
+                None => order.as_slice(),
+            };
+            if rows.is_empty() {
+                continue;
+            }
+            let inner = shard.read();
+            let Some(index) = inner.indices.get(index_id) else {
+                continue;
+            };
+            if offs.is_none() {
                 counts.push(keys.len() as u32);
             }
-        }
-    }
-
-    /// Semi-join support for symmetric join pruning (§5.2): ORs into
-    /// `acc` the query-sets of all matches of `key` (any version), one
-    /// shard latch at a time.
-    #[inline]
-    pub fn semijoin_mask(&self, index_id: usize, key: i64, acc: &mut [u64]) {
-        let visit = |inner: &StemInner, acc: &mut [u64]| {
-            let Some(index) = inner.indices.get(index_id) else {
-                return;
-            };
-            index.for_each_match(key, |e| {
-                for (a, w) in acc.iter_mut().zip(inner.qsets.row(e)) {
-                    *a |= w;
+            heads.clear();
+            heads.extend(rows.iter().map(|&i| {
+                hashes.get(i as usize).map_or(0, |&h| index.head_of_hash(h))
+            }));
+            for (&i, &head) in rows.iter().zip(heads.iter()) {
+                let Some(&key) = keys.get(i as usize) else {
+                    continue;
+                };
+                let go = index.walk_chain(head, key, |e| {
+                    if let (Some(r), Some(x)) =
+                        (tile_rows.get_mut(pending), tile_entries.get_mut(pending))
+                    {
+                        *r = i;
+                        *x = e;
+                    }
+                    // `VERSION_ALL` sees everything: skip the version load.
+                    let visible = version == VERSION_ALL
+                        || inner.versions.get(e as usize).is_some_and(|&v| v < version);
+                    pending += usize::from(visible);
+                    if pending < PROBE_TILE {
+                        return true;
+                    }
+                    pending = 0;
+                    on_tile(tile_rows, tile_entries, &inner)
+                });
+                if !go {
+                    return;
                 }
-            });
-        };
-        if self.routed && index_id == 0 {
-            if let Some(shard) = self.shards.get(self.shard_of_key(key)) {
-                visit(&shard.read(), acc);
             }
-        } else {
-            for shard in self.shards.iter() {
-                visit(&shard.read(), acc);
+            // Entry indices are shard-local: drain before the latch drops.
+            if pending > 0 {
+                let (rows, entries) = (tile_rows.get_mut(..pending), tile_entries.get_mut(..pending));
+                pending = 0;
+                if let (Some(rows), Some(entries)) = (rows, entries) {
+                    if !on_tile(rows, entries, &inner) {
+                        return;
+                    }
+                }
             }
         }
     }
 
-    /// Batched two-phase semi-join: for every key in `keys`, calls
-    /// `f(probe_row, entry_qset_words)` for each match, any version. Same
-    /// shard-at-a-time structure as [`probe_batch`](Self::probe_batch);
-    /// since the caller ORs the entry sets, visit order is immaterial.
-    // lint: hot-loop
+    /// The shared probe operator: for every key in `keys` (one per probe
+    /// row, whose query-set is the same row of `row_masks`), joins the row
+    /// with each matching entry of index `index_id` whose version is
+    /// strictly older than `version` and whose query-set intersects the
+    /// row's. It runs as column-at-a-time passes over tiles of at most
+    /// [`PROBE_TILE`] match pairs: the chain walk emits pairs, one AND
+    /// pass appends the non-empty intersections to `out` and compacts the
+    /// pairs, and `on_tile` then gathers whatever columns it carries from
+    /// the surviving pairs of the [`MatchTile`] (`out` grew by exactly
+    /// `tile.len()` rows, in pair order). `on_tile` returns whether to
+    /// keep probing, so a watchdog can stop an exploding probe within one
+    /// tile.
+    ///
+    /// Unsharded, output order is probe-row order then chain order —
+    /// byte-identical to calling [`probe`](Self::probe) per key; sharded it
+    /// is the shard-grouped permutation of that. After the call,
+    /// [`ProbeScratch::shard_key_counts`] exposes how many keys each
+    /// visited shard saw.
+    #[allow(clippy::too_many_arguments)]
+    pub fn probe_tiles(
+        &self,
+        index_id: usize,
+        keys: &[i64],
+        version: u32,
+        row_masks: &QuerySetColumn,
+        scratch: &mut ProbeScratch,
+        out: &mut QuerySetColumn,
+        mut on_tile: impl FnMut(MatchTile<'_>) -> bool,
+    ) {
+        debug_assert_eq!(row_masks.len(), keys.len());
+        self.walk_tiles(index_id, keys, version, scratch, |rows, entries, inner| {
+            let kept = pairs::and_select_pairs(row_masks, &inner.qsets, rows, entries, out);
+            on_tile(MatchTile {
+                rows: rows.get(..kept).unwrap_or(&[]),
+                entries: entries.get(..kept).unwrap_or(&[]),
+                vids: &inner.vids,
+            })
+        });
+    }
+
+    /// Batched semi-join for symmetric join pruning (§5.2): ORs into row
+    /// `i` of `row_masks` the query-sets of all matches of `keys[i]` (any
+    /// version). Same tile walker as [`probe_tiles`](Self::probe_tiles)
+    /// with an OR pass in place of the AND; since the pass ORs, visit
+    /// order is immaterial.
     pub fn semijoin_batch(
         &self,
         index_id: usize,
         keys: &[i64],
         scratch: &mut ProbeScratch,
-        mut f: impl FnMut(usize, &[u64]),
+        row_masks: &mut QuerySetColumn,
     ) {
-        let n_shards = self.shards.len();
-        let ProbeScratch { hashes, heads, shard_of, order, counts } = scratch;
-        hashes.clear();
-        hashes.extend(keys.iter().map(|&k| hash_key(k)));
-        if self.routed && index_id == 0 {
-            let offs = partition_probe_rows(n_shards, hashes, shard_of, order, counts);
-            for (s, shard) in self.shards.iter().enumerate() {
-                let (Some(&start), Some(&end)) = (offs.get(s), offs.get(s + 1)) else {
-                    break;
-                };
-                let rows = order.get(start as usize..end as usize).unwrap_or(&[]);
-                if rows.is_empty() {
-                    continue;
-                }
-                let inner = shard.read();
-                let Some(index) = inner.indices.get(index_id) else {
-                    continue;
-                };
-                for &oi in rows {
-                    let i = oi as usize;
-                    let (Some(&key), Some(&h)) = (keys.get(i), hashes.get(i)) else {
-                        continue;
-                    };
-                    index.walk_chain(index.head_of_hash(h), key, |e| {
-                        f(i, inner.qsets.row(e));
-                    });
-                }
-            }
-        } else {
-            counts.clear();
-            for shard in self.shards.iter() {
-                let inner = shard.read();
-                let Some(index) = inner.indices.get(index_id) else {
-                    continue;
-                };
-                heads.clear();
-                heads.extend(hashes.iter().map(|&h| index.head_of_hash(h)));
-                for (i, (&key, &head)) in keys.iter().zip(heads.iter()).enumerate() {
-                    index.walk_chain(head, key, |e| {
-                        f(i, inner.qsets.row(e));
-                    });
-                }
-                counts.push(keys.len() as u32);
-            }
-        }
+        debug_assert_eq!(row_masks.len(), keys.len());
+        self.walk_tiles(index_id, keys, VERSION_ALL, scratch, |rows, entries, inner| {
+            pairs::or_pairs(row_masks, &inner.qsets, rows, entries);
+            true
+        });
     }
 
     /// Number of stored entries across all shards.
@@ -772,8 +792,43 @@ fn partition_probe_rows(
     offs
 }
 
-/// Reusable working state for [`Stem::probe_batch`]: the batched hash,
-/// bucket-head, and shard-partition slices of the two-phase probe. Owned
+/// One tile of surviving match pairs, handed to the consumer of
+/// [`Stem::probe_tiles`] while the owning shard's read latch is held.
+pub struct MatchTile<'a> {
+    rows: &'a [u32],
+    entries: &'a [u32],
+    vids: &'a [u32],
+}
+
+impl MatchTile<'_> {
+    /// Number of surviving pairs (rows the tile appended to the output).
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether no pair of the tile survived.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Probe row (index into the probed `keys`) of each surviving pair.
+    #[inline]
+    pub fn rows(&self) -> &[u32] {
+        self.rows
+    }
+
+    /// Appends the matched entry's vID of each surviving pair to `out`.
+    #[inline]
+    pub fn extend_vids(&self, out: &mut Vec<u32>) {
+        pairs::gather_u32(self.vids, self.entries, out);
+    }
+}
+
+/// Reusable working state for [`Stem::probe_tiles`] and
+/// [`Stem::semijoin_batch`]: the batched hash, bucket-head and
+/// shard-partition slices, and the fixed-capacity match-pair tile. Owned
 /// by the episode scratch arena so steady-state probing never allocates.
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
@@ -782,6 +837,10 @@ pub struct ProbeScratch {
     shard_of: Vec<u8>,
     order: Vec<u32>,
     counts: Vec<u32>,
+    /// Probe row of each pending match pair (at most [`PROBE_TILE`]).
+    tile_rows: Vec<u32>,
+    /// Shard-local entry index of each pending match pair.
+    tile_entries: Vec<u32>,
 }
 
 impl ProbeScratch {
@@ -790,7 +849,7 @@ impl ProbeScratch {
         Self::default()
     }
 
-    /// Keys-per-shard of the most recent batched probe/semi-join through
+    /// Keys-per-shard of the most recent tiled probe/semi-join through
     /// this scratch: one entry per visited shard (telemetry hook). Routed
     /// probes report the partition histogram; full scans report the whole
     /// batch size once per shard.
@@ -812,94 +871,7 @@ impl StemReader<'_> {
     #[inline]
     pub fn probe(&self, index_id: usize, key: i64, version: u32, mut f: impl FnMut(&[u64], u32)) {
         for inner in &self.guards {
-            let Some(index) = inner.indices.get(index_id) else {
-                continue;
-            };
-            index.for_each_match(key, |e| {
-                if let (Some(&v), Some(&vid)) = (inner.versions.get(e), inner.vids.get(e)) {
-                    if v < version {
-                        f(inner.qsets.row(e), vid);
-                    }
-                }
-            });
-        }
-    }
-
-    /// Batched two-phase probe: for every key in `keys` (one per probe
-    /// row), calls `f(probe_row, entry_qset_words, entry_vid)` for each
-    /// match with version strictly older than `version`, in shard order
-    /// then probe-row order then chain order — unsharded, the same visit
-    /// order as calling [`probe`](Self::probe) per key.
-    // lint: hot-loop
-    pub fn probe_batch(
-        &self,
-        index_id: usize,
-        keys: &[i64],
-        version: u32,
-        scratch: &mut ProbeScratch,
-        mut f: impl FnMut(usize, &[u64], u32),
-    ) {
-        let ProbeScratch { hashes, heads, .. } = scratch;
-        hashes.clear();
-        hashes.extend(keys.iter().map(|&k| hash_key(k)));
-        for inner in &self.guards {
-            let Some(index) = inner.indices.get(index_id) else {
-                continue;
-            };
-            heads.clear();
-            heads.extend(hashes.iter().map(|&h| index.head_of_hash(h)));
-            for (i, (&key, &head)) in keys.iter().zip(heads.iter()).enumerate() {
-                index.walk_chain(head, key, |e| {
-                    if let (Some(&v), Some(&vid)) = (inner.versions.get(e), inner.vids.get(e)) {
-                        if v < version {
-                            f(i, inner.qsets.row(e), vid);
-                        }
-                    }
-                });
-            }
-        }
-    }
-
-    /// Semi-join support for symmetric join pruning (§5.2): ORs into
-    /// `acc` the query-sets of all matches of `key` (any version).
-    #[inline]
-    pub fn semijoin_mask(&self, index_id: usize, key: i64, acc: &mut [u64]) {
-        for inner in &self.guards {
-            let Some(index) = inner.indices.get(index_id) else {
-                continue;
-            };
-            index.for_each_match(key, |e| {
-                for (a, w) in acc.iter_mut().zip(inner.qsets.row(e)) {
-                    *a |= w;
-                }
-            });
-        }
-    }
-
-    /// Batched two-phase semi-join: for every key in `keys`, calls
-    /// `f(probe_row, entry_qset_words)` for each match, any version.
-    // lint: hot-loop
-    pub fn semijoin_batch(
-        &self,
-        index_id: usize,
-        keys: &[i64],
-        scratch: &mut ProbeScratch,
-        mut f: impl FnMut(usize, &[u64]),
-    ) {
-        let ProbeScratch { hashes, heads, .. } = scratch;
-        hashes.clear();
-        hashes.extend(keys.iter().map(|&k| hash_key(k)));
-        for inner in &self.guards {
-            let Some(index) = inner.indices.get(index_id) else {
-                continue;
-            };
-            heads.clear();
-            heads.extend(hashes.iter().map(|&h| index.head_of_hash(h)));
-            for (i, (&key, &head)) in keys.iter().zip(heads.iter()).enumerate() {
-                index.walk_chain(head, key, |e| {
-                    f(i, inner.qsets.row(e));
-                });
-            }
+            inner.probe(index_id, key, version, &mut f);
         }
     }
 
@@ -1122,8 +1094,33 @@ mod tests {
         assert_eq!(hinted.shards[0].read().indices[0].buckets.len(), buckets);
     }
 
+    /// Drives `probe_tiles` with full row masks and collects `(probe_row,
+    /// first entry-qset word, vid)` per surviving pair, in output order.
+    fn tiled(
+        stem: &Stem,
+        index_id: usize,
+        keys: &[i64],
+        version: u32,
+        width: usize,
+    ) -> (Vec<(usize, u64, u32)>, ProbeScratch) {
+        let mut masks = QuerySetColumn::new(width);
+        masks.push_repeat(&vec![u64::MAX; width], keys.len());
+        let mut scratch = ProbeScratch::new();
+        let mut out = QuerySetColumn::new(width);
+        let (mut rows, mut vids) = (Vec::new(), Vec::new());
+        stem.probe_tiles(index_id, keys, version, &masks, &mut scratch, &mut out, |tile| {
+            assert!(tile.len() <= PROBE_TILE);
+            rows.extend_from_slice(tile.rows());
+            tile.extend_vids(&mut vids);
+            true
+        });
+        assert_eq!(out.len(), rows.len());
+        let got = (0..rows.len()).map(|k| (rows[k] as usize, out.row(k)[0], vids[k])).collect();
+        (got, scratch)
+    }
+
     #[test]
-    fn probe_batch_matches_per_key_probes() {
+    fn probe_tiles_matches_per_key_probes() {
         let stem = Stem::new(RelId(0), vec![ColId(0)], 2);
         let global = AtomicU32::new(0);
         let q = QuerySet::full(100);
@@ -1137,37 +1134,33 @@ mod tests {
         let v0 = stem.insert_vector(&vids, &qc, &[keys], &global);
         let v1 = stem.insert_vector(&[n], &qcol(&[&q]), &[vec![7]], &global);
         assert!(v0 < v1);
+        // 512 keys × ~17 entries per hit: more than one tile of pairs.
         let probe_keys: Vec<i64> = (0..512).map(|i| (i * 37) % 400).collect();
-        let r = stem.read();
         for version in [v0, v1, VERSION_ALL] {
             let mut single: Vec<(usize, u64, u32)> = Vec::new();
             for (i, &k) in probe_keys.iter().enumerate() {
-                r.probe(0, k, version, |qs, vid| single.push((i, qs[0], vid)));
+                stem.probe(0, k, version, |qs, vid| single.push((i, qs[0], vid)));
             }
-            let mut batched = Vec::new();
-            let mut scratch = ProbeScratch::new();
-            r.probe_batch(0, &probe_keys, version, &mut scratch, |i, qs, vid| {
-                batched.push((i, qs[0], vid));
-            });
+            let (batched, _) = tiled(&stem, 0, &probe_keys, version, 2);
             // Same matches in the same visit order.
             assert_eq!(single, batched, "version {version}");
+            if version == VERSION_ALL {
+                assert!(batched.len() > PROBE_TILE);
+            }
         }
     }
 
     #[test]
-    fn semijoin_mask_unions_query_sets() {
+    fn semijoin_batch_unions_query_sets() {
         let stem = Stem::new(RelId(0), vec![ColId(0)], 1);
         let global = AtomicU32::new(0);
         let q0 = QuerySet::singleton(roulette_core::QueryId(0), 3);
         let q2 = QuerySet::singleton(roulette_core::QueryId(2), 3);
         stem.insert_vector(&[1, 2], &qcol(&[&q0, &q2]), &[vec![5, 5]], &global);
-        let r = stem.read();
-        let mut mask = [0u64];
-        r.semijoin_mask(0, 5, &mut mask);
-        assert_eq!(mask[0], 0b101);
-        mask = [0];
-        r.semijoin_mask(0, 9, &mut mask);
-        assert_eq!(mask[0], 0);
+        let mut masks = QuerySetColumn::new(1);
+        masks.push_repeat(&[0], 2);
+        stem.semijoin_batch(0, &[5, 9], &mut ProbeScratch::new(), &mut masks);
+        assert_eq!(masks.raw(), &[0b101, 0]);
     }
 
     #[test]
@@ -1240,18 +1233,12 @@ mod tests {
             }
             // Routed (index 0) and full-scan (index 1) probes both find
             // exactly the unsharded match multiset.
-            let mut scratch = ProbeScratch::new();
             for index_id in [0usize, 1] {
                 let probe_keys: Vec<i64> =
                     (0..777).map(|i| if index_id == 0 { i * 7 % 520 } else { i % 20 }).collect();
-                let mut expect: Vec<(usize, u32)> = Vec::new();
-                flat.probe_batch(index_id, &probe_keys, VERSION_ALL, &mut scratch, |i, _, vid| {
-                    expect.push((i, vid));
-                });
-                let mut got: Vec<(usize, u32)> = Vec::new();
-                sharded.probe_batch(index_id, &probe_keys, VERSION_ALL, &mut scratch, |i, _, vid| {
-                    got.push((i, vid));
-                });
+                let (mut expect, _) = tiled(&flat, index_id, &probe_keys, VERSION_ALL, q.width());
+                let (mut got, mut scratch) =
+                    tiled(&sharded, index_id, &probe_keys, VERSION_ALL, q.width());
                 expect.sort_unstable();
                 got.sort_unstable();
                 assert_eq!(got, expect, "shards {shards} index {index_id}");
@@ -1259,16 +1246,18 @@ mod tests {
                     let total: u32 = scratch.shard_key_counts().iter().sum();
                     assert_eq!(total as usize, probe_keys.len());
                 }
-                // Semi-join agreement too (first word of the OR mask).
-                let mut flat_acc = vec![0u64; 1];
-                let mut shard_acc = vec![0u64; 1];
-                flat.semijoin_batch(index_id, &probe_keys, &mut scratch, |_, qs| {
-                    flat_acc[0] |= qs[0];
-                });
-                sharded.semijoin_batch(index_id, &probe_keys, &mut scratch, |_, qs| {
-                    shard_acc[0] |= qs[0];
-                });
-                assert_eq!(flat_acc, shard_acc, "shards {shards} index {index_id}");
+                // Semi-join agreement too, against the per-key reference.
+                let mut flat_acc = QuerySetColumn::new(q.width());
+                flat_acc.push_repeat(QuerySet::empty(4).words(), probe_keys.len());
+                let mut shard_acc = flat_acc.clone();
+                let mut per_key = flat_acc.clone();
+                flat.semijoin_batch(index_id, &probe_keys, &mut scratch, &mut flat_acc);
+                sharded.semijoin_batch(index_id, &probe_keys, &mut scratch, &mut shard_acc);
+                for (i, &k) in probe_keys.iter().enumerate() {
+                    sharded.probe(index_id, k, VERSION_ALL, |qs, _| per_key.row_mut(i)[0] |= qs[0]);
+                }
+                assert_eq!(flat_acc.raw(), per_key.raw(), "shards {shards} index {index_id}");
+                assert_eq!(shard_acc.raw(), per_key.raw(), "shards {shards} index {index_id}");
             }
         }
     }
@@ -1286,7 +1275,7 @@ mod tests {
         }
         for shards in [1usize, 2, 8] {
             let stem = Stem::with_shards(RelId(0), vec![ColId(0)], q.width(), 0, shards);
-            stem.insert_vector(&vids, &qc, &[keys.clone()], &global);
+            stem.insert_vector(&vids, &qc, std::slice::from_ref(&keys), &global);
             let per_shard = stem.shard_memory_bytes();
             assert_eq!(per_shard.len(), shards);
             assert_eq!(per_shard.iter().sum::<usize>(), stem.memory_bytes());

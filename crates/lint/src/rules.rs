@@ -133,6 +133,7 @@ pub const HOT_PATHS: &[&str] = &[
     // The kernel layer is the innermost loop of all: every episode's
     // filter, prune, compaction, and routing work funnels through it.
     "crates/exec/src/kernels/mod.rs",
+    "crates/exec/src/kernels/pairs.rs",
     "crates/exec/src/kernels/scalar.rs",
     "crates/exec/src/kernels/wide.rs",
     "crates/exec/src/kernels/simd.rs",

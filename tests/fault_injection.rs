@@ -363,3 +363,60 @@ fn closed_session_refuses_admissions() {
     assert_eq!(results[0].rows, 12);
     assert!(results[0].is_complete());
 }
+
+#[test]
+fn watchdog_stops_an_exploding_probe_within_one_tile() {
+    use roulette::exec::PROBE_TILE;
+
+    // Every fact row matches all 1000 dim rows, so one 128-row vector's
+    // probe produces 128 000 tuples — far past budget + tile. Both vID
+    // columns are carried (both sides project), so every materialised
+    // tuple is two cells.
+    let mut c = Catalog::new();
+    let mut f = RelationBuilder::new("fact");
+    f.int64("k", vec![0; 256]);
+    f.int64("v", (0..256).collect());
+    c.add(f.build()).unwrap();
+    let mut d = RelationBuilder::new("dim");
+    d.int64("k", vec![0; 1000]);
+    d.int64("w", (0..1000).collect());
+    c.add(d.build()).unwrap();
+    let q = SpjQuery::builder(&c)
+        .relation("fact")
+        .relation("dim")
+        .join(("fact", "k"), ("dim", "k"))
+        .project("fact", "v")
+        .project("dim", "w")
+        .build()
+        .unwrap();
+
+    let run = |cfg: EngineConfig| {
+        let engine = RouletteEngine::new(&c, cfg);
+        let mut session = engine.session(1);
+        session.admit(q.clone()).unwrap();
+        session.run();
+        let stats = session.stats();
+        (session.finish().per_query, stats)
+    };
+    let cfg = EngineConfig::default().with_vector_size(128).unwrap();
+    let (clean, clean_stats) = run(cfg.clone());
+    assert_eq!(clean[0].rows, 256_000);
+    assert_eq!(clean_stats.materialized_cells, 2 * 256_000);
+
+    const BUDGET: u64 = 1000;
+    let (guarded, stats) = run(cfg.with_episode_budget(Some(BUDGET), None).unwrap());
+    assert!(stats.watchdog_trips > 0, "the exploding probes never tripped the watchdog");
+    // The single join admits one plan, so the greedy replan redoes exactly
+    // the clean run's work; whatever was materialised beyond that was
+    // materialised by tripped probes before they stopped.
+    let overshoot = stats.materialized_cells - clean_stats.materialized_cells;
+    let bound = stats.watchdog_trips * 2 * (BUDGET + PROBE_TILE as u64);
+    assert!(overshoot > 0);
+    assert!(
+        overshoot <= bound,
+        "{} trips materialised {overshoot} cells before stopping (bound {bound})",
+        stats.watchdog_trips
+    );
+    assert!(guarded[0].is_complete());
+    assert_eq!((guarded[0].rows, guarded[0].checksum), (clean[0].rows, clean[0].checksum));
+}

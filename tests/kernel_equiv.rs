@@ -5,16 +5,21 @@
 //! row width, and every tail length they must produce *byte-identical*
 //! query-set words, survivor masks, compacted columns, and partition
 //! layouts. The suite sweeps the kernel API directly across
-//! `Kernels::all_modes()`, then closes the loop end-to-end: a full engine
+//! `Kernels::all_modes()`, pins the tiled probe operator (AND-select,
+//! `Stem::probe_tiles`, column gathers) to the per-key `Stem::probe` +
+//! `and_into` reference, then closes the loop end-to-end: a full engine
 //! run with wide kernels must match a `with_wide_kernels(false)` run
 //! row-for-row at one and four workers, including under deterministic
 //! fault injection.
 
-use roulette::core::{EngineConfig, QueryId, QuerySet, QuerySetColumn, RowMask};
+use roulette::core::queryset::and_into;
+use roulette::core::{ColId, EngineConfig, QueryId, QuerySet, QuerySetColumn, RelId, RowMask};
+use roulette::exec::kernels::pairs;
 use roulette::exec::{
     CompletionStatus, FaultInjector, FaultSite, GroupedFilter, Kernels, Partition, PlainFilter,
-    QueryResult, RouletteEngine,
+    ProbeScratch, QueryResult, RouletteEngine, Stem, PROBE_TILE, VERSION_ALL,
 };
+use std::sync::atomic::AtomicU32;
 use roulette::query::SpjQuery;
 use roulette::storage::{Catalog, RelationBuilder};
 
@@ -267,6 +272,223 @@ fn partition_kernels_match_scalar_row_for_row() {
             }
         }
     }
+}
+
+// --- the tiled probe operator vs the per-key reference ---
+
+/// One probe output tuple: (probe-vector row, matched entry vID, ANDed
+/// query-set words).
+type ProbeRow = (u32, u32, Vec<u64>);
+
+/// A STeM over `keys` (entry `i` has vID `i` and a pseudo-random
+/// query-set), inserted in three vectors so there are three versions.
+/// Returns the STeM and the versions of the first and second vector.
+fn build_stem(keys: &[i64], capacity: usize, shards: usize) -> (Stem, u32, u32) {
+    let width = QuerySet::full(capacity).width();
+    let stem = Stem::with_shards(RelId(0), vec![ColId(0)], width, keys.len(), shards);
+    let global = AtomicU32::new(0);
+    let qsets = make_qsets(capacity, keys.len(), 53);
+    let third = keys.len().div_ceil(3).max(1);
+    let mut versions = Vec::new();
+    for (c, chunk) in keys.chunks(third).enumerate() {
+        let start = c * third;
+        let vids: Vec<u32> = (start..start + chunk.len()).map(|i| i as u32).collect();
+        let mut q = QuerySetColumn::new(width);
+        for i in start..start + chunk.len() {
+            q.push_row_from(&qsets, i);
+        }
+        // Per-vector inserts on a sharded STeM return the last shard's
+        // version; every version of this vector is ≤ it and > the
+        // previous vector's, which is all the version sweep needs.
+        versions.push(stem.insert_vector(&vids, &q, &[chunk.to_vec()], &global));
+    }
+    let v0 = versions.first().copied().unwrap_or(0);
+    let v_mid = versions.get(1).copied().unwrap_or(v0) + 1;
+    (stem, v0, v_mid)
+}
+
+/// Row-at-a-time reference for one probe step: per-key `Stem::probe` +
+/// `and_into`, main branch then divergence branch.
+fn reference_probe(
+    stem: &Stem,
+    qsets: &QuerySetColumn,
+    keys: &[i64],
+    version: u32,
+    main: &[u64],
+    div: Option<&[u64]>,
+) -> (Vec<ProbeRow>, Vec<(u32, Vec<u64>)>) {
+    let w = qsets.words_per_set();
+    let mut main_out = Vec::new();
+    let mut div_out = Vec::new();
+    let (mut row_mask, mut hit) = (vec![0u64; w], vec![0u64; w]);
+    for (i, &key) in keys.iter().enumerate() {
+        if and_into(&mut row_mask, qsets.row(i), main) {
+            stem.probe(0, key, version, |entry_q, vid| {
+                if and_into(&mut hit, &row_mask, entry_q) {
+                    main_out.push((i as u32, vid, hit.clone()));
+                }
+            });
+        }
+        if let Some(div) = div {
+            if and_into(&mut hit, qsets.row(i), div) {
+                div_out.push((i as u32, hit.clone()));
+            }
+        }
+    }
+    (main_out, div_out)
+}
+
+/// The operator as `exec_probe` composes it: AND-select the main rows,
+/// gather their keys, probe tile by tile gathering the source row and
+/// target vID columns, then AND-select the divergence rows.
+fn tiled_probe(
+    stem: &Stem,
+    qsets: &QuerySetColumn,
+    keys: &[i64],
+    version: u32,
+    main: &[u64],
+    div: Option<&[u64]>,
+) -> (Vec<ProbeRow>, Vec<(u32, Vec<u64>)>) {
+    let w = qsets.words_per_set();
+    let mut row_masks = QuerySetColumn::new(w);
+    let mut active_rows = vec![77; 3]; // stale contents must not leak
+    pairs::and_select_rows(qsets, main, &mut row_masks, &mut active_rows);
+    let active_keys: Vec<i64> = active_rows.iter().map(|&i| keys[i as usize]).collect();
+    let mut scratch = ProbeScratch::new();
+    let mut out = QuerySetColumn::new(w);
+    let (mut src_rows, mut vids) = (Vec::new(), Vec::new());
+    stem.probe_tiles(0, &active_keys, version, &row_masks, &mut scratch, &mut out, |tile| {
+        assert!(!tile.is_empty() && tile.len() <= PROBE_TILE);
+        pairs::gather_u32(&active_rows, tile.rows(), &mut src_rows);
+        tile.extend_vids(&mut vids);
+        true
+    });
+    assert_eq!((src_rows.len(), vids.len()), (out.len(), out.len()));
+    let main_out =
+        (0..out.len()).map(|k| (src_rows[k], vids[k], out.row(k).to_vec())).collect();
+    let mut div_out = Vec::new();
+    if let Some(div) = div {
+        let mut dq = QuerySetColumn::new(w);
+        pairs::and_select_rows(qsets, div, &mut dq, &mut active_rows);
+        assert_eq!(dq.len(), active_rows.len());
+        div_out = (0..dq.len()).map(|k| (active_rows[k], dq.row(k).to_vec())).collect();
+    }
+    (main_out, div_out)
+}
+
+fn assert_probe_equivalent(
+    tag: &str,
+    entry_keys: &[i64],
+    probe_keys: &[i64],
+    capacity: usize,
+    main: &QuerySet,
+    div: Option<&QuerySet>,
+) {
+    let probe_qsets = make_qsets(capacity, probe_keys.len(), 59);
+    for shards in [1usize, 2, 8] {
+        let (stem, v0, v_mid) = build_stem(entry_keys, capacity, shards);
+        for version in [v0, v_mid, VERSION_ALL] {
+            let div_words = div.map(|d| d.words());
+            let (mut want, want_div) =
+                reference_probe(&stem, &probe_qsets, probe_keys, version, main.words(), div_words);
+            let (mut got, got_div) =
+                tiled_probe(&stem, &probe_qsets, probe_keys, version, main.words(), div_words);
+            if shards > 1 {
+                // Sharded probes visit shard-grouped: same multiset.
+                want.sort_unstable();
+                got.sort_unstable();
+            }
+            let tag = format!("{tag} cap={capacity} shards={shards} version={version}");
+            assert_eq!(want.len(), got.len(), "{tag}: match count diverged");
+            assert_eq!(want, got, "{tag}: main branch diverged from per-key probing");
+            assert_eq!(want_div, got_div, "{tag}: divergence branch diverged");
+        }
+    }
+}
+
+/// Every third query in the main branch, the rest in the divergence one.
+fn split_queries(capacity: usize) -> (QuerySet, QuerySet) {
+    let mut main = QuerySet::empty(capacity);
+    let mut div = QuerySet::empty(capacity);
+    for q in 0..capacity {
+        if q % 3 == 0 { main.insert(QueryId(q as u32)) } else { div.insert(QueryId(q as u32)) }
+    }
+    (main, div)
+}
+
+#[test]
+fn tiled_probe_matches_per_key_probe_for_all_widths_versions_and_shards() {
+    // Widths 1, 1, 2, 3, 4, and 5 words.
+    for &capacity in &[7usize, 64, 65, 130, 256, 300] {
+        let (main, div) = split_queries(capacity);
+        // ~6 entries per key; probe keys hit, miss, and repeat.
+        let entry_keys: Vec<i64> = (0..600i64).map(|i| i * 7 % 101).collect();
+        for &n in &ROWS {
+            let mut s = 61;
+            let probe_keys: Vec<i64> = (0..n).map(|_| lcg(&mut s).rem_euclid(140)).collect();
+            assert_probe_equivalent("mixed", &entry_keys, &probe_keys, capacity, &main, Some(&div));
+            assert_probe_equivalent("no-div", &entry_keys, &probe_keys, capacity, &main, None);
+        }
+    }
+}
+
+#[test]
+fn tiled_probe_tile_edges() {
+    for &capacity in &[64usize, 130] {
+        let full = QuerySet::full(capacity);
+        let (main, div) = split_queries(capacity);
+        let entry_keys: Vec<i64> = (0..600i64).map(|i| i * 7 % 101).collect();
+        let probe_keys: Vec<i64> = (0..200i64).map(|i| i % 140).collect();
+
+        // Empty batch.
+        assert_probe_equivalent("empty", &entry_keys, &[], capacity, &main, Some(&div));
+        // All rows filtered by the main mask: nothing is probed, the
+        // divergence branch still selects.
+        let none = QuerySet::empty(capacity);
+        assert_probe_equivalent("main-filtered", &entry_keys, &probe_keys, capacity, &none, Some(&full));
+        // The other way round: an empty divergence mask keeps no row.
+        assert_probe_equivalent("div-filtered", &entry_keys, &probe_keys, capacity, &full, Some(&none));
+
+        // One key whose chain is longer than the tile cap, probed by one
+        // row and then by a few rows among misses.
+        let mut hot: Vec<i64> = vec![5; PROBE_TILE + 100];
+        hot.extend((0..50).map(|i| 1000 + i));
+        assert_probe_equivalent("long-chain", &hot, &[5], capacity, &full, None);
+        assert_probe_equivalent("long-chain-x3", &hot, &[9, 5, 1001, 5, 5, 7], capacity, &main, Some(&div));
+
+        // Matches landing exactly on the cap: 1024 entries per key, four
+        // (then eight) probe rows → exactly one (two) full tile(s) of
+        // pairs before the query-set AND.
+        let quarter: Vec<i64> = (0..2 * PROBE_TILE as i64 / 4).map(|i| i % 2).collect();
+        assert_eq!(quarter.iter().filter(|&&k| k == 0).count(), PROBE_TILE / 4);
+        assert_probe_equivalent("exact-cap", &quarter, &[0, 1, 0, 1], capacity, &full, None);
+        assert_probe_equivalent(
+            "exact-2cap",
+            &quarter,
+            &[0, 1, 0, 1, 1, 1, 0, 0],
+            capacity,
+            &full,
+            Some(&div),
+        );
+    }
+}
+
+#[test]
+fn tiled_probe_stops_when_the_consumer_says_so() {
+    let capacity = 64;
+    let hot: Vec<i64> = vec![5; 3 * PROBE_TILE];
+    let (stem, _, _) = build_stem(&hot, capacity, 1);
+    let mut masks = QuerySetColumn::new(1);
+    masks.push_repeat(&[u64::MAX], 4);
+    let mut scratch = ProbeScratch::new();
+    let mut out = QuerySetColumn::new(1);
+    let mut tiles = 0;
+    stem.probe_tiles(0, &[5, 5, 5, 5], VERSION_ALL, &masks, &mut scratch, &mut out, |_| {
+        tiles += 1;
+        tiles < 2
+    });
+    assert_eq!(tiles, 2, "the walk must stop at the tile that returned false");
+    assert!(out.len() <= 2 * PROBE_TILE);
 }
 
 // --- end-to-end: wide vs scalar engines must agree byte-for-byte ---
