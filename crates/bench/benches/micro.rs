@@ -113,10 +113,11 @@ fn bench_stem(c: &mut Criterion) {
             out.clear();
             out_vids.clear();
             let probe_keys = keys.get(..1024).unwrap_or(&[]);
-            stem.probe_tiles(0, probe_keys, VERSION_ALL, &row_masks, &mut scratch, &mut out, |t| {
+            let on_tile = |t: roulette_exec::MatchTile<'_>, _: &mut QuerySetColumn| {
                 t.extend_vids(&mut out_vids);
                 true
-            });
+            };
+            stem.probe_tiles(0, probe_keys, VERSION_ALL, &row_masks, &mut scratch, &mut out, on_tile);
             black_box((out.len(), out_vids.len()))
         })
     });
@@ -197,25 +198,30 @@ fn bench_planning(c: &mut Criterion) {
 }
 
 fn bench_router(c: &mut Criterion) {
-    // Locality-conscious two-pass routing vs direct per-tuple multicast
-    // (§5.1): the two-pass router issues one sink update per query per
-    // vector instead of one per tuple per query.
-    use roulette_core::EngineConfig;
-    use roulette_exec::RouletteEngine;
+    // The engine's router body (`roulette_exec::route`) on one 4096-row
+    // vector, in its two shapes (`routing::SHAPES`): column-at-a-time vs
+    // the direct per-tuple multicast of the §5.1 ablation.
+    use roulette_bench::routing::{routing_fixture, SHAPES};
+    use roulette_exec::{route, EpisodeSink, Kernels, RouteScratch};
     let mut group = c.benchmark_group("router");
     tune(&mut group);
-    let ds = tpcds::generate(0.1, 3);
-    let queries = tpcds_pool(&ds, SensitivityParams::default(), 128, 5).expect("workload generation");
-    for (label, locality) in [("two_pass", true), ("direct", false)] {
-        let cfg = EngineConfig { locality_router: locality, ..EngineConfig::default() };
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let out = RouletteEngine::new(&ds.catalog, cfg.clone())
-                    .execute_batch(&queries)
-                    .unwrap();
-                black_box(out.stats.route_ns)
-            })
-        });
+    for (shape, capacity, density, projected) in SHAPES {
+        let fx = routing_fixture(capacity, density, projected, 4096);
+        group.throughput(Throughput::Elements(fx.emitted));
+        for (label, locality) in [("column", true), ("direct", false)] {
+            group.bench_function(BenchmarkId::new(shape, label), |b| {
+                let mut sink = EpisodeSink::new(false);
+                let mut scratch = RouteScratch::default();
+                b.iter(|| {
+                    let kernels = Kernels::best();
+                    route(
+                        &fx.catalog, kernels, locality, &fx.leaf, &fx.qsets, &fx.cols, &mut sink,
+                        &mut scratch,
+                    );
+                    sink.reset();
+                })
+            });
+        }
     }
     group.finish();
 }

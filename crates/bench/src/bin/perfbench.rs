@@ -4,9 +4,9 @@
 //! engine's hot loops: end-to-end episode throughput on the synthetic chain
 //! workload, STeM insert and the tiled probe operator (in and out of
 //! cache), windowed-relation expiry (the
-//! streaming layer's reclamation path), and the four data-parallel kernels
-//! (filter masking, bulk query-set intersection, survivor compaction,
-//! routing partition — DESIGN.md §14). Emits `BENCH_perf.json` so
+//! streaming layer's reclamation path), three data-parallel kernels (filter
+//! masking, bulk query-set intersection, survivor compaction — DESIGN.md
+//! §14) and the router in its count-only and projected shapes. Emits `BENCH_perf.json` so
 //! successive PRs accumulate a performance trajectory.
 //!
 //! Usage:
@@ -24,8 +24,10 @@
 //! (`--gate-floor`, default 0.85), which is how CI catches regressions.
 
 use roulette_core::{ColId, EngineConfig, QueryId, QuerySet, QuerySetColumn, RelId, RowMask};
+use roulette_bench::routing::{routing_fixture, SHAPES};
 use roulette_exec::{
-    GroupedFilter, Kernels, Partition, ProbeScratch, RouletteEngine, Stem, VERSION_ALL,
+    route, EpisodeSink, GroupedFilter, Kernels, LiveSet, Outputs, ProbeScratch, RouletteEngine,
+    RouteScratch, Stem, VERSION_ALL,
 };
 use roulette_query::generator::chains_queries;
 use roulette_storage::datagen::chains::{self, ChainsParams};
@@ -302,7 +304,7 @@ fn bench_stem_probe(
             out.clear();
             out_rows.clear();
             out_vids.clear();
-            stem.probe_tiles(0, &keys, VERSION_ALL, &row_masks, &mut scratch, &mut out, |tile| {
+            stem.probe_tiles(0, &keys, VERSION_ALL, &row_masks, &mut scratch, &mut out, |tile, _| {
                 out_rows.extend_from_slice(tile.rows());
                 tile.extend_vids(&mut out_vids);
                 true
@@ -440,37 +442,33 @@ fn bench_compaction(quick: bool, runs: usize) -> BenchResult {
     })
 }
 
-/// Routing-partition kernel: CSR partition over the qset words plus the
-/// per-query gather the router does with it. Work items are emitted
-/// `(query, row)` pairs, matching the router's output accounting.
-fn bench_routing(quick: bool, runs: usize) -> BenchResult {
+/// The engine's router ([`roulette_exec::route`], the body leaf probes and
+/// direct vectors both run) over 1024-row vectors carrying three vID
+/// columns, routed into an [`EpisodeSink`] that is flushed once at the
+/// end, in one of the two leaf shapes of `routing::SHAPES`. Work items are
+/// emitted `(query, row)` pairs, checked against the sink's row counts.
+fn bench_routing(name: &'static str, shape: usize, quick: bool, runs: usize) -> BenchResult {
+    let (_, capacity, density, projected) = SHAPES[shape];
+    const ROWS: usize = 1024;
     let n: usize = if quick { 1 << 15 } else { 1 << 18 };
-    let queries = QuerySet::full(8);
-    let mut v = 42i64;
-    // ~4.5 queries per row on average, never empty.
-    let template: Vec<u64> = (0..1024).map(|_| (lcg(&mut v) as u64 & 0xff) | 1).collect();
-    let emitted_per_chunk: u64 = template.iter().map(|w| w.count_ones() as u64).sum();
-    let vals: Vec<i64> = (0..1024).map(|_| lcg(&mut v)).collect();
+    let fx = routing_fixture(capacity, density, projected, ROWS);
     let kernels = Kernels::from_config(&EngineConfig::default());
-    bench("routing", "rows", runs, || {
-        let mut qsets = QuerySetColumn::new(queries.width());
-        let mut part = Partition::new();
-        let mut emitted = 0u64;
-        let mut acc = 0i64;
-        for _ in 0..n / 1024 {
-            qsets.clear();
-            qsets.push_rows(&template);
-            emitted += kernels.partition(&qsets, &queries, &mut part);
-            for q in queries.iter() {
-                for &ri in part.rows_of(q.index()) {
-                    // Stand-in for the projection gather: one column read
-                    // per emitted row.
-                    acc = acc.wrapping_add(vals[ri as usize]);
-                }
-            }
+    let live = LiveSet::new(capacity);
+    for q in fx.leaf.queries.iter() {
+        live.activate(q);
+    }
+    bench(name, "rows", runs, || {
+        let mut sink = EpisodeSink::new(false);
+        let mut scratch = RouteScratch::default();
+        let outputs = Outputs::new(capacity, false);
+        for _ in 0..n / ROWS {
+            let (leaf, qsets, cols) = (&fx.leaf, &fx.qsets, &fx.cols);
+            route(&fx.catalog, kernels, true, leaf, qsets, cols, &mut sink, &mut scratch);
         }
-        std::hint::black_box(acc);
-        assert_eq!(emitted, emitted_per_chunk * (n / 1024) as u64);
+        sink.flush(&outputs, &live);
+        let emitted: u64 = outputs.results(capacity).iter().map(|r| r.rows).sum();
+        assert_eq!(emitted, fx.emitted * (n / ROWS) as u64);
+        std::hint::black_box(outputs.result(QueryId(0)).checksum);
         emitted
     })
 }
@@ -637,7 +635,8 @@ fn main() {
         bench_filter_mask(quick, runs),
         bench_qset_and(quick, runs),
         bench_compaction(quick, runs),
-        bench_routing(quick, runs),
+        bench_routing("routing_count_only", 0, quick, runs),
+        bench_routing("routing_projected", 1, quick, runs),
     ];
 
     let mut baseline_eps = None;

@@ -17,6 +17,7 @@ pub mod fig17_18;
 pub mod fig19_20;
 pub mod harness;
 pub mod misc;
+pub mod routing;
 pub mod systems;
 
 pub use harness::Scale;

@@ -7,21 +7,26 @@
 //! inserted into the scanned relation's STeM (making the join symmetric)
 //! under a fresh global version; (iv) the join-phase plan probes the other
 //! STeMs, routing divergence branches and, at null decisions, multicasting
-//! SPJ results to the per-query sinks; (v) the execution log is fed back
-//! to the learned policy.
+//! SPJ results to the per-query sinks — a probe whose output goes straight
+//! to a router (a *leaf* probe) routes it tile by tile and never
+//! materialises it; (v) the execution log is fed back to the learned
+//! policy.
 
 use crate::fault::{FaultInjector, FaultSite, LiveSet};
 use crate::kernels::{pairs, Kernels};
-use crate::output::{row_hash, Outputs};
+use crate::output::Outputs;
 use crate::planner::{
-    assign_projections, plan_join_phase, plan_selection_phase, JoinNode, ProbeNode,
+    assign_projections, plan_join_phase, plan_selection_phase, JoinNode, Leaf, ProbeNode,
 };
 use crate::profile::{Category, Profile};
+use crate::router::{route, EpisodeSink, RouteScratch};
 use crate::scratch::EpisodeScratch;
 use crate::spaces::{JoinSpace, SelectionSpace};
 use crate::stem::Stem;
 use crate::vector::DataVector;
-use roulette_core::{ColId, EngineConfig, Error, QueryId, QuerySet, RelId, RelSet};
+use roulette_core::{
+    ColId, EngineConfig, Error, QueryId, QuerySet, QuerySetColumn, RelId, RelSet,
+};
 use roulette_policy::{ExecutionLog, GreedyPolicy, Policy, Scope};
 use roulette_query::QueryBatch;
 use roulette_storage::{Catalog, IngestVector};
@@ -121,122 +126,6 @@ pub struct EngineShared<'a> {
     /// Data-parallel kernel dispatcher for the vector hot loops
     /// (DESIGN.md §14); mode resolved once from the config.
     pub kernels: Kernels,
-}
-
-/// One query's staged output: row count, checksum, and (when collecting)
-/// the projected rows in a flat value store — `data` holds the rows'
-/// values back-to-back and `offsets[i]` is the end of row `i` — so staging
-/// a row never allocates once the buffers are warm.
-#[derive(Debug)]
-struct SinkEntry {
-    q: QueryId,
-    rows: u64,
-    checksum: u64,
-    data: Vec<i64>,
-    offsets: Vec<u32>,
-}
-
-impl SinkEntry {
-    #[inline]
-    fn add_row(&mut self, values: &[i64], collecting: bool) {
-        self.rows += 1;
-        self.checksum = self.checksum.wrapping_add(row_hash(values));
-        if collecting {
-            self.data.extend_from_slice(values);
-            self.offsets.push(self.data.len() as u32);
-        }
-    }
-}
-
-/// Episode-local staging of routed outputs.
-///
-/// The join phase routes into this sink instead of the shared [`Outputs`];
-/// the episode commits it exactly once at the end, masked by the live set.
-/// This makes episode output atomic: a quarantined query never publishes
-/// partial rows, a watchdog-aborted join phase is discarded wholesale, and
-/// a panic unwinding through the episode drops the sink before anything
-/// reaches a consumer. Retired entries are parked in a spare pool, so a
-/// pooled sink routes allocation-free in steady state.
-#[derive(Debug, Default)]
-pub struct EpisodeSink {
-    collecting: bool,
-    acc: Vec<SinkEntry>,
-    spare: Vec<SinkEntry>,
-    /// Dense query-id → `acc` position + 1 (0 = not staged): entry lookup
-    /// is one load however many queries the episode touches.
-    slot_of: Vec<u32>,
-}
-
-impl EpisodeSink {
-    /// An empty sink; `collecting` mirrors [`Outputs::collecting`].
-    pub fn new(collecting: bool) -> Self {
-        EpisodeSink { collecting, ..EpisodeSink::default() }
-    }
-
-    fn entry(&mut self, q: QueryId) -> &mut SinkEntry {
-        if self.slot_of.len() <= q.index() {
-            self.slot_of.resize(q.index() + 1, 0);
-        }
-        let staged = self.slot_of.get(q.index()).copied().unwrap_or(0) as usize;
-        let pos = if staged != 0 {
-            staged - 1
-        } else {
-            let mut e = self.spare.pop().unwrap_or_else(|| SinkEntry {
-                q,
-                rows: 0,
-                checksum: 0,
-                data: Vec::new(),
-                offsets: Vec::new(),
-            });
-            e.q = q;
-            self.acc.push(e);
-            if let Some(slot) = self.slot_of.get_mut(q.index()) {
-                *slot = self.acc.len() as u32;
-            }
-            self.acc.len() - 1
-        };
-        &mut self.acc[pos]
-    }
-
-    fn push(&mut self, q: QueryId, values: &[i64]) {
-        let collecting = self.collecting;
-        self.entry(q).add_row(values, collecting);
-    }
-
-    /// Discards everything staged so far (watchdog abort), parking the
-    /// entries for reuse.
-    pub fn reset(&mut self) {
-        let EpisodeSink { acc, spare, slot_of, .. } = self;
-        for e in acc.drain(..) {
-            retire(e, spare, slot_of);
-        }
-    }
-
-    /// Commits staged outputs for queries still live at flush time.
-    pub fn flush(&mut self, outputs: &Outputs, live: &LiveSet) {
-        let EpisodeSink { acc, spare, slot_of, .. } = self;
-        for e in acc.drain(..) {
-            if e.rows > 0 && live.contains(e.q) {
-                outputs.push_batch(e.q, e.rows, e.checksum);
-                if !e.offsets.is_empty() {
-                    outputs.extend_collected_flat(e.q, &e.data, &e.offsets);
-                }
-            }
-            retire(e, spare, slot_of);
-        }
-    }
-}
-
-/// Empties a drained sink entry, frees its query's slot, and parks it.
-fn retire(mut e: SinkEntry, spare: &mut Vec<SinkEntry>, slot_of: &mut [u32]) {
-    if let Some(slot) = slot_of.get_mut(e.q.index()) {
-        *slot = 0;
-    }
-    e.rows = 0;
-    e.checksum = 0;
-    e.data.clear();
-    e.offsets.clear();
-    spare.push(e);
 }
 
 /// Watchdog over one episode's join phase: trips once the phase exceeds its
@@ -403,7 +292,9 @@ pub fn run_episode(
     };
     assign_projections(
         &mut join_plan,
-        &|q: QueryId| shared.proj_rels[q.index()],
+        rel,
+        shared.proj_rels,
+        shared.projections,
         shared.config.adaptive_projections,
     );
 
@@ -668,7 +559,9 @@ pub fn run_episode(
                 };
                 assign_projections(
                     &mut fb_plan,
-                    &|q: QueryId| shared.proj_rels[q.index()],
+                    rel,
+                    shared.proj_rels,
+                    shared.projections,
                     shared.config.adaptive_projections,
                 );
                 let mut unbounded = JoinGuard::unbounded();
@@ -817,7 +710,10 @@ fn prune_vector(
 /// Upper bound on an intermediate vector's tuple count: larger probe
 /// outputs are processed in chunks, bounding the pending-vector footprint
 /// (§3) — without this, a bad exploratory order on an expanding join chain
-/// can hold gigabytes of transient tuples across the recursion.
+/// can hold gigabytes of transient tuples across the recursion. Only
+/// *inner* probe outputs (and their divergence branches) ever get this
+/// large: a plan's final join output, usually its biggest intermediate, is
+/// routed tile by tile inside its probe and never exists as a vector.
 const MAX_PENDING_VECTOR: usize = 1 << 16;
 
 /// Executes the join-phase plan for `vec` (probe sub-plans first, then
@@ -853,9 +749,17 @@ fn exec_join(
         return;
     }
     match node {
-        JoinNode::Output { queries } => route(shared, vec, queries, sink, scratch),
+        // A vector that reaches a router without a probe in between: a
+        // divergence branch, or the scan vector of a single-relation query.
+        JoinNode::Output(leaf) => {
+            let t0 = Instant::now();
+            open_leaf(shared, leaf);
+            route_leaf(shared, leaf, &vec.qsets, vec.columns(), sink, &mut scratch.route);
+            shared.profile.add(Category::Route, t0.elapsed().as_nanos() as u64);
+        }
         JoinNode::Probe(p) => {
-            let (main_vec, div_vec) = exec_probe(shared, p, vec, version, log, guard, scratch);
+            let (main_vec, div_vec) =
+                exec_probe(shared, p, vec, version, log, sink, guard, scratch);
             if !guard.tripped {
                 exec_join(shared, &p.main, &main_vec, version, log, sink, guard, scratch);
                 if let (Some(div_plan), Some(dv)) = (&p.div, &div_vec) {
@@ -870,27 +774,72 @@ fn exec_join(
     }
 }
 
+/// Everything about routing to `leaf` that may take a lock — the `Route`
+/// fault site and the quarantine of queries whose projections the planner
+/// could not resolve — done once, *before* any tuple is routed: a leaf
+/// probe routes under a STeM shard's read latch, where quarantining (which
+/// takes the session's output and ingestion locks) would invert the lock
+/// order. Quarantine only: the flush-time live mask suppresses whatever
+/// the dead query stages.
+fn open_leaf(shared: &EngineShared<'_>, leaf: &Leaf) {
+    if let Some(inj) = shared.injector {
+        if let Some((q, e)) = inj.check(FaultSite::Route, &leaf.queries) {
+            (shared.quarantine)(q, e);
+        }
+    }
+    for &q in leaf.unresolved() {
+        (shared.quarantine)(
+            q,
+            Error::Internal(format!(
+                "{q} projects a column its router's input does not carry (planner defect)"
+            )),
+        );
+    }
+}
+
+/// Routes the tuples `(qsets, cols)` to `leaf`'s queries with the session's
+/// router: the one [`route`] call site for leaf tiles and direct vectors.
+#[inline]
+fn route_leaf(
+    shared: &EngineShared<'_>,
+    leaf: &Leaf,
+    qsets: &QuerySetColumn,
+    cols: &[(RelId, Vec<u32>)],
+    sink: &mut EpisodeSink,
+    scratch: &mut RouteScratch,
+) {
+    let locality = shared.config.locality_router;
+    route(shared.catalog, shared.kernels, locality, leaf, qsets, cols, sink, scratch);
+}
+
 /// One probe step, column-at-a-time: a broadcast AND-select compacts the
 /// probe rows intersecting the main branch (their intersected query-sets
 /// plus a selection list), the selected rows' keys are gathered in one
 /// pass, and the STeM is probed through
 /// [`probe_tiles`](crate::stem::Stem::probe_tiles) — per tile of at most
 /// [`PROBE_TILE`](crate::stem::PROBE_TILE) match pairs, one pass ANDs the
-/// pair query-sets straight into the output vector and the carried vID
+/// pair query-sets into the output's query-set column and the carried vID
 /// columns are then gathered one column at a time from the surviving
-/// pairs. The watchdog is charged per tile, so an exploding probe stops
-/// within one tile of its budget. The divergence branch is the same
-/// AND-select over the full vector. On unsharded STeMs the output order is
-/// identical to per-key probing, so outputs are byte-identical; sharded
-/// probes visit shard-grouped (a result-safe permutation, since the sink
-/// accumulates order-insensitively).
+/// pairs. An *inner* probe (its main branch probes on) appends tile after
+/// tile and returns the materialised output. A *leaf* probe (its main
+/// branch is a router) routes each tile into `sink` on the spot and clears
+/// it, so the plan's final join output never exceeds one tile and the
+/// returned main vector is empty; the routed share of the probe's time is
+/// booked to [`Category::Route`]. The watchdog is charged per tile, so an
+/// exploding probe stops within one tile of its budget. The divergence
+/// branch is the same AND-select over the full vector. On unsharded STeMs
+/// the output order is identical to per-key probing, so outputs are
+/// byte-identical; sharded probes visit shard-grouped (a result-safe
+/// permutation, since the sink accumulates order-insensitively).
 // lint: hot-loop
+#[allow(clippy::too_many_arguments)]
 fn exec_probe(
     shared: &EngineShared<'_>,
     p: &ProbeNode,
     vec: &DataVector,
     version: u32,
     log: &mut ExecutionLog,
+    sink: &mut EpisodeSink,
     guard: &mut JoinGuard,
     scratch: &mut EpisodeScratch,
 ) -> (DataVector, Option<DataVector>) {
@@ -903,50 +852,53 @@ fn exec_probe(
             (shared.quarantine)(q, e);
         }
     }
-    let stem = shared.stems[p.target_rel.index()]
-        .as_ref()
-        .expect("probed relation has a STeM");
-    let index_id = stem.index_of(p.target_col).expect("probe key is indexed");
+    let leaf = match &p.main {
+        JoinNode::Output(leaf) => Some(leaf),
+        JoinNode::Probe(_) => None,
+    };
+    if let Some(leaf) = leaf {
+        open_leaf(shared, leaf);
+    }
     let width = vec.qsets.words_per_set();
-    let probe_vids = vec.vids_of(p.probe_rel).expect("probe column present");
     let cols = vec.columns();
 
-    // Carried source columns for each branch.
-    scratch.carry_main.clear();
-    scratch.carry_main.extend(
-        cols.iter()
-            .enumerate()
-            .filter(|(_, (r, _))| p.keep_main.contains(*r))
-            .map(|(i, _)| i),
-    );
-    let keep_target = p.keep_main.contains(p.target_rel);
-    scratch.carry_div.clear();
-    if p.div_queries.is_some() {
-        scratch.carry_div.extend(
-            cols.iter()
-                .enumerate()
-                .filter(|(_, (r, _))| p.keep_div.contains(*r))
-                .map(|(i, _)| i),
-        );
-    }
-
-    // Output builders, drawn from the arena. `main_bufs`/`div_bufs` only
-    // ever hold empty buffers between probes: assembly drains the ones a
-    // probe used into the output vector, which returns them to the column
-    // pool when the vector is released.
+    // Output builders, drawn from the arena with their carried columns
+    // (source columns in input order, then the target's) in place, so the
+    // passes below gather straight into them.
     let mut main_out = scratch.take_vector(width);
+    scratch.carry_main.clear();
+    for (i, (r, _)) in cols.iter().enumerate() {
+        if p.keep_main.contains(*r) {
+            scratch.carry_main.push(i);
+            main_out.push_column(*r, scratch.take_col());
+        }
+    }
+    let keep_target = p.keep_main.contains(p.target_rel);
+    if keep_target {
+        main_out.push_column(p.target_rel, scratch.take_col());
+    }
     let mut div_out = p.div_queries.as_ref().map(|_| scratch.take_vector(width));
-    while scratch.main_bufs.len() < scratch.carry_main.len() {
-        let buf = scratch.take_col();
-        scratch.main_bufs.push(buf);
+    scratch.carry_div.clear();
+    if let Some(dv) = &mut div_out {
+        for (i, (r, _)) in cols.iter().enumerate() {
+            if p.keep_div.contains(*r) {
+                scratch.carry_div.push(i);
+                dv.push_column(*r, scratch.take_col());
+            }
+        }
     }
-    while scratch.div_bufs.len() < scratch.carry_div.len() {
-        let buf = scratch.take_col();
-        scratch.div_bufs.push(buf);
-    }
-    let mut target_buf = scratch.take_col();
 
-    {
+    // A plan only probes relations it scheduled and keys it indexed; were
+    // that ever broken, the probe matches nothing rather than panicking.
+    let stem = shared.stems.get(p.target_rel.index()).and_then(Option::as_ref);
+    let probe = stem.zip(vec.vids_of(p.probe_rel)).and_then(|(stem, vids)| {
+        stem.index_of(p.target_col).map(|index_id| (stem, index_id, vids))
+    });
+    debug_assert!(probe.is_some(), "probe of an unscheduled relation or unindexed key");
+
+    let mut n_out = 0u64;
+    let mut route_ns = 0u64;
+    if let Some((stem, index_id, probe_vids)) = probe {
         let EpisodeScratch {
             probe,
             probe_keys,
@@ -954,8 +906,8 @@ fn exec_probe(
             active_rows,
             active_vids,
             src_rows,
-            main_bufs,
             carry_main,
+            route: route_scratch,
             ..
         } = scratch;
 
@@ -972,25 +924,45 @@ fn exec_probe(
             .gather(active_vids, probe_keys);
 
         // Passes 2 and 3, per tile of match pairs and one shard read latch
-        // at a time: the STeM ANDs the pair query-sets into `main_out`,
-        // the carried columns are gathered here from the surviving pairs.
+        // at a time: the STeM ANDs the pair query-sets into the output's
+        // query-set column, the carried columns are gathered here from the
+        // surviving pairs — and a leaf routes the tile and takes it back
+        // out. Nothing in here may take a lock.
+        let (out_cols, out_qsets) = main_out.parts_mut();
         stem.probe_tiles(
             index_id,
             probe_keys,
             version,
             row_masks,
             probe,
-            &mut main_out.qsets,
-            |tile| {
-                src_rows.clear();
-                pairs::gather_u32(active_rows, tile.rows(), src_rows);
-                for (buf, &src) in main_bufs.iter_mut().zip(carry_main.iter()) {
-                    if let Some((_, col)) = cols.get(src) {
-                        pairs::gather_u32(col, src_rows, buf);
+            out_qsets,
+            |tile, out_qsets| {
+                if tile.is_empty() {
+                    return !guard.charge(0);
+                }
+                n_out += tile.len() as u64;
+                if !carry_main.is_empty() {
+                    src_rows.clear();
+                    pairs::gather_u32(active_rows, tile.rows(), src_rows);
+                    for ((_, buf), &src) in out_cols.iter_mut().zip(carry_main.iter()) {
+                        if let Some((_, col)) = cols.get(src) {
+                            pairs::gather_u32(col, src_rows, buf);
+                        }
                     }
                 }
                 if keep_target {
-                    tile.extend_vids(&mut target_buf);
+                    if let Some((_, buf)) = out_cols.last_mut() {
+                        tile.extend_vids(buf);
+                    }
+                }
+                if let Some(leaf) = leaf {
+                    let t_route = Instant::now();
+                    route_leaf(shared, leaf, out_qsets, out_cols, sink, route_scratch);
+                    out_qsets.clear();
+                    for (_, buf) in out_cols.iter_mut() {
+                        buf.clear();
+                    }
+                    route_ns += t_route.elapsed().as_nanos() as u64;
                 }
                 !guard.charge(tile.len() as u64)
             },
@@ -999,42 +971,30 @@ fn exec_probe(
 
     // Divergence branch: the same AND-select over the full vector.
     if let (Some(dv), Some(div_q)) = (&mut div_out, &p.div_queries) {
-        let EpisodeScratch { active_rows, div_bufs, carry_div, .. } = scratch;
-        pairs::and_select_rows(&vec.qsets, div_q.words(), &mut dv.qsets, active_rows);
-        for (buf, &src) in div_bufs.iter_mut().zip(carry_div.iter()) {
+        let EpisodeScratch { active_rows, carry_div, .. } = scratch;
+        let (div_cols, div_qsets) = dv.parts_mut();
+        pairs::and_select_rows(&vec.qsets, div_q.words(), div_qsets, active_rows);
+        for ((_, buf), &src) in div_cols.iter_mut().zip(carry_div.iter()) {
             if let Some((_, col)) = cols.get(src) {
                 pairs::gather_u32(col, active_rows, buf);
             }
         }
     }
 
-    // Assemble output vectors.
-    let n_main = scratch.carry_main.len();
-    for (buf, &src) in scratch.main_bufs.drain(..n_main).zip(scratch.carry_main.iter()) {
-        main_out.push_column(cols[src].0, buf);
-    }
-    if keep_target {
-        main_out.push_column(p.target_rel, target_buf);
-    } else {
-        scratch.release_col(target_buf);
-    }
-    let div_vec = div_out.map(|mut dv| {
-        let n_div = scratch.carry_div.len();
-        for (buf, &src) in scratch.div_bufs.drain(..n_div).zip(scratch.carry_div.iter()) {
-            dv.push_column(cols[src].0, buf);
-        }
-        dv
-    });
-
+    // "Pairs × carried columns", whether the pairs were kept or routed.
     shared
         .stats
         .materialized_cells
-        .fetch_add(main_out.footprint_cells() as u64, Ordering::Relaxed);
-    shared.profile.add(Category::Probe, t0.elapsed().as_nanos() as u64);
+        .fetch_add(n_out * main_out.columns().len() as u64, Ordering::Relaxed);
+    let probe_ns = t0.elapsed().as_nanos() as u64;
+    shared.profile.add(Category::Probe, probe_ns.saturating_sub(route_ns));
+    if route_ns > 0 {
+        shared.profile.add(Category::Route, route_ns);
+    }
 
     if let Some(rec) = shared.recorder {
         rec.record_probe_batch(vec.len() as u64);
-        if stem.n_shards() > 1 {
+        if stem.is_some_and(|s| s.n_shards() > 1) {
             for (s, &keys) in scratch.probe.shard_key_counts().iter().enumerate() {
                 if keys > 0 {
                     rec.record_shard_probe(s, keys as u64);
@@ -1049,106 +1009,9 @@ fn exec_probe(
         &p.queries,
         p.edge,
         vec.len() as u64,
-        main_out.len() as u64,
-        div_vec.as_ref().map(|d| d.len() as u64),
+        n_out,
+        div_out.as_ref().map(|d| d.len() as u64),
     );
 
-    (main_out, div_vec)
-}
-
-/// Routes an output vector to its queries' sinks. The locality-conscious
-/// router (§5.1) works query-at-a-time in two passes — count, then gather —
-/// issuing one sink-entry lookup per query per vector and writing projected
-/// rows straight into the entry's flat store; the direct router multicasts
-/// tuple-by-tuple.
-// lint: hot-loop
-fn route(
-    shared: &EngineShared<'_>,
-    vec: &DataVector,
-    queries: &QuerySet,
-    sink: &mut EpisodeSink,
-    scratch: &mut EpisodeScratch,
-) {
-    let t0 = Instant::now();
-    if let Some(inj) = shared.injector {
-        if let Some((q, e)) = inj.check(FaultSite::Route, queries) {
-            (shared.quarantine)(q, e);
-        }
-    }
-    let collecting = sink.collecting;
-    if shared.config.locality_router {
-        // One CSR partition pass over the qset words replaces the old
-        // count-then-test sweeps per query.
-        let EpisodeScratch { part, route_vals, row, .. } = scratch;
-        shared.kernels.partition(&vec.qsets, queries, part);
-        for q in queries.iter() {
-            let rows = part.rows_of(q.index());
-            if rows.is_empty() {
-                continue;
-            }
-            // Projection lookups (vID column find, catalog column) are
-            // hoisted out of the row loop: gather each projected column
-            // for all of this query's rows, column-major into route_vals.
-            let projs =
-                shared.projections.get(q.index()).map(|p| p.as_slice()).unwrap_or(&[]);
-            route_vals.clear();
-            for &(rel, col) in projs {
-                let vids = vec
-                    .vids_of(rel)
-                    .expect("projection column survived adaptive projections");
-                let column = shared.catalog.relation(rel).column(col);
-                for &ri in rows {
-                    let vid = vids.get(ri as usize).copied().unwrap_or(0);
-                    route_vals.push(column.value(vid as usize));
-                }
-            }
-            // Reassemble row-major into the query's sink entry, resolved
-            // once per query. Emission order (queries ascending, rows
-            // ascending) matches the old per-query scan exactly.
-            let e = sink.entry(q);
-            for k in 0..rows.len() {
-                row.clear();
-                for cvals in route_vals.chunks_exact(rows.len()) {
-                    row.push(cvals.get(k).copied().unwrap_or(0));
-                }
-                e.add_row(row, collecting);
-            }
-        }
-    } else {
-        // Direct multicast: iterate set bits straight off the row words
-        // (no per-tuple set materialization — the ablation compares
-        // routing strategies, not allocator traffic).
-        for i in 0..vec.len() {
-            let row = vec.qsets.row(i);
-            for (w, &word) in row.iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let q = QueryId((w * 64 + b) as u32);
-                    project_row(shared, vec, q, i, &mut scratch.row);
-                    sink.push(q, &scratch.row);
-                }
-            }
-        }
-    }
-    shared.profile.add(Category::Route, t0.elapsed().as_nanos() as u64);
-}
-
-// lint: hot-loop
-#[inline]
-fn project_row(
-    shared: &EngineShared<'_>,
-    vec: &DataVector,
-    q: QueryId,
-    row: usize,
-    out: &mut Vec<i64>,
-) {
-    out.clear();
-    for &(rel, col) in &shared.projections[q.index()] {
-        let vids = vec
-            .vids_of(rel)
-            .expect("projection column survived adaptive projections");
-        out.push(shared.catalog.relation(rel).column(col).value(vids[row] as usize));
-    }
+    (main_out, div_out)
 }

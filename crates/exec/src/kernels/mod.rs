@@ -23,7 +23,9 @@
 //!
 //! The shared probe's selection-list kernels (`pairs`: pair AND-select,
 //! pair OR, broadcast AND-select, column gather) sit beside these with a
-//! single implementation each — their reference is the per-key probe.
+//! single implementation each — their reference is the per-key probe — and
+//! so do the router's (`route`: per-query counts, column-at-a-time row
+//! hash), whose reference is the per-row `row_hash`.
 //!
 //! Every kernel writes bit-exact results regardless of mode: lane order
 //! never changes the value written to a given output position, and tail
@@ -35,10 +37,37 @@ use roulette_core::{EngineConfig, QuerySet, QuerySetColumn, RowMask};
 use crate::filter::{GroupedFilter, PlainFilter};
 
 pub mod pairs;
+pub mod route;
 pub(crate) mod scalar;
 #[cfg(feature = "simd")]
 pub(crate) mod simd;
 pub(crate) mod wide;
+
+/// Routed queries per query-set word up to which the router's kernels (the
+/// count kernel, the wide routing partition) sweep the query-set column
+/// once per query instead of walking every word's set bits in one pass. A
+/// sweep is a shift, a mask and an add per row with nothing
+/// data-dependent; the one-pass walk is a `trailing_zeros` loop per word
+/// whose trip count, and stores, depend on the data. At four queries per
+/// word the sweeps cost at most about twice the walk's word loads alone,
+/// and usually far less than its bit loop; past that, a leaf routing many
+/// queries whose rows each hold few of them would pay for every query on
+/// every row.
+pub(crate) const SWEEP_MAX_PER_WORD: usize = 4;
+
+/// Bit `q` of a query-set row (0 or 1; 0 past the row's width).
+#[inline(always)]
+pub(crate) fn bit_of(row: &[u64], q: usize) -> u64 {
+    row.get(q / 64).map_or(0, |&word| word >> (q % 64) & 1)
+}
+
+/// One counting sweep: the rows of `raw` (`wps` words each) holding query
+/// `q`. Branch-free — a shift, a mask and an add per row.
+// lint: hot-loop
+#[inline]
+pub(crate) fn count_bit(raw: &[u64], wps: usize, q: usize) -> u32 {
+    raw.chunks_exact(wps).map(|row| bit_of(row, q)).sum::<u64>() as u32
+}
 
 /// Which implementation family a [`Kernels`] dispatcher selects.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -293,12 +322,6 @@ impl Partition {
         let start = self.offsets.get(q).copied().unwrap_or(0) as usize;
         let n = self.counts.get(q).copied().unwrap_or(0) as usize;
         self.rows.get(start..start + n).unwrap_or(&[])
-    }
-
-    /// Survivor count for query id `q`.
-    #[inline]
-    pub fn count_of(&self, q: usize) -> usize {
-        self.counts.get(q).copied().unwrap_or(0) as usize
     }
 
     /// Resets the count table to `capacity` query slots, zeroed.

@@ -7,7 +7,8 @@
 //! of 1, 2, and 4 words are monomorphized so the word loop fully unrolls;
 //! compaction moves *runs* of surviving rows with `copy_within` instead of
 //! testing one row at a time; the routing partition is a single CSR
-//! counting/scatter pass driven by word-wise bit iteration. Tail rows (and
+//! counting/scatter pass driven by word-wise bit iteration (branch-free
+//! per-query sweeps when only a few queries are routed). Tail rows (and
 //! tail queries) fall through to scalar epilogues computing the exact same
 //! function, so results are byte-identical to the scalar reference.
 
@@ -275,9 +276,14 @@ pub(super) fn compact_qsets(qsets: &mut QuerySetColumn, keep: &RowMask) {
     qsets.truncate(out);
 }
 
-/// Single-pass CSR routing partition: one word-wise counting sweep over
-/// the qset column (set bits found with `trailing_zeros`), a prefix-sum,
-/// and one scatter sweep — instead of two sweeps per routed query.
+/// CSR routing partition. Routing many queries it is one word-wise
+/// counting sweep over the qset column (set bits found with
+/// `trailing_zeros`), a prefix-sum, and one scatter sweep — instead of two
+/// sweeps per routed query. Routing few
+/// ([`SWEEP_MAX_PER_WORD`](super::SWEEP_MAX_PER_WORD)) it is two sweeps
+/// per query after all, but branch-free ones: a shift, a mask and an add
+/// per row, against a `trailing_zeros` walk whose trip count and stores
+/// depend on the data.
 // lint: hot-loop
 pub(super) fn partition(
     qsets: &QuerySetColumn,
@@ -287,6 +293,9 @@ pub(super) fn partition(
     let wps = qsets.words_per_set();
     part.reset_counts(wps * 64);
     let raw = qsets.raw();
+    if queries.len() <= super::SWEEP_MAX_PER_WORD * wps {
+        return partition_sweeps(raw, wps, queries, part);
+    }
     let qwords = queries.words();
     {
         let counts = part.counts_mut();
@@ -318,6 +327,37 @@ pub(super) fn partition(
                     *cur += 1;
                 }
             }
+        }
+    }
+    total
+}
+
+/// The few-queries form of [`partition`]: per routed query, one sweep
+/// counts its rows and — once the offsets are known — one writes them.
+/// The write is unconditional (row `i` lands at the query's cursor, which
+/// advances only if the row holds the query), so a row that does not
+/// belong is overwritten by the next one that does, or by the next
+/// query's first row.
+// lint: hot-loop
+fn partition_sweeps(raw: &[u64], wps: usize, queries: &QuerySet, part: &mut Partition) -> u64 {
+    {
+        let counts = part.counts_mut();
+        for q in queries.iter() {
+            if let Some(c) = counts.get_mut(q.index()) {
+                *c = super::count_bit(raw, wps, q.index());
+            }
+        }
+    }
+    let total = part.build_offsets();
+    let (cursors, rows) = part.scatter_mut();
+    for q in queries.iter() {
+        let Some(&start) = cursors.get(q.index()) else { continue };
+        let mut cur = start as usize;
+        for (i, row) in raw.chunks_exact(wps).enumerate() {
+            if let Some(slot) = rows.get_mut(cur) {
+                *slot = i as u32;
+            }
+            cur += super::bit_of(row, q.index()) as usize;
         }
     }
     total

@@ -26,6 +26,7 @@ pub mod output;
 pub mod planner;
 pub mod profile;
 pub mod pruning;
+pub mod router;
 pub mod scratch;
 pub mod spaces;
 pub mod stem;
@@ -39,8 +40,9 @@ pub use fault::{FaultInjector, FaultKind, FaultSite, LiveSet};
 pub use filter::{GroupedFilter, PlainFilter};
 pub use kernels::{KernelMode, Kernels, Partition};
 pub use output::{row_hash, CompletionStatus, Outputs, QueryResult};
-pub use planner::{JoinNode, ProbeNode};
+pub use planner::{JoinNode, Leaf, ProbeNode};
 pub use profile::{Category, Profile};
+pub use router::{route, EpisodeSink, RouteScratch};
 pub use scratch::EpisodeScratch;
 pub use spaces::{JoinSpace, SelectionSpace};
 pub use stem::{

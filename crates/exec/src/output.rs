@@ -12,18 +12,27 @@ use parking_lot::Mutex;
 use roulette_core::{Error, QueryId};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
+/// Seed of the [`row_hash`] chain, and therefore (with the low bit set) the
+/// hash of an empty projection.
+pub(crate) const ROW_HASH_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One link of the [`row_hash`] chain: folds the next projected value `v`
+/// into the running hash `h`. The router's column-at-a-time hash kernel
+/// runs this step down a column, one independent chain per row.
+#[inline(always)]
+pub(crate) fn row_hash_step(h: u64, v: i64) -> u64 {
+    let mut z = (v as u64).wrapping_add(h);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// Hashes one projected output row (order-independent accumulation is the
 /// caller's job). An empty projection hashes to a constant, making the
 /// checksum a scaled row count for `COUNT(*)`-style queries.
 #[inline]
 pub fn row_hash(values: &[i64]) -> u64 {
-    let mut h = 0x9E37_79B9_7F4A_7C15u64;
-    for &v in values {
-        let mut z = (v as u64).wrapping_add(h);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        h = z ^ (z >> 31);
-    }
+    let h = values.iter().fold(ROW_HASH_SEED, |h, &v| row_hash_step(h, v));
     h | 1 // never zero, so checksums distinguish "no rows" from "hash 0"
 }
 
@@ -146,7 +155,7 @@ impl Outputs {
             sink.reserve(offsets.len());
             let mut start = 0usize;
             for &end in offsets {
-                sink.push(data[start..end as usize].to_vec());
+                sink.push(data.get(start..end as usize).unwrap_or(&[]).to_vec());
                 start = end as usize;
             }
         }

@@ -8,12 +8,15 @@
 //! second branch; a null decision (no candidates) emits a router to the
 //! query-set's RouLette sources.
 //!
-//! A second bottom-up pass assigns *adaptive projections* (§5.2): each
+//! A second pass assigns *adaptive projections* (§5.2): bottom-up, each
 //! probe records the minimal set of vID columns its output vectors must
-//! carry, derived from downstream probe keys and the output projections.
+//! carry, derived from downstream probe keys and the output projections;
+//! top-down, each router then resolves its queries' projection columns
+//! against the columns the vectors reaching it carry (its [`Leaf`] shape),
+//! so routing a vector looks nothing up.
 
 use crate::spaces::{JoinSpace, SelectionSpace};
-use roulette_core::{ColId, QuerySet, RelId, RelSet};
+use roulette_core::{ColId, QueryId, QuerySet, RelId, RelSet};
 use roulette_policy::{OpId, PlanSpace, Policy, Scope};
 use roulette_query::{EdgeId, QueryBatch};
 
@@ -48,16 +51,115 @@ pub struct ProbeNode {
     pub div: Option<JoinNode>,
 }
 
+/// One projected output column of a routed query, resolved at plan time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProjCol {
+    /// The projected relation.
+    pub rel: RelId,
+    /// The projected column of `rel`.
+    pub col: ColId,
+    /// Position of `rel`'s vID column in the vectors reaching the router.
+    pub slot: usize,
+}
+
+/// A router (null decision) and its shape, fixed once per plan: which
+/// queries it serves and where each projected column is found in the
+/// vectors that reach it. A leaf none of whose queries projects anything —
+/// every `count(*)` — is *count-only*: it holds no column map and routing
+/// it is a counting pass.
+#[derive(Debug)]
+pub struct Leaf {
+    /// The routed queries.
+    pub queries: QuerySet,
+    /// One `(query, range into `cols`)` per routable query, ascending by
+    /// query id; empty for a count-only leaf.
+    per_query: Vec<(QueryId, u32, u32)>,
+    /// The routable queries' projection columns, back to back.
+    cols: Vec<ProjCol>,
+    /// Queries projecting a relation the reaching vectors do not carry (a
+    /// planner defect): they are quarantined instead of routed.
+    unresolved: Vec<QueryId>,
+}
+
+impl Leaf {
+    /// A leaf for `queries` with no column map yet (count-only).
+    fn count_only(queries: QuerySet) -> Self {
+        Leaf { queries, per_query: Vec::new(), cols: Vec::new(), unresolved: Vec::new() }
+    }
+
+    /// The leaf for `queries` resolved against the vID columns `carried`
+    /// (in vector column order) of the vectors that will reach it;
+    /// `projections[q]` lists query `q`'s output columns.
+    pub fn resolve(
+        queries: QuerySet,
+        carried: &[RelId],
+        projections: &[Vec<(RelId, ColId)>],
+    ) -> Self {
+        let mut leaf = Leaf::count_only(queries);
+        leaf.resolve_against(carried, projections);
+        leaf
+    }
+
+    fn resolve_against(&mut self, carried: &[RelId], projections: &[Vec<(RelId, ColId)>]) {
+        let Leaf { queries, per_query, cols, unresolved } = self;
+        let projs_of = |q: QueryId| projections.get(q.index()).map_or(&[][..], Vec::as_slice);
+        if queries.iter().all(|q| projs_of(q).is_empty()) {
+            return;
+        }
+        'queries: for q in queries.iter() {
+            let start = cols.len();
+            for &(rel, col) in projs_of(q) {
+                let Some(slot) = carried.iter().position(|&r| r == rel) else {
+                    cols.truncate(start);
+                    unresolved.push(q);
+                    continue 'queries;
+                };
+                cols.push(ProjCol { rel, col, slot });
+            }
+            per_query.push((q, start as u32, cols.len() as u32));
+        }
+    }
+
+    /// Whether no routed query projects a column: routing is a count.
+    #[inline]
+    pub fn is_count_only(&self) -> bool {
+        self.per_query.is_empty() && self.unresolved.is_empty()
+    }
+
+    /// The routable queries and their resolved projection columns,
+    /// ascending by query id. Empty for a count-only leaf.
+    #[inline]
+    pub fn projected(&self) -> impl Iterator<Item = (QueryId, &[ProjCol])> + '_ {
+        self.per_query.iter().map(|&(q, start, end)| {
+            (q, self.cols.get(start as usize..end as usize).unwrap_or(&[]))
+        })
+    }
+
+    /// Query `q`'s resolved projection columns: empty on a count-only
+    /// leaf, `None` when `q` is unresolved (or not routed here).
+    pub fn cols_of(&self, q: QueryId) -> Option<&[ProjCol]> {
+        if self.is_count_only() {
+            return Some(&[]);
+        }
+        let at = self.per_query.binary_search_by_key(&q, |&(q, _, _)| q).ok()?;
+        let &(_, start, end) = self.per_query.get(at)?;
+        self.cols.get(start as usize..end as usize)
+    }
+
+    /// Queries whose projections could not be resolved.
+    #[inline]
+    pub fn unresolved(&self) -> &[QueryId] {
+        &self.unresolved
+    }
+}
+
 /// A join-phase plan node.
 #[derive(Debug)]
 pub enum JoinNode {
     /// STeM probe (with optional divergence routing selection).
     Probe(Box<ProbeNode>),
     /// Router to the query-set's RouLette sources (null decision).
-    Output {
-        /// The routed queries.
-        queries: QuerySet,
-    },
+    Output(Leaf),
 }
 
 impl JoinNode {
@@ -73,8 +175,8 @@ impl JoinNode {
         use std::fmt::Write;
         let pad = "  ".repeat(depth);
         match self {
-            JoinNode::Output { queries } => {
-                let _ = writeln!(out, "{pad}Router → {queries:?}");
+            JoinNode::Output(leaf) => {
+                let _ = writeln!(out, "{pad}Router → {:?}", leaf.queries);
             }
             JoinNode::Probe(p) => {
                 let probe = catalog.relation(p.probe_rel);
@@ -102,7 +204,7 @@ impl JoinNode {
     /// Number of probe nodes in the plan (diagnostics).
     pub fn probe_count(&self) -> usize {
         match self {
-            JoinNode::Output { .. } => 0,
+            JoinNode::Output(_) => 0,
             JoinNode::Probe(p) => {
                 1 + p.main.probe_count() + p.div.as_ref().map_or(0, |d| d.probe_count())
             }
@@ -133,7 +235,7 @@ fn build_join(
     let mut candidates: Vec<OpId> = Vec::new();
     batch.join_candidates(lineage, &queries, &mut candidates);
     if candidates.is_empty() {
-        return JoinNode::Output { queries };
+        return JoinNode::Output(Leaf::count_only(queries));
     }
     let op = policy.choose(Scope::JOIN, lineage.0, &queries, &candidates, space);
     let edge = batch.edge(op);
@@ -174,31 +276,47 @@ fn build_join(
     }))
 }
 
-/// Bottom-up adaptive-projection pass: computes, per probe, the minimal
-/// vID columns its outputs must carry. `proj_rels(q)` is the set of
-/// relations query `q` projects. When `enabled` is false every lineage
-/// column is kept (the "Plain" ablation configuration). Returns the
+/// Adaptive-projection pass over a plan whose input vector carries the
+/// `root` relation's vIDs. Bottom-up it computes, per probe, the minimal
+/// vID columns its outputs must carry (`proj_rels[q]` is the set of
+/// relations query `q` projects; when `enabled` is false every lineage
+/// column is kept — the "Plain" ablation configuration). Top-down it then
+/// resolves every router's [`Leaf`] shape against the columns that reach
+/// it (`projections[q]` lists query `q`'s output columns) — skipped
+/// entirely when no query of the plan projects anything. Returns the
 /// columns the plan's *input* vector must carry.
 pub fn assign_projections(
     node: &mut JoinNode,
-    proj_rels: &impl Fn(roulette_core::QueryId) -> RelSet,
+    root: RelId,
+    proj_rels: &[RelSet],
+    projections: &[Vec<(RelId, ColId)>],
     enabled: bool,
 ) -> RelSet {
+    let (needed, projecting) = assign_keeps(node, proj_rels, enabled);
+    if projecting {
+        resolve_leaves(node, &[root], projections);
+    }
+    needed
+}
+
+/// The bottom-up half of [`assign_projections`]: returns the columns the
+/// node's input must carry and whether any router below projects a column.
+fn assign_keeps(node: &mut JoinNode, proj_rels: &[RelSet], enabled: bool) -> (RelSet, bool) {
     match node {
-        JoinNode::Output { queries } => {
+        JoinNode::Output(leaf) => {
             let mut needed = RelSet::EMPTY;
-            for q in queries.iter() {
-                needed = needed.union(proj_rels(q));
+            for q in leaf.queries.iter() {
+                needed = needed.union(proj_rels.get(q.index()).copied().unwrap_or(RelSet::EMPTY));
             }
-            needed
+            (needed, !needed.is_empty())
         }
         JoinNode::Probe(p) => {
-            let n_main = assign_projections(&mut p.main, proj_rels, enabled);
-            let n_div = match &mut p.div {
-                Some(d) => assign_projections(d, proj_rels, enabled),
-                None => RelSet::EMPTY,
+            let (n_main, proj_main) = assign_keeps(&mut p.main, proj_rels, enabled);
+            let (n_div, proj_div) = match &mut p.div {
+                Some(d) => assign_keeps(d, proj_rels, enabled),
+                None => (RelSet::EMPTY, false),
             };
-            if enabled {
+            let needed = if enabled {
                 p.keep_main = n_main;
                 p.keep_div = n_div;
                 n_main.minus(RelSet::singleton(p.target_rel))
@@ -209,6 +327,32 @@ pub fn assign_projections(
                 p.keep_main = all_main;
                 p.keep_div = p.lineage;
                 p.lineage
+            };
+            (needed, proj_main || proj_div)
+        }
+    }
+}
+
+/// The top-down half of [`assign_projections`]: `carried` is the column
+/// order of the vectors reaching `node`. A probe's main output carries its
+/// input's kept columns in input order, then the target's; its divergence
+/// output carries the input's kept columns — the order `exec_probe` builds.
+fn resolve_leaves(node: &mut JoinNode, carried: &[RelId], projections: &[Vec<(RelId, ColId)>]) {
+    match node {
+        JoinNode::Output(leaf) => {
+            leaf.resolve_against(carried, projections);
+        }
+        JoinNode::Probe(p) => {
+            let mut main: Vec<RelId> =
+                carried.iter().copied().filter(|&r| p.keep_main.contains(r)).collect();
+            if p.keep_main.contains(p.target_rel) {
+                main.push(p.target_rel);
+            }
+            resolve_leaves(&mut p.main, &main, projections);
+            if let Some(d) = &mut p.div {
+                let div: Vec<RelId> =
+                    carried.iter().copied().filter(|&r| p.keep_div.contains(r)).collect();
+                resolve_leaves(d, &div, projections);
             }
         }
     }
@@ -240,7 +384,6 @@ pub fn plan_selection_phase(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use roulette_core::QueryId;
     use roulette_policy::RandomPolicy;
     use roulette_query::SpjQuery;
     use roulette_storage::{Catalog, RelationBuilder};
@@ -278,8 +421,8 @@ mod tests {
     /// correctness property), regardless of the policy's decisions.
     fn count_outputs(node: &JoinNode, per_query: &mut [usize]) {
         match node {
-            JoinNode::Output { queries } => {
-                for q in queries.iter() {
+            JoinNode::Output(leaf) => {
+                for q in leaf.queries.iter() {
                     per_query[q.index()] += 1;
                 }
             }
@@ -364,8 +507,7 @@ mod tests {
         let mut policy = RandomPolicy::new(3);
         let mut plan = plan_join_phase(&batch, &space, &mut policy, r, &QuerySet::full(2));
         // COUNT(*) queries: nothing projected.
-        let input_needed =
-            assign_projections(&mut plan, &|_q| RelSet::EMPTY, true);
+        let input_needed = assign_projections(&mut plan, r, &[], &[], true);
         assert!(input_needed.is_subset_of(RelSet::singleton(r)));
         fn check(node: &JoinNode) {
             if let JoinNode::Probe(p) = node {
@@ -392,12 +534,109 @@ mod tests {
         let r = c.relation_id("r").unwrap();
         let mut policy = RandomPolicy::new(3);
         let mut plan = plan_join_phase(&batch, &space, &mut policy, r, &QuerySet::full(2));
-        assign_projections(&mut plan, &|_q| RelSet::EMPTY, false);
+        assign_projections(&mut plan, r, &[], &[], false);
         if let JoinNode::Probe(p) = &plan {
             assert_eq!(p.keep_main, p.lineage.with(p.target_rel));
         } else {
             panic!("expected probe at root");
         }
+    }
+
+    /// Walks the plan the way `exec_probe` builds vectors and checks every
+    /// router's resolved slots name the right column of what reaches it.
+    fn check_leaves(
+        node: &JoinNode,
+        carried: &[RelId],
+        projections: &[Vec<(RelId, ColId)>],
+        routed: &mut [usize],
+    ) {
+        match node {
+            JoinNode::Output(leaf) => {
+                assert!(leaf.unresolved().is_empty());
+                let projecting =
+                    leaf.queries.iter().any(|q| !projections[q.index()].is_empty());
+                assert_eq!(leaf.is_count_only(), !projecting);
+                for q in leaf.queries.iter() {
+                    let cols = leaf.cols_of(q).expect("every query resolves");
+                    let want = if projecting { &projections[q.index()][..] } else { &[] };
+                    assert_eq!(cols.len(), want.len());
+                    for (pc, &(rel, col)) in cols.iter().zip(want) {
+                        assert_eq!((pc.rel, pc.col), (rel, col));
+                        assert_eq!(carried[pc.slot], rel, "slot names another column");
+                    }
+                    routed[q.index()] += 1;
+                }
+                if projecting {
+                    let listed: Vec<QueryId> = leaf.projected().map(|(q, _)| q).collect();
+                    assert_eq!(listed, leaf.queries.iter().collect::<Vec<_>>());
+                }
+            }
+            JoinNode::Probe(p) => {
+                let mut main: Vec<RelId> =
+                    carried.iter().copied().filter(|&r| p.keep_main.contains(r)).collect();
+                if p.keep_main.contains(p.target_rel) {
+                    main.push(p.target_rel);
+                }
+                check_leaves(&p.main, &main, projections, routed);
+                if let Some(d) = &p.div {
+                    let div: Vec<RelId> =
+                        carried.iter().copied().filter(|&r| p.keep_div.contains(r)).collect();
+                    check_leaves(d, &div, projections, routed);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn leaves_resolve_projection_slots_in_vector_column_order() {
+        let (c, batch) = fig2();
+        let space = JoinSpace::new(&batch);
+        let rel = |name: &str| c.relation_id(name).unwrap();
+        // Q1 projects u, r, and r again (other column); Q2 projects nothing
+        // in the first round and a late-joined relation in the second.
+        let q1 = vec![(rel("u"), ColId(2)), (rel("r"), ColId(0)), (rel("r"), ColId(3))];
+        for q2 in [vec![], vec![(rel("v"), ColId(1)), (rel("s"), ColId(0))]] {
+            let projections = vec![q1.clone(), q2];
+            let proj_rels: Vec<RelSet> = projections
+                .iter()
+                .map(|p| p.iter().fold(RelSet::EMPTY, |s, &(r, _)| s.with(r)))
+                .collect();
+            for enabled in [true, false] {
+                for root in ["r", "s", "u"] {
+                    for seed in 0..10 {
+                        let root = rel(root);
+                        let mut policy = RandomPolicy::new(seed);
+                        let mut plan =
+                            plan_join_phase(&batch, &space, &mut policy, root, &QuerySet::full(2));
+                        assign_projections(&mut plan, root, &proj_rels, &projections, enabled);
+                        let mut routed = [0usize; 2];
+                        check_leaves(&plan, &[root], &projections, &mut routed);
+                        assert_eq!(routed, [1, 1]);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn leaf_with_an_uncarried_projection_is_unresolved_not_a_panic() {
+        let queries = QuerySet::full(3);
+        let projections = vec![
+            vec![(RelId(0), ColId(1))],
+            vec![(RelId(0), ColId(0)), (RelId(7), ColId(0))],
+            vec![],
+        ];
+        let leaf = Leaf::resolve(queries, &[RelId(4), RelId(0)], &projections);
+        assert!(!leaf.is_count_only());
+        assert_eq!(leaf.unresolved(), &[QueryId(1)]);
+        assert_eq!(
+            leaf.cols_of(QueryId(0)),
+            Some(&[ProjCol { rel: RelId(0), col: ColId(1), slot: 1 }][..])
+        );
+        assert_eq!(leaf.cols_of(QueryId(1)), None);
+        assert_eq!(leaf.cols_of(QueryId(2)), Some(&[][..]));
+        let listed: Vec<QueryId> = leaf.projected().map(|(q, _)| q).collect();
+        assert_eq!(listed, vec![QueryId(0), QueryId(2)]);
     }
 
     #[test]

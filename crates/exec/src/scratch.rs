@@ -1,9 +1,10 @@
 //! The episode scratch arena — pooled working state for the hot path.
 //!
 //! Every per-episode buffer the executor needs (selection value/keep
-//! buffers, predicate masks, probe key/match staging, carry-column
-//! builders, the routing row buffer, whole intermediate [`DataVector`]s
-//! and the staged output sink) lives here and is recycled with
+//! buffers, predicate masks, probe key/match staging, the router's
+//! buffers, whole intermediate [`DataVector`]s — whose pooled column
+//! buffers a probe gathers its output columns into — and the staged
+//! output sink) lives here and is recycled with
 //! `clear()`-not-`drop()` semantics: after the first few episodes warm the
 //! pools, steady-state episodes run allocation-free. One arena is owned
 //! per worker (and one by the session for `step()`-driven execution);
@@ -15,8 +16,7 @@
 //! recycling a buffer can never alias state a concurrent episode still
 //! reads. See DESIGN.md §10.
 
-use crate::episode::EpisodeSink;
-use crate::kernels::Partition;
+use crate::router::{EpisodeSink, RouteScratch};
 use crate::stem::ProbeScratch;
 use crate::vector::DataVector;
 use roulette_core::{QuerySetColumn, RowMask};
@@ -59,18 +59,10 @@ pub struct EpisodeScratch {
     pub(crate) carry_main: Vec<usize>,
     /// Column indices carried to the divergence branch.
     pub(crate) carry_div: Vec<usize>,
-    /// Main-branch carry-column builders (drained into the output vector
-    /// each probe; outer Vec keeps its capacity).
-    pub(crate) main_bufs: Vec<Vec<u32>>,
-    /// Divergence-branch carry-column builders.
-    pub(crate) div_bufs: Vec<Vec<u32>>,
-    /// Projected row staging for routing.
-    pub(crate) row: Vec<i64>,
-    /// CSR routing partition (per-query survivor rows) from the
-    /// `partition` kernel.
-    pub(crate) part: Partition,
-    /// Projection values gathered column-major for routing emission.
-    pub(crate) route_vals: Vec<i64>,
+    /// The router's buffers (counts, CSR partition, gathered column, row
+    /// hashes; `route_vals` and `row` inside are used only when collecting
+    /// rows and by the direct-router ablation).
+    pub(crate) route: RouteScratch,
     /// The episode-local staged-output sink (taken for the episode's
     /// duration, restored at commit).
     pub(crate) sink: EpisodeSink,
@@ -125,12 +117,6 @@ impl EpisodeScratch {
         }
     }
 
-    /// Parks a column buffer.
-    pub(crate) fn release_col(&mut self, mut buf: Vec<u32>) {
-        buf.clear();
-        self.col_pool.push(buf);
-    }
-
     /// Mutable access to the column pool (for [`DataVector`] helpers that
     /// draw/park buffers themselves).
     pub(crate) fn col_pool_mut(&mut self) -> &mut Vec<Vec<u32>> {
@@ -178,7 +164,9 @@ mod tests {
         let mut s = EpisodeScratch::new();
         let mut c = s.take_col();
         c.extend_from_slice(&[1, 2, 3]);
-        s.release_col(c);
+        let mut v = s.take_vector(1);
+        v.push_column(roulette_core::RelId(0), c);
+        s.release_vector(v);
         let c2 = s.take_col();
         assert!(c2.is_empty());
         assert!(c2.capacity() >= 3);

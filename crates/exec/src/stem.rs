@@ -629,11 +629,15 @@ impl Stem {
     /// row's. It runs as column-at-a-time passes over tiles of at most
     /// [`PROBE_TILE`] match pairs: the chain walk emits pairs, one AND
     /// pass appends the non-empty intersections to `out` and compacts the
-    /// pairs, and `on_tile` then gathers whatever columns it carries from
-    /// the surviving pairs of the [`MatchTile`] (`out` grew by exactly
-    /// `tile.len()` rows, in pair order). `on_tile` returns whether to
-    /// keep probing, so a watchdog can stop an exploding probe within one
-    /// tile.
+    /// pairs, and `on_tile` then gets the surviving pairs of the
+    /// [`MatchTile`] to gather whatever columns it carries, together with
+    /// `out` itself, which grew by exactly `tile.len()` rows, in pair order.
+    /// A consumer that lets `out` accumulate materialises the probe output;
+    /// one that consumes the tile's rows and clears `out` before returning
+    /// (a fused leaf routes them) keeps the output tile-local. `on_tile`
+    /// returns whether to keep probing, so a watchdog can stop an exploding
+    /// probe within one tile. It runs under the shard's read latch and must
+    /// not take a lock.
     ///
     /// Unsharded, output order is probe-row order then chain order —
     /// byte-identical to calling [`probe`](Self::probe) per key; sharded it
@@ -649,16 +653,17 @@ impl Stem {
         row_masks: &QuerySetColumn,
         scratch: &mut ProbeScratch,
         out: &mut QuerySetColumn,
-        mut on_tile: impl FnMut(MatchTile<'_>) -> bool,
+        mut on_tile: impl FnMut(MatchTile<'_>, &mut QuerySetColumn) -> bool,
     ) {
         debug_assert_eq!(row_masks.len(), keys.len());
         self.walk_tiles(index_id, keys, version, scratch, |rows, entries, inner| {
             let kept = pairs::and_select_pairs(row_masks, &inner.qsets, rows, entries, out);
-            on_tile(MatchTile {
+            let tile = MatchTile {
                 rows: rows.get(..kept).unwrap_or(&[]),
                 entries: entries.get(..kept).unwrap_or(&[]),
                 vids: &inner.vids,
-            })
+            };
+            on_tile(tile, out)
         });
     }
 
@@ -1108,7 +1113,7 @@ mod tests {
         let mut scratch = ProbeScratch::new();
         let mut out = QuerySetColumn::new(width);
         let (mut rows, mut vids) = (Vec::new(), Vec::new());
-        stem.probe_tiles(index_id, keys, version, &masks, &mut scratch, &mut out, |tile| {
+        stem.probe_tiles(index_id, keys, version, &masks, &mut scratch, &mut out, |tile, _| {
             assert!(tile.len() <= PROBE_TILE);
             rows.extend_from_slice(tile.rows());
             tile.extend_vids(&mut vids);

@@ -57,6 +57,15 @@ impl DataVector {
         &self.cols
     }
 
+    /// The vID columns and the query-set column, both mutable at once: a
+    /// probe appends each tile's gathered vIDs and ANDed query-sets through
+    /// this, and a fused leaf clears both again once the tile is routed.
+    /// The caller keeps every column as long as the query-set column.
+    #[inline]
+    pub fn parts_mut(&mut self) -> (&mut [(RelId, Vec<u32>)], &mut QuerySetColumn) {
+        (&mut self.cols, &mut self.qsets)
+    }
+
     /// The vID column of `rel`, if still carried.
     pub fn vids_of(&self, rel: RelId) -> Option<&[u32]> {
         self.cols.iter().find(|(r, _)| *r == rel).map(|(_, v)| v.as_slice())
@@ -69,32 +78,9 @@ impl DataVector {
         self.cols.push((rel, vids));
     }
 
-    /// Drops every vID column whose relation is not in `keep` — the
-    /// adaptive-projection primitive.
-    pub fn project(&mut self, keep: impl Fn(RelId) -> bool) {
-        self.cols.retain(|(r, _)| keep(*r));
-    }
-
-    /// Keeps only tuples where `keep[i]`, compacting all columns.
-    pub fn retain(&mut self, keep: &[bool]) {
-        debug_assert_eq!(keep.len(), self.len());
-        for (_, vids) in &mut self.cols {
-            let mut out = 0;
-            for (i, &k) in keep.iter().enumerate() {
-                if k {
-                    vids[out] = vids[i];
-                    out += 1;
-                }
-            }
-            vids.truncate(out);
-        }
-        self.qsets.retain_rows(keep);
-    }
-
     /// Keeps only tuples whose bit is set in `keep`, compacting every vID
     /// column and the query-set column through the selected compaction
-    /// kernel — the mask-driven replacement for [`retain`](Self::retain)
-    /// on the episode hot path.
+    /// kernel.
     // lint: hot-loop
     pub fn retain_mask(&mut self, keep: &RowMask, kernels: Kernels) {
         debug_assert_eq!(keep.len(), self.len());
@@ -102,14 +88,6 @@ impl DataVector {
             kernels.compact_u32(vids, keep);
         }
         kernels.compact_qsets(&mut self.qsets, keep);
-    }
-
-    /// Clears tuples but keeps column structure and allocations.
-    pub fn clear_rows(&mut self) {
-        for (_, vids) in &mut self.cols {
-            vids.clear();
-        }
-        self.qsets.clear();
     }
 
     /// Empties the vector, handing its vID column buffers (cleared,
@@ -151,9 +129,8 @@ impl DataVector {
     }
 
     /// Copies tuples `[start, end)` into `out` (an empty vector of the same
-    /// query-set width), drawing column buffers from `col_pool` — the
-    /// pooled counterpart of [`slice`](Self::slice) for pending-vector
-    /// chunking.
+    /// query-set width), drawing column buffers from `col_pool`
+    /// (pending-vector chunking).
     pub fn copy_range_into(
         &self,
         start: usize,
@@ -167,30 +144,11 @@ impl DataVector {
         for (rel, vids) in &self.cols {
             let mut buf = col_pool.pop().unwrap_or_default();
             buf.clear();
-            buf.extend_from_slice(&vids[start..end]);
+            buf.extend_from_slice(vids.get(start..end).unwrap_or(&[]));
             out.cols.push((*rel, buf));
         }
         let wps = self.qsets.words_per_set();
-        out.qsets.push_rows(&self.qsets.raw()[start * wps..end * wps]);
-    }
-
-    /// Copies tuples `[start, end)` into a new vector with the same
-    /// columns (pending-vector chunking).
-    pub fn slice(&self, start: usize, end: usize) -> DataVector {
-        debug_assert!(start <= end && end <= self.len());
-        let mut qsets =
-            roulette_core::QuerySetColumn::with_capacity(self.qsets.words_per_set(), end - start);
-        for i in start..end {
-            qsets.push(self.qsets.row(i));
-        }
-        DataVector {
-            cols: self
-                .cols
-                .iter()
-                .map(|(rel, vids)| (*rel, vids[start..end].to_vec()))
-                .collect(),
-            qsets,
-        }
+        out.qsets.push_rows(self.qsets.raw().get(start * wps..end * wps).unwrap_or(&[]));
     }
 
     /// Total vID cells carried (a footprint metric for the adaptive-
@@ -217,42 +175,38 @@ mod tests {
     }
 
     #[test]
-    fn retain_compacts_all_columns() {
-        let qs = QuerySet::full(1);
-        let mut v = DataVector::from_scan(RelId(0), 0, 4, &qs);
-        v.push_column(RelId(1), vec![9, 8, 7, 6]);
-        v.retain(&[true, false, false, true]);
-        assert_eq!(v.len(), 2);
-        assert_eq!(v.vids_of(RelId(0)).unwrap(), &[0, 3]);
-        assert_eq!(v.vids_of(RelId(1)).unwrap(), &[9, 6]);
-    }
-
-    #[test]
-    fn project_drops_columns() {
-        let qs = QuerySet::full(1);
-        let mut v = DataVector::from_scan(RelId(0), 0, 2, &qs);
-        v.push_column(RelId(1), vec![5, 5]);
-        assert_eq!(v.footprint_cells(), 4);
-        v.project(|r| r == RelId(1));
-        assert!(v.vids_of(RelId(0)).is_none());
-        assert!(v.vids_of(RelId(1)).is_some());
-        assert_eq!(v.footprint_cells(), 2);
-        // Row data survives projection.
-        assert_eq!(v.len(), 2);
-    }
-
-    #[test]
-    fn slice_copies_rows_and_columns() {
+    fn copy_range_copies_rows_and_columns() {
         let qs = QuerySet::full(2);
         let mut v = DataVector::from_scan(RelId(0), 0, 6, &qs);
         v.push_column(RelId(1), vec![10, 11, 12, 13, 14, 15]);
-        let s = v.slice(2, 5);
+        assert_eq!(v.footprint_cells(), 12);
+        let mut pool = vec![vec![99; 4]];
+        let mut s = DataVector::new(qs.width());
+        v.copy_range_into(2, 5, &mut s, &mut pool);
         assert_eq!(s.len(), 3);
         assert_eq!(s.vids_of(RelId(0)).unwrap(), &[2, 3, 4]);
         assert_eq!(s.vids_of(RelId(1)).unwrap(), &[12, 13, 14]);
         assert_eq!(s.qsets.row(0), v.qsets.row(2));
-        let empty = v.slice(3, 3);
+        let mut empty = DataVector::new(qs.width());
+        v.copy_range_into(3, 3, &mut empty, &mut pool);
         assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn parts_mut_appends_and_clears_rows_in_place() {
+        let qs = QuerySet::full(1);
+        let mut v = DataVector::new(qs.width());
+        v.push_column(RelId(3), Vec::new());
+        let (cols, qsets) = v.parts_mut();
+        cols[0].1.extend_from_slice(&[7, 8]);
+        qsets.push_repeat(qs.words(), 2);
+        assert_eq!(v.len(), 2);
+        assert_eq!(v.vids_of(RelId(3)).unwrap(), &[7, 8]);
+        let (cols, qsets) = v.parts_mut();
+        cols[0].1.clear();
+        qsets.clear();
+        assert!(v.is_empty());
+        assert_eq!(v.columns().len(), 1);
     }
 
     #[test]

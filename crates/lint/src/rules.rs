@@ -126,6 +126,9 @@ pub const HOT_PATHS: &[&str] = &[
     "crates/exec/src/stem.rs",
     "crates/exec/src/engine.rs",
     "crates/exec/src/output.rs",
+    // The router runs per tile of every leaf probe, under a STeM shard's
+    // read latch.
+    "crates/exec/src/router.rs",
     // The scratch arena and the pooled vector both live inside the episode
     // loop: every buffer they hand out is on the per-vector path.
     "crates/exec/src/scratch.rs",
@@ -134,6 +137,7 @@ pub const HOT_PATHS: &[&str] = &[
     // filter, prune, compaction, and routing work funnels through it.
     "crates/exec/src/kernels/mod.rs",
     "crates/exec/src/kernels/pairs.rs",
+    "crates/exec/src/kernels/route.rs",
     "crates/exec/src/kernels/scalar.rs",
     "crates/exec/src/kernels/wide.rs",
     "crates/exec/src/kernels/simd.rs",

@@ -420,3 +420,131 @@ fn watchdog_stops_an_exploding_probe_within_one_tile() {
     assert!(guarded[0].is_complete());
     assert_eq!((guarded[0].rows, guarded[0].checksum), (clean[0].rows, clean[0].checksum));
 }
+
+/// One hot key and a `fact` side that is the larger table (so it is
+/// scanned once `dim` is fully inserted) of which only rows `v < 8` pass
+/// selection: a single episode's leaf probe walks 8 chains of all of
+/// `dim` — more than three tiles each — and routes them tile by tile.
+/// Both queries project from both sides, so what the leaf stages has a
+/// non-trivial checksum; Q1 keeps the fifth of the dim rows that Q0 does
+/// not, so every pair survives for exactly one of them. Returns the
+/// catalog, the queries and their clean row counts.
+fn fused_leaf_scenario() -> (Catalog, Vec<SpjQuery>, [u64; 2]) {
+    use roulette::exec::PROBE_TILE;
+    let n_dim = 3 * PROBE_TILE as i64 + 100;
+    let mut c = Catalog::new();
+    let mut f = RelationBuilder::new("fact");
+    f.int64("k", vec![0; n_dim as usize + 1]);
+    f.int64("v", (0..=n_dim).collect());
+    c.add(f.build()).unwrap();
+    let mut d = RelationBuilder::new("dim");
+    d.int64("k", vec![0; n_dim as usize]);
+    d.int64("w", (0..n_dim).map(|i| i % 5).collect());
+    c.add(d.build()).unwrap();
+    let query = |w_lo: i64, w_hi: i64| {
+        SpjQuery::builder(&c)
+            .relation("fact")
+            .relation("dim")
+            .join(("fact", "k"), ("dim", "k"))
+            .range("fact", "v", 0, 7)
+            .range("dim", "w", w_lo, w_hi)
+            .project("dim", "w")
+            .project("fact", "v")
+            .build()
+            .unwrap()
+    };
+    let queries = vec![query(1, 4), query(0, 0)];
+    let w0 = (n_dim as u64).div_ceil(5);
+    (c, queries, [8 * (n_dim as u64 - w0), 8 * w0])
+}
+
+/// Runs the fused-leaf scenario collecting rows; returns per-query results,
+/// sorted collected rows and the engine stats.
+fn run_fused_leaf(
+    cfg: EngineConfig,
+    injector: Option<FaultInjector>,
+) -> (Vec<QueryResult>, Vec<Vec<Vec<i64>>>, roulette::exec::EngineStats) {
+    let (c, queries, _) = fused_leaf_scenario();
+    let engine = RouletteEngine::new(&c, cfg);
+    let mut session = engine.session(queries.len());
+    session.collect_rows().unwrap();
+    if let Some(inj) = injector {
+        session.set_fault_injector(inj);
+    }
+    for q in &queries {
+        session.admit(q.clone()).unwrap();
+    }
+    session.run();
+    let rows = (0..queries.len())
+        .map(|i| {
+            let mut r = session.take_collected(QueryId(i as u32));
+            r.sort_unstable();
+            r
+        })
+        .collect();
+    let stats = session.stats();
+    (session.finish().per_query, rows, stats)
+}
+
+#[test]
+fn watchdog_trip_mid_leaf_discards_the_tiles_already_routed() {
+    use roulette::exec::PROBE_TILE;
+    let (_, _, rows) = fused_leaf_scenario();
+    let cfg = EngineConfig::default().with_vector_size(4096).unwrap();
+    let (clean, clean_rows, clean_stats) = run_fused_leaf(cfg.clone(), None);
+    assert_eq!([clean[0].rows, clean[1].rows], rows);
+    assert_eq!(clean_rows[0].len() as u64, rows[0]);
+    assert_eq!(clean_stats.materialized_cells, 2 * (rows[0] + rows[1]));
+
+    // The budget admits the leaf's first tile and trips on its second:
+    // when the watchdog fires, one tile's rows, checksums and collected
+    // rows are already staged in the episode's sink.
+    let budget = PROBE_TILE as u64 + 1;
+    let (guarded, guarded_rows, stats) =
+        run_fused_leaf(cfg.with_episode_budget(Some(budget), None).unwrap(), None);
+    assert!(stats.watchdog_trips > 0, "the leaf never tripped the watchdog");
+    let overshoot = stats.materialized_cells - clean_stats.materialized_cells;
+    assert!(
+        overshoot >= stats.watchdog_trips * 2 * 2 * PROBE_TILE as u64,
+        "a tripped leaf stopped before its second tile ({overshoot} cells over)"
+    );
+    // Had the staged tile survived the trip, the replan's full re-run would
+    // stack on top of it: more rows, another checksum, duplicate rows.
+    for (q, (g, cl)) in guarded.iter().zip(&clean).enumerate() {
+        assert!(g.is_complete(), "watchdog must not quarantine query {q}");
+        assert_eq!((g.rows, g.checksum), (cl.rows, cl.checksum), "query {q}");
+        assert_eq!(guarded_rows[q], clean_rows[q], "query {q}: collected rows");
+    }
+}
+
+#[test]
+fn query_quarantined_mid_episode_is_masked_at_flush_of_a_fused_leaf() {
+    let cfg = EngineConfig::default().with_vector_size(4096).unwrap();
+    let (clean, clean_rows, clean_stats) = run_fused_leaf(cfg.clone(), None);
+    // The `Route` site is checked once per leaf probe, before the walk:
+    // the dim vectors' (empty) probes come first, then the one episode
+    // that produces all the output. Sweeping the occurrence fires the
+    // fault before that episode (Q1 is masked out of its vector, so the
+    // pairs only Q1 keeps are never materialised), in it (they are routed
+    // and staged, then masked at the flush), and never. Whenever it
+    // fires, nothing of Q1 may have been published.
+    let mut masked_at_flush = false;
+    for after in 0..8 {
+        let inj = FaultInjector::new().fail_at(FaultSite::Route, Some(QueryId(1)), after);
+        let (res, rows, stats) = run_fused_leaf(cfg.clone(), Some(inj));
+        assert!(res[0].is_complete());
+        assert_eq!((res[0].rows, res[0].checksum), (clean[0].rows, clean[0].checksum));
+        assert_eq!(rows[0], clean_rows[0], "after={after}: survivor's collected rows");
+        match res[1].status {
+            CompletionStatus::Quarantined => {
+                assert_eq!((res[1].rows, res[1].checksum), (0, 0), "after={after}");
+                assert!(rows[1].is_empty(), "after={after}: partial rows published");
+                masked_at_flush |= stats.materialized_cells == clean_stats.materialized_cells;
+            }
+            CompletionStatus::Complete => {
+                assert_eq!((res[1].rows, res[1].checksum), (clean[1].rows, clean[1].checksum));
+            }
+        }
+    }
+    assert!(masked_at_flush, "no occurrence fired the fault inside the output episode");
+}

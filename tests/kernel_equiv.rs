@@ -7,17 +7,20 @@
 //! layouts. The suite sweeps the kernel API directly across
 //! `Kernels::all_modes()`, pins the tiled probe operator (AND-select,
 //! `Stem::probe_tiles`, column gathers) to the per-key `Stem::probe` +
-//! `and_into` reference, then closes the loop end-to-end: a full engine
-//! run with wide kernels must match a `with_wide_kernels(false)` run
+//! `and_into` reference and the router's count and column-hash kernels to
+//! per-row `row_hash`, then closes the loop end-to-end: a full engine run
+//! with wide kernels must match a `with_wide_kernels(false)` run
 //! row-for-row at one and four workers, including under deterministic
-//! fault injection.
+//! fault injection, and the fused column-at-a-time router must match the
+//! per-row direct router (`locality_router = false`) for every leaf shape,
+//! query-set width, shard and worker count, collecting or not.
 
 use roulette::core::queryset::and_into;
 use roulette::core::{ColId, EngineConfig, QueryId, QuerySet, QuerySetColumn, RelId, RowMask};
-use roulette::exec::kernels::pairs;
+use roulette::exec::kernels::{pairs, route};
 use roulette::exec::{
-    CompletionStatus, FaultInjector, FaultSite, GroupedFilter, Kernels, Partition, PlainFilter,
-    ProbeScratch, QueryResult, RouletteEngine, Stem, PROBE_TILE, VERSION_ALL,
+    row_hash, CompletionStatus, FaultInjector, FaultSite, GroupedFilter, Kernels, Partition,
+    PlainFilter, ProbeScratch, QueryResult, RouletteEngine, Stem, PROBE_TILE, VERSION_ALL,
 };
 use std::sync::atomic::AtomicU32;
 use roulette::query::SpjQuery;
@@ -243,33 +246,113 @@ fn compaction_kernels_match_scalar_for_all_patterns() {
     }
 }
 
+/// Three routed queries — few enough per query-set word that the router's
+/// kernels take their per-query sweep form — with the high words in use.
+fn few_queries(capacity: usize) -> QuerySet {
+    let mut few = QuerySet::empty(capacity);
+    for q in [0, capacity / 2, capacity - 1] {
+        few.insert(QueryId(q as u32));
+    }
+    few
+}
+
 #[test]
 fn partition_kernels_match_scalar_row_for_row() {
     let scalar = Kernels::scalar();
     for &capacity in &CAPACITIES {
-        for &n in &ROWS {
-            let qsets = make_qsets(capacity, n, 31);
-            // Route a strict subset of queries so masked-out bits matter.
-            let mut routed = QuerySet::empty(capacity);
-            for q in (0..capacity).step_by(3) {
-                routed.insert(QueryId(q as u32));
+        // Route strict subsets of the queries so masked-out bits matter:
+        // every third query (the wide kernel's one-pass CSR form) and
+        // three of them, high words included (its per-query sweeps).
+        let mut third = QuerySet::empty(capacity);
+        for q in (0..capacity).step_by(3) {
+            third.insert(QueryId(q as u32));
+        }
+        for routed in [third, few_queries(capacity)] {
+            for &n in &ROWS {
+                let qsets = make_qsets(capacity, n, 31);
+                let tag = format!("partition cap={capacity} routed={} rows={n}", routed.len());
+                let mut ref_p = Partition::new();
+                let ref_total = scalar.partition(&qsets, &routed, &mut ref_p);
+                for k in Kernels::all_modes() {
+                    // A reused partition must not leak its previous layout.
+                    let mut p = Partition::new();
+                    k.partition(&make_qsets(capacity, 77, 5), &QuerySet::full(capacity), &mut p);
+                    let total = k.partition(&qsets, &routed, &mut p);
+                    assert_eq!(ref_total, total, "{tag}: {} total diverged", k.mode_name());
+                    for q in 0..capacity {
+                        assert_eq!(
+                            ref_p.rows_of(q),
+                            p.rows_of(q),
+                            "{tag}: {} rows of query {q} diverged",
+                            k.mode_name()
+                        );
+                    }
+                }
             }
-            let tag = format!("partition cap={capacity} rows={n}");
-            let mut ref_p = Partition::new();
-            let ref_total = scalar.partition(&qsets, &routed, &mut ref_p);
-            for k in Kernels::all_modes() {
-                let mut p = Partition::new();
-                let total = k.partition(&qsets, &routed, &mut p);
-                assert_eq!(ref_total, total, "{tag}: {} total diverged", k.mode_name());
-                for q in 0..capacity {
+        }
+    }
+}
+
+#[test]
+fn count_kernel_matches_per_row_membership_for_all_widths_and_tails() {
+    for &capacity in &CAPACITIES {
+        // Every query routed (the one-pass bit walk), and a few of them
+        // (one sweep per query), high words included.
+        for routed in [QuerySet::full(capacity), few_queries(capacity)] {
+            for &n in &ROWS {
+                let qsets = make_qsets(capacity, n, 37);
+                let mut counts = vec![3; 5]; // stale contents must not leak
+                route::count_queries(&qsets, &routed, &mut counts);
+                assert_eq!(counts.len(), qsets.words_per_set() * 64);
+                for q in routed.iter() {
+                    let (wi, b) = (q.index() / 64, q.index() % 64);
+                    let want = (0..n).filter(|&i| qsets.row(i)[wi] >> b & 1 == 1).count();
                     assert_eq!(
-                        ref_p.rows_of(q),
-                        p.rows_of(q),
-                        "{tag}: {} rows of query {q} diverged",
-                        k.mode_name()
+                        counts[q.index()] as usize,
+                        want,
+                        "count cap={capacity} routed={} rows={n} query {q}",
+                        routed.len()
                     );
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn column_hash_kernels_match_row_hash() {
+    let mut s = 43;
+    let base_i64: Vec<i64> = (0..97).map(|_| lcg(&mut s)).collect();
+    let base_u32: Vec<u32> = (0..97).map(|_| lcg(&mut s) as u32).collect();
+    for &n in &ROWS {
+        let vids: Vec<u32> = (0..n + 3).map(|_| lcg(&mut s).rem_euclid(97) as u32).collect();
+        // A query's row list: a sparse ascending subset of the tuples.
+        let rows: Vec<u32> = (0..n as u32).filter(|i| i % 3 != 1).collect();
+        for n_cols in 0..=4usize {
+            // Alternate an Int64 and a dictionary-code column; column 2
+            // repeats column 0 (the same column projected twice).
+            let value = |c: usize, r: u32| -> i64 {
+                let vid = vids[r as usize] as usize;
+                if c.is_multiple_of(2) { base_i64[vid] } else { base_u32[vid] as i64 }
+            };
+            let (mut fused, mut staged) = (vec![7; 2], vec![9; 1]);
+            route::hash_seed(&mut fused, rows.len());
+            route::hash_seed(&mut staged, rows.len());
+            for c in 0..n_cols {
+                if c.is_multiple_of(2) {
+                    route::hash_gathered(&base_i64, &vids, &rows, &mut fused);
+                } else {
+                    route::hash_gathered(&base_u32, &vids, &rows, &mut fused);
+                }
+                let col: Vec<i64> = rows.iter().map(|&r| value(c, r)).collect();
+                route::hash_column(&col, &mut staged);
+            }
+            let want = rows.iter().fold(0u64, |acc, &r| {
+                let row: Vec<i64> = (0..n_cols).map(|c| value(c, r)).collect();
+                acc.wrapping_add(row_hash(&row))
+            });
+            assert_eq!(route::hash_sum(&fused), want, "fused rows={n} cols={n_cols}");
+            assert_eq!(route::hash_sum(&staged), want, "staged rows={n} cols={n_cols}");
         }
     }
 }
@@ -357,7 +440,7 @@ fn tiled_probe(
     let mut scratch = ProbeScratch::new();
     let mut out = QuerySetColumn::new(w);
     let (mut src_rows, mut vids) = (Vec::new(), Vec::new());
-    stem.probe_tiles(0, &active_keys, version, &row_masks, &mut scratch, &mut out, |tile| {
+    stem.probe_tiles(0, &active_keys, version, &row_masks, &mut scratch, &mut out, |tile, _| {
         assert!(!tile.is_empty() && tile.len() <= PROBE_TILE);
         pairs::gather_u32(&active_rows, tile.rows(), &mut src_rows);
         tile.extend_vids(&mut vids);
@@ -483,7 +566,7 @@ fn tiled_probe_stops_when_the_consumer_says_so() {
     let mut scratch = ProbeScratch::new();
     let mut out = QuerySetColumn::new(1);
     let mut tiles = 0;
-    stem.probe_tiles(0, &[5, 5, 5, 5], VERSION_ALL, &masks, &mut scratch, &mut out, |_| {
+    stem.probe_tiles(0, &[5, 5, 5, 5], VERSION_ALL, &masks, &mut scratch, &mut out, |_, _| {
         tiles += 1;
         tiles < 2
     });
@@ -625,5 +708,236 @@ fn engine_wide_kernels_byte_identical_under_faults() {
             || Some(FaultInjector::new().fail_at(site, Some(QueryId(1)), 2)),
             &format!("fault at {site:?}"),
         );
+    }
+}
+
+// --- end-to-end: the fused column-at-a-time router vs the per-row oracle ---
+
+/// Per-query `(rows, checksum)` plus sorted collected rows of one run.
+type Routed = (Vec<(u64, u64)>, Vec<Vec<Vec<i64>>>);
+
+fn run_routed(
+    c: &Catalog,
+    queries: &[SpjQuery],
+    capacity: usize,
+    cfg: &EngineConfig,
+    collect: bool,
+) -> Routed {
+    let engine = RouletteEngine::new(c, cfg.clone());
+    let mut session = engine.session(capacity);
+    if collect {
+        session.collect_rows().unwrap();
+    }
+    for q in queries {
+        session.admit(q.clone()).unwrap();
+    }
+    session.run();
+    let rows = (0..queries.len())
+        .map(|i| {
+            let mut r = session.take_collected(QueryId(i as u32));
+            r.sort_unstable();
+            r
+        })
+        .collect();
+    let results = session.finish().per_query;
+    assert!(results.iter().all(|r| r.is_complete()));
+    (results.iter().map(|r| (r.rows, r.checksum)).collect(), rows)
+}
+
+/// Runs `queries` under the per-row oracle (`locality_router = false`,
+/// collecting) and checks the column-at-a-time router — and the oracle
+/// itself in every other configuration — against it: collecting on and
+/// off, shards 1/2/8, workers 1/4, adaptive projections on and off.
+fn assert_routers_equivalent(
+    tag: &str,
+    c: &Catalog,
+    queries: &[SpjQuery],
+    capacity: usize,
+    vector_size: usize,
+) {
+    let base = EngineConfig::default().with_vector_size(vector_size).unwrap();
+    let mut oracle_cfg = base.clone();
+    oracle_cfg.locality_router = false;
+    let (want, want_rows) = run_routed(c, queries, capacity, &oracle_cfg, true);
+    assert!(want.iter().any(|&(rows, _)| rows > 0), "{tag}: the scenario routes nothing");
+    for (q, rows) in want_rows.iter().enumerate() {
+        assert_eq!(rows.len() as u64, want[q].0, "{tag}: oracle collected a different row count");
+        let sum = rows.iter().fold(0u64, |acc, r| acc.wrapping_add(row_hash(r)));
+        assert_eq!(sum, want[q].1, "{tag}: oracle checksum is not the sum of its rows' hashes");
+    }
+    for locality in [true, false] {
+        for adaptive in [true, false] {
+            for shards in [1usize, 2, 8] {
+                for workers in [1usize, 4] {
+                    for collect in [true, false] {
+                        let mut cfg = base
+                            .clone()
+                            .with_stem_shards(shards)
+                            .unwrap()
+                            .with_workers(workers)
+                            .unwrap();
+                        cfg.locality_router = locality;
+                        cfg.adaptive_projections = adaptive;
+                        let (got, got_rows) = run_routed(c, queries, capacity, &cfg, collect);
+                        let tag = format!(
+                            "{tag}: locality={locality} adaptive={adaptive} shards={shards} \
+                             workers={workers} collect={collect}"
+                        );
+                        assert_eq!(got, want, "{tag}: diverged from the per-row oracle");
+                        if collect {
+                            assert_eq!(got_rows, want_rows, "{tag}: collected rows diverged");
+                        } else {
+                            assert!(got_rows.iter().all(|r| r.is_empty()));
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// fact(fk → dim.pk, v, tag: dictionary), dim(pk, w) with two rows per key
+/// and dangling fks on the fact side, and `lone`, which nothing joins.
+fn routing_catalog() -> Catalog {
+    let mut c = Catalog::new();
+    let n = 240i64;
+    let mut f = RelationBuilder::new("fact");
+    f.int64("fk", (0..n).map(|i| i % 12).collect());
+    f.int64("v", (0..n).collect());
+    f.strings("tag", (0..n).map(|i| ["a", "b", "c", "d", "e"][(i % 5) as usize]));
+    c.add(f.build()).unwrap();
+    let mut d = RelationBuilder::new("dim");
+    d.int64("pk", (0..20).map(|i| i % 10).collect());
+    d.int64("w", (0..20).map(|i| 100 + i).collect());
+    c.add(d.build()).unwrap();
+    let mut l = RelationBuilder::new("lone");
+    l.int64("x", (0..50).collect());
+    l.int64("y", (0..50).map(|i| i * 3).collect());
+    c.add(l.build()).unwrap();
+    c
+}
+
+/// Query `i` of the routing workload: seven shapes in rotation — joins
+/// projecting 0 to 4 columns (a dictionary column, one column twice), a
+/// `fact`-only query (the divergence branch of every fact probe) and a
+/// `lone` query (its scan vector reaches the router without any probe) —
+/// each with its own range on `fact.v`, so tuples carry varied query-sets.
+/// With `project` off every shape is `count(*)`.
+fn routing_query(c: &Catalog, i: usize, project: bool, divergence: bool) -> SpjQuery {
+    let lo = (i as i64 * 13) % 200;
+    let join = |cols: &[(&str, &str)]| {
+        let mut b = SpjQuery::builder(c)
+            .relation("fact")
+            .relation("dim")
+            .join(("fact", "fk"), ("dim", "pk"))
+            .range("fact", "v", lo, lo + 60);
+        for &(rel, col) in cols.iter().filter(|_| project) {
+            b = b.project(rel, col);
+        }
+        b.build().unwrap()
+    };
+    match i % 7 {
+        0 => join(&[]),
+        1 => join(&[("dim", "w")]),
+        2 => join(&[("fact", "v"), ("fact", "tag")]),
+        3 => join(&[("fact", "v"), ("dim", "w"), ("fact", "v")]),
+        4 => join(&[("fact", "tag"), ("dim", "w"), ("fact", "v"), ("dim", "pk")]),
+        5 if divergence => {
+            let mut b = SpjQuery::builder(c).relation("fact").range("fact", "v", lo, lo + 90);
+            if project {
+                b = b.project("fact", "tag").project("fact", "fk");
+            }
+            b.build().unwrap()
+        }
+        5 => join(&[("dim", "pk")]),
+        _ => {
+            let mut b = SpjQuery::builder(c).relation("lone").range("lone", "x", 5, 40);
+            if project {
+                b = b.project("lone", "y");
+            }
+            b.build().unwrap()
+        }
+    }
+}
+
+#[test]
+fn fused_router_matches_per_row_router_for_all_widths_and_shapes() {
+    let c = routing_catalog();
+    // Query-set widths of 1, 2, 3, 4 and 5 words, every bit in use.
+    for &capacity in &[7usize, 65, 130, 256, 300] {
+        let queries: Vec<SpjQuery> =
+            (0..capacity).map(|i| routing_query(&c, i, true, true)).collect();
+        assert_routers_equivalent(&format!("mixed cap={capacity}"), &c, &queries, capacity, 64);
+    }
+    // Count-only leaves, with and without a divergence branch.
+    for divergence in [true, false] {
+        let queries: Vec<SpjQuery> =
+            (0..70).map(|i| routing_query(&c, i, false, divergence)).collect();
+        assert_routers_equivalent(&format!("count-only div={divergence}"), &c, &queries, 70, 64);
+    }
+    // Projecting leaves without a divergence branch.
+    let queries: Vec<SpjQuery> = (0..20).map(|i| routing_query(&c, i, true, false)).collect();
+    assert_routers_equivalent("projecting no-div", &c, &queries, 20, 7);
+}
+
+#[test]
+fn fused_router_tile_edges() {
+    // One hot key: every fact row matches every dim row. `fact` is the
+    // larger table, so it is scanned after `dim` is fully inserted, but
+    // only its first rows pass any query's selection: a handful of probe
+    // rows, each walking a chain of all of `dim`.
+    let hot = |n_dim: i64| {
+        let mut c = Catalog::new();
+        let mut f = RelationBuilder::new("fact");
+        f.int64("k", vec![0; n_dim as usize + 1]);
+        f.int64("v", (0..=n_dim).collect());
+        c.add(f.build()).unwrap();
+        let mut d = RelationBuilder::new("dim");
+        d.int64("k", vec![0; n_dim as usize]);
+        d.int64("w", (0..n_dim).collect());
+        c.add(d.build()).unwrap();
+        c
+    };
+    let join = |c: &Catalog, fact_hi: i64, dim_hi: i64, project: bool| {
+        let mut b = SpjQuery::builder(c)
+            .relation("fact")
+            .relation("dim")
+            .join(("fact", "k"), ("dim", "k"))
+            .range("fact", "v", 0, fact_hi)
+            .range("dim", "w", 0, dim_hi);
+        if project {
+            b = b.project("dim", "w").project("fact", "v");
+        }
+        b.build().unwrap()
+    };
+    let rows_of = |c: &Catalog, queries: &[SpjQuery], vector_size: usize| -> Vec<u64> {
+        let cfg = EngineConfig::default().with_vector_size(vector_size).unwrap();
+        run_routed(c, queries, queries.len(), &cfg, false).0.iter().map(|r| r.0).collect()
+    };
+    for project in [true, false] {
+        // A chain spanning several tiles. Fact rows 0–1 carry both queries
+        // and every pair of theirs survives; rows 2–3 carry only Q1, which
+        // only the 9 oldest dim rows carry — the *end* of the chain, walked
+        // newest entry first — so whole tiles of their walk have zero
+        // survivors. The dim vectors, scanned first, probe an empty STeM.
+        let n_dim = 2 * PROBE_TILE as i64 + 100;
+        let c = hot(n_dim);
+        let queries = [join(&c, 1, i64::MAX, project), join(&c, 3, 8, project)];
+        assert_eq!(rows_of(&c, &queries, 512), [2 * n_dim as u64, 4 * 9]);
+        assert_routers_equivalent(&format!("long-chain project={project}"), &c, &queries, 2, 512);
+
+        // Probes landing exactly on the tile cap: 4 (then 8) probe rows
+        // over a 1024-entry chain are one (two) full tile(s), all surviving.
+        for probe_rows in [4i64, 8] {
+            let c = hot(PROBE_TILE as i64 / 4);
+            let queries = [
+                join(&c, probe_rows - 1, i64::MAX, project),
+                join(&c, probe_rows - 1, i64::MAX, project),
+            ];
+            let pairs = (probe_rows as usize * PROBE_TILE / 4) as u64;
+            assert_eq!(rows_of(&c, &queries, 1024), [pairs, pairs]);
+            let tag = format!("exact-cap x{} project={project}", probe_rows / 4);
+            assert_routers_equivalent(&tag, &c, &queries, 2, 1024);
+        }
     }
 }
