@@ -265,8 +265,12 @@ fn bench_stem_contended_insert(quick: bool, runs: usize) -> (BenchResult, BenchR
 /// Chain length ≈ 4, half the keys miss, every pair's query-sets
 /// intersect. `entries` × `capacity` picks the regime: the in-cache run
 /// keeps ~1 MB of STeM state with one-word query-sets (the join-heavy
-/// benchmark's shape), the out-of-cache run ~30 MB with four-word
-/// query-sets (the shared-batch shape).
+/// benchmark's shape); the out-of-cache run keeps ~30 MB with four-word
+/// query-sets — a regime **no benchmark workload reaches**: the large STeM
+/// of a batch belongs to the relation scanned last, whose builds are
+/// elided, so every probe of `batch-shared` lands in a STeM of ≤ 16 k
+/// entries (3.2 MB for all of them). The entry stays as the walker's
+/// memory-bound floor, e.g. for a fact table joined with a larger one.
 fn bench_stem_probe(
     name: &'static str,
     entries: u32,

@@ -49,7 +49,12 @@ pub struct EngineConfig {
     pub gamma: f64,
     /// Number of executor workers (episodes processed concurrently, §5.2).
     pub workers: usize,
-    /// Enable symmetric join pruning (§5.2).
+    /// Enable symmetric join pruning (§5.2): the scan-order ranking, the
+    /// semi-join of every vector against its complete join partners, and
+    /// the elision of builds that nothing can probe any more (every partner
+    /// complete). Disabled, relations scan round-robin and every selected
+    /// tuple is inserted — the plain symmetric join, kept as the ablation
+    /// and as the differential-testing oracle.
     pub pruning: bool,
     /// Enable adaptive projections (§5.2).
     pub adaptive_projections: bool,

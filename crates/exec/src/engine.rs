@@ -45,6 +45,11 @@ pub struct EngineStats {
     pub join_tuples: u64,
     /// Tuples inserted into STeMs.
     pub inserted_tuples: u64,
+    /// Tuples that went through the join phase without being inserted,
+    /// because every relation their queries join with was already complete
+    /// and nothing could ever probe them. Absent quarantines, selection
+    /// survivors = `inserted_tuples + elided_tuples + pruned_tuples`.
+    pub elided_tuples: u64,
     /// Tuples dropped by symmetric join pruning.
     pub pruned_tuples: u64,
     /// vID cells materialized by probe outputs.
@@ -279,9 +284,10 @@ pub struct Session<'a> {
     policy: Mutex<Box<dyn Policy>>,
     cost: CostModel,
     /// Per-relation count of handed-out but not-yet-finished episodes.
-    /// Pruning may only treat a relation's STeM as final when its scan is
-    /// complete AND no episode is still inserting into it (a racing worker
-    /// could otherwise publish matches after a semi-join already pruned).
+    /// Pruning and build elision may only treat a relation's STeM as final
+    /// when its scan is complete AND no episode is still inserting into it
+    /// (a racing worker could otherwise publish matches after a semi-join
+    /// already pruned, or after an elided vector already probed).
     pending_episodes: Vec<AtomicU64>,
     trace: bool,
     traces: Mutex<Vec<TraceEntry>>,
@@ -638,9 +644,11 @@ impl<'a> Session<'a> {
 
     /// Derives the completeness set — relations whose scan is done AND
     /// whose handed-out episodes have all finished — fresh at episode
-    /// start, without the ingestion latch. Pruning may treat such a STeM
-    /// as final: no insert carrying any currently-executing vector's query
-    /// bits can still arrive (later admissions introduce only new bits).
+    /// start, without the ingestion latch. Pruning and build elision may
+    /// treat such a STeM as final: no insert carrying any
+    /// currently-executing vector's query bits can still arrive (later
+    /// admissions introduce only new bits, and scan the relation again for
+    /// them).
     ///
     /// Freshness matters under morsel batching: a vector's grab-time
     /// snapshot would still count its queue-mates as pending and miss
@@ -838,6 +846,15 @@ impl<'a> Session<'a> {
         self.outputs.take_collected(q)
     }
 
+    /// Entries currently stored in `rel`'s STeM (0 for a relation no
+    /// admitted query scans). With pruning on, the relation ranked last
+    /// stays at 0 in a single-worker batch: all of its builds are elided.
+    /// A test hook, not part of the session API.
+    #[doc(hidden)]
+    pub fn stem_len(&self, rel: RelId) -> usize {
+        self.stems.get(rel.index()).and_then(Option::as_ref).map_or(0, Stem::len)
+    }
+
     /// Current statistics snapshot.
     pub fn stats(&self) -> EngineStats {
         let (filter_ns, build_ns, probe_ns, route_ns) = self.profile.breakdown();
@@ -845,6 +862,7 @@ impl<'a> Session<'a> {
             episodes: self.stats.episodes.load(Ordering::Relaxed),
             join_tuples: self.stats.join_tuples.load(Ordering::Relaxed),
             inserted_tuples: self.stats.inserted_tuples.load(Ordering::Relaxed),
+            elided_tuples: self.stats.elided_tuples.load(Ordering::Relaxed),
             pruned_tuples: self.stats.pruned_tuples.load(Ordering::Relaxed),
             materialized_cells: self.stats.materialized_cells.load(Ordering::Relaxed),
             filter_ns,

@@ -5,7 +5,9 @@
 //! eddy's chosen order; (ii) symmetric join pruning semi-joins the vector
 //! against fully-ingested neighboring STeMs; (iii) the survivors are
 //! inserted into the scanned relation's STeM (making the join symmetric)
-//! under a fresh global version; (iv) the join-phase plan probes the other
+//! under a fresh global version — unless every relation their queries join
+//! it with is already complete, in which case nothing can ever probe that
+//! build and it is elided; (iv) the join-phase plan probes the other
 //! STeMs, routing divergence branches and, at null decisions, multicasting
 //! SPJ results to the per-query sinks — a probe whose output goes straight
 //! to a router (a *leaf* probe) routes it tile by tile and never
@@ -22,7 +24,7 @@ use crate::profile::{Category, Profile};
 use crate::router::{route, EpisodeSink, RouteScratch};
 use crate::scratch::EpisodeScratch;
 use crate::spaces::{JoinSpace, SelectionSpace};
-use crate::stem::Stem;
+use crate::stem::{Stem, PROBE_TILE, VERSION_ALL};
 use crate::vector::DataVector;
 use roulette_core::{
     ColId, EngineConfig, Error, QueryId, QuerySet, QuerySetColumn, RelId, RelSet,
@@ -52,6 +54,9 @@ pub struct SharedStats {
     pub join_tuples: AtomicU64,
     /// Tuples inserted into STeMs.
     pub inserted_tuples: AtomicU64,
+    /// Tuples that entered the join phase without being inserted, because
+    /// every join partner of their queries was already complete.
+    pub elided_tuples: AtomicU64,
     /// Tuples dropped by symmetric join pruning.
     pub pruned_tuples: AtomicU64,
     /// Intermediate vID cells materialized by probe outputs (adaptive-
@@ -71,7 +76,7 @@ pub struct TraceEntry {
     pub episode: u64,
     /// Measured episode cost under the engine's cost model.
     pub measured: f64,
-    /// Policy estimate (|best Q| × insert cardinality).
+    /// Policy estimate (|best Q| × tuples entering the join phase).
     pub estimated: f64,
 }
 
@@ -228,8 +233,25 @@ fn record_pressure(shared: &EngineShared<'_>, level: u8) {
     }
 }
 
+/// The typed exit for a scan vector that lost its scan column. `refill_scan`
+/// installs the column and compaction keeps it, so this is a defect — but
+/// without the column nothing can address the vector's rows, so its queries
+/// are quarantined with an internal error and the vector is emptied: the
+/// episode winds down through its normal empty-vector exits instead of
+/// panicking the worker or publishing a partial result.
+fn orphan_vector(shared: &EngineShared<'_>, rel: RelId, queries: &QuerySet, vec: &mut DataVector) {
+    for q in queries.iter() {
+        (shared.quarantine)(
+            q,
+            Error::Internal(format!("{q}: a scan vector of {rel} lost its scan column")),
+        );
+    }
+    vec.qsets.clear();
+}
+
 /// Runs one episode. `complete` is the set of relations whose scans have
-/// finished (pruning eligibility), sampled under the ingestion lock.
+/// finished and whose episodes have all retired (pruning and build-elision
+/// eligibility), derived fresh at episode start.
 /// `scratch` is the worker's pooled arena — every per-episode buffer is
 /// drawn from it and returned, so a warm arena runs the episode without
 /// allocating. Returns a Fig. 16 trace point when `trace` is set.
@@ -270,6 +292,7 @@ pub fn run_episode(
                 capacity: shared.config.vector_size as u64,
                 selected: 0,
                 inserted: 0,
+                elided: 0,
             });
         }
         return None;
@@ -322,7 +345,10 @@ pub fn run_episode(
         let gid = groups[op as usize] as usize;
         let group = &batch.selection_groups()[gid];
         let filter = &shared.filters[gid];
-        let vids = vec.vids_of(rel).expect("scan column present");
+        let Some(vids) = vec.vids_of(rel) else {
+            orphan_vector(shared, rel, &queries, &mut vec);
+            break;
+        };
         relation.column(group.col).gather(vids, &mut scratch.values);
         let n_in = vec.len();
         // Whole-column kernel evaluation: segment lookup + qset AND + packed
@@ -370,7 +396,7 @@ pub fn run_episode(
             // stale only delays pruning by one vector.
             && shared.pressure.load(Ordering::Relaxed) >= 1);
     if pruning && !vec.is_empty() {
-        prune_vector(shared, rel, complete, &mut vec, scratch);
+        prune_vector(shared, rel, complete, &queries, &mut vec, scratch);
     }
     shared.profile.add(Category::Filter, t0.elapsed().as_nanos() as u64);
 
@@ -382,13 +408,29 @@ pub fn run_episode(
         }
     }
 
+    // --- Build elision -----------------------------------------------------
+    // A symmetric join needs its build side only while partner tuples can
+    // still arrive. Once every relation the vector's queries join `rel`
+    // with is complete, nothing will ever probe what this vector would
+    // insert — the invariant pruning already relies on (`complete_now`: no
+    // insert carrying an executing vector's query bits can still arrive;
+    // later admissions bring only new bits, and their own scans of `rel`).
+    // §5.2's ranking scans the largest relation last, so this is the fate
+    // of most of a batch's tuples. It rides the pruning switch: with
+    // pruning off the engine is the plain symmetric join that builds
+    // everything.
+    let final_rels = complete.with(rel);
+    let elide = pruning
+        && queries.iter().all(|q| shared.batch.query(q).relations.is_subset_of(final_rels));
+
     // --- Memory-budget governance ----------------------------------------
     if let Some(budget) = shared.config.memory_budget_bytes {
         let used: usize = shared.stems.iter().flatten().map(|s| s.memory_bytes()).sum();
         let level = crate::engine::pressure_from_usage(used, budget);
         record_pressure(shared, level);
-        if let Some(stem) = shared.stems[rel.index()].as_ref() {
-            // Final rung: gate the insert itself. Evict the heaviest
+        if let Some(stem) = shared.stems[rel.index()].as_ref().filter(|_| !elide) {
+            // Final rung: gate the insert itself (an elided vector inserts
+            // nothing, so there is nothing to gate). Evict the heaviest
             // queries until the projected footprint fits the budget; an
             // emptied vector skips insert and join entirely, so resident
             // STeM bytes never overshoot by more than one vector's growth.
@@ -436,95 +478,103 @@ pub fn run_episode(
     // join phase needs it and the arena borrowed apart) and restored after
     // the flush; a panic unwinding through the episode drops it, staged
     // outputs and all.
-    let mut measured_insert = 0u64;
+    let (mut inserted, mut elided) = (0u64, 0u64);
     let mut sink = std::mem::take(&mut scratch.sink);
     sink.collecting = shared.outputs.collecting();
+    let join_input = vec.len() as u64;
     if !vec.is_empty() {
         if let Some(stem) = shared.stems[rel.index()].as_ref() {
-            let t_build = Instant::now();
-            let vids = vec.vids_of(rel).expect("scan column");
-            let nkeys = stem.key_cols().len();
-            if scratch.insert_keys.len() < nkeys {
-                scratch.insert_keys.resize_with(nkeys, Vec::new);
-            }
-            for (k, &c) in scratch.insert_keys.iter_mut().zip(stem.key_cols()) {
-                relation.column(c).gather(vids, k);
-            }
             // Routed (sharded) STeMs get one insert critical section — and
             // one fresh global version — per shard the vector touches, and
             // each sub-chunk is probed with *its own* version; stem.rs's
             // module docs prove exactly-once under that pairing. Unrouted
             // STeMs keep the legacy single insert + single join, so S=1
-            // runs are byte-identical to the pre-sharding engine.
+            // runs are byte-identical to the pre-sharding engine. An elided
+            // vector draws no version: every STeM it probes is final.
             let mut chunks: Vec<(DataVector, u32)> = Vec::new();
-            let mut version = 0u32;
-            if stem.is_routed() {
-                let insert_keys = std::mem::take(&mut scratch.insert_keys);
-                let mut shard_ids = std::mem::take(&mut scratch.shard_ids);
-                let mut sub_keys = std::mem::take(&mut scratch.shard_keys);
-                let mut shard_rows = [0u32; crate::stem::MAX_STEM_SHARDS];
-                shard_ids.clear();
-                for &k in insert_keys.first().map(Vec::as_slice).unwrap_or(&[]) {
-                    let s = stem.shard_of_key(k);
-                    if let Some(rows) = shard_rows.get_mut(s) {
-                        *rows += 1;
-                    }
-                    shard_ids.push(s as u8);
+            let mut version = VERSION_ALL;
+            if elide {
+                shared.stats.elided_tuples.fetch_add(join_input, Ordering::Relaxed);
+                elided = join_input;
+            } else if let Some(vids) = vec.vids_of(rel) {
+                let t_build = Instant::now();
+                let nkeys = stem.key_cols().len();
+                if scratch.insert_keys.len() < nkeys {
+                    scratch.insert_keys.resize_with(nkeys, Vec::new);
                 }
-                if sub_keys.len() < nkeys {
-                    sub_keys.resize_with(nkeys, Vec::new);
+                for (k, &c) in scratch.insert_keys.iter_mut().zip(stem.key_cols()) {
+                    relation.column(c).gather(vids, k);
                 }
-                for (s, &rows) in shard_rows.iter().enumerate().take(stem.n_shards()) {
-                    if rows == 0 {
-                        continue;
+                if stem.is_routed() {
+                    let insert_keys = std::mem::take(&mut scratch.insert_keys);
+                    let mut shard_ids = std::mem::take(&mut scratch.shard_ids);
+                    let mut sub_keys = std::mem::take(&mut scratch.shard_keys);
+                    let mut shard_rows = [0u32; crate::stem::MAX_STEM_SHARDS];
+                    shard_ids.clear();
+                    for &k in insert_keys.first().map(Vec::as_slice).unwrap_or(&[]) {
+                        let s = stem.shard_of_key(k);
+                        if let Some(rows) = shard_rows.get_mut(s) {
+                            *rows += 1;
+                        }
+                        shard_ids.push(s as u8);
                     }
-                    let mut chunk = scratch.take_vector(vec.qsets.words_per_set());
-                    let mut col = scratch.take_col();
-                    for sk in sub_keys.iter_mut() {
-                        sk.clear();
+                    if sub_keys.len() < nkeys {
+                        sub_keys.resize_with(nkeys, Vec::new);
                     }
-                    for (i, (&sid, &vid)) in shard_ids.iter().zip(vids.iter()).enumerate() {
-                        if sid as usize != s {
+                    for (s, &rows) in shard_rows.iter().enumerate().take(stem.n_shards()) {
+                        if rows == 0 {
                             continue;
                         }
-                        col.push(vid);
-                        chunk.qsets.push_row_from(&vec.qsets, i);
-                        for (sk, keys) in sub_keys.iter_mut().zip(insert_keys.iter()) {
-                            sk.extend(keys.get(i).copied());
+                        let mut chunk = scratch.take_vector(vec.qsets.words_per_set());
+                        let mut col = scratch.take_col();
+                        for sk in sub_keys.iter_mut() {
+                            sk.clear();
                         }
+                        for (i, (&sid, &vid)) in shard_ids.iter().zip(vids.iter()).enumerate() {
+                            if sid as usize != s {
+                                continue;
+                            }
+                            col.push(vid);
+                            chunk.qsets.push_row_from(&vec.qsets, i);
+                            for (sk, keys) in sub_keys.iter_mut().zip(insert_keys.iter()) {
+                                sk.extend(keys.get(i).copied());
+                            }
+                        }
+                        let v = stem.insert_shard(
+                            s,
+                            &col,
+                            &chunk.qsets,
+                            sub_keys.get(..nkeys).unwrap_or(&[]),
+                            shared.global_version,
+                        );
+                        if let Some(rec) = shared.recorder {
+                            rec.record_shard_insert(s, col.len() as u64);
+                        }
+                        chunk.push_column(rel, col);
+                        chunks.push((chunk, v));
                     }
-                    let v = stem.insert_shard(
-                        s,
-                        &col,
-                        &chunk.qsets,
-                        sub_keys.get(..nkeys).unwrap_or(&[]),
+                    scratch.insert_keys = insert_keys;
+                    scratch.shard_ids = shard_ids;
+                    scratch.shard_keys = sub_keys;
+                } else {
+                    version = stem.insert_vector(
+                        vids,
+                        &vec.qsets,
+                        scratch.insert_keys.get(..nkeys).unwrap_or(&[]),
                         shared.global_version,
                     );
-                    if let Some(rec) = shared.recorder {
-                        rec.record_shard_insert(s, col.len() as u64);
+                    if stem.n_shards() > 1 {
+                        if let Some(rec) = shared.recorder {
+                            rec.record_shard_insert(0, vec.len() as u64);
+                        }
                     }
-                    chunk.push_column(rel, col);
-                    chunks.push((chunk, v));
                 }
-                scratch.insert_keys = insert_keys;
-                scratch.shard_ids = shard_ids;
-                scratch.shard_keys = sub_keys;
+                shared.profile.add(Category::Build, t_build.elapsed().as_nanos() as u64);
+                shared.stats.inserted_tuples.fetch_add(join_input, Ordering::Relaxed);
+                inserted = join_input;
             } else {
-                version = stem.insert_vector(
-                    vids,
-                    &vec.qsets,
-                    scratch.insert_keys.get(..nkeys).unwrap_or(&[]),
-                    shared.global_version,
-                );
-                if stem.n_shards() > 1 {
-                    if let Some(rec) = shared.recorder {
-                        rec.record_shard_insert(0, vec.len() as u64);
-                    }
-                }
+                orphan_vector(shared, rel, &queries, &mut vec);
             }
-            shared.profile.add(Category::Build, t_build.elapsed().as_nanos() as u64);
-            shared.stats.inserted_tuples.fetch_add(vec.len() as u64, Ordering::Relaxed);
-            measured_insert = vec.len() as u64;
 
             // --- Join phase ------------------------------------------------
             let log_mark = log.len();
@@ -634,7 +684,8 @@ pub fn run_episode(
             scanned,
             capacity: shared.config.vector_size as u64,
             selected,
-            inserted: measured_insert,
+            inserted,
+            elided,
         });
         let every = shared.config.telemetry.policy_probe_every;
         if every > 0 && episode.is_multiple_of(every) {
@@ -653,7 +704,7 @@ pub fn run_episode(
             .filter(|e| e.scope == Scope::JOIN)
             .map(|e| shared.cost.cost(roulette_core::OpKind::Join, e.n_in, e.n_out))
             .sum();
-        Some(TraceEntry { episode, measured, estimated: estimate * measured_insert as f64 })
+        Some(TraceEntry { episode, measured, estimated: estimate * join_input as f64 })
     } else {
         None
     }
@@ -667,6 +718,7 @@ fn prune_vector(
     shared: &EngineShared<'_>,
     rel: RelId,
     complete: RelSet,
+    queries: &QuerySet,
     vec: &mut DataVector,
     scratch: &mut EpisodeScratch,
 ) {
@@ -685,7 +737,10 @@ fn prune_vector(
         let Some(stem) = shared.stems[other_side.0.index()].as_ref() else { continue };
         let Some(index_id) = stem.index_of(other_side.1) else { continue };
         let edge_q = batch.edge_queries(eid);
-        let vids = vec.vids_of(rel).expect("scan column");
+        let Some(vids) = vec.vids_of(rel) else {
+            orphan_vector(shared, rel, queries, vec);
+            return;
+        };
         relation.column(this_side.1).gather(vids, &mut scratch.values);
         let n_in = vec.len();
         // allowed(i) = (∪ matching entry query-sets) ∪ ¬Q_edge — queries
@@ -710,11 +765,15 @@ fn prune_vector(
 /// Upper bound on an intermediate vector's tuple count: larger probe
 /// outputs are processed in chunks, bounding the pending-vector footprint
 /// (§3) — without this, a bad exploratory order on an expanding join chain
-/// can hold gigabytes of transient tuples across the recursion. Only
-/// *inner* probe outputs (and their divergence branches) ever get this
-/// large: a plan's final join output, usually its biggest intermediate, is
-/// routed tile by tile inside its probe and never exists as a vector.
-const MAX_PENDING_VECTOR: usize = 1 << 16;
+/// can hold gigabytes of transient tuples across the recursion. One probe
+/// tile: the recursion then holds at most a tile of tuples per plan level
+/// below the probe whose output is being chunked, and a chunk's columns
+/// stay cache-resident from the copy to the probe that reads them
+/// (DESIGN.md §10). Only *inner* probe outputs (and their divergence
+/// branches) ever get larger than this: a plan's final join output, usually
+/// its biggest intermediate, is routed tile by tile inside its probe and
+/// never exists as a vector.
+const MAX_PENDING_VECTOR: usize = PROBE_TILE;
 
 /// Executes the join-phase plan for `vec` (probe sub-plans first, then
 /// divergence sub-plans, as in §3's executor walk-through).
@@ -734,6 +793,7 @@ fn exec_join(
         return;
     }
     if vec.len() > MAX_PENDING_VECTOR {
+        let log_mark = log.len();
         let mut start = 0;
         while start < vec.len() {
             let end = (start + MAX_PENDING_VECTOR).min(vec.len());
@@ -744,6 +804,10 @@ fn exec_join(
             if guard.tripped {
                 return;
             }
+            // Fold this chunk's log entries into the earlier chunks': the
+            // policy sees one entry per plan node, as for the unchunked
+            // vector, and the log stays as short as the plan.
+            log.merge_from(log_mark);
             start = end;
         }
         return;

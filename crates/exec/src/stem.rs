@@ -92,6 +92,11 @@ struct StemIndex {
     /// Chain links: next entry index + 1, 0 = end.
     next: Vec<u32>,
     mask: usize,
+    /// Size the bucket table is allocated at by the first insert. Until
+    /// then the table is empty: an index nothing was ever inserted into —
+    /// the STeM of a relation whose builds were all elided — owns no
+    /// memory, and every probe of it finds an empty chain.
+    initial_buckets: usize,
 }
 
 impl StemIndex {
@@ -102,16 +107,18 @@ impl StemIndex {
     /// Sizes the bucket table for an expected `hint` entries at the 3/4
     /// load factor, so a correctly hinted index never rehashes during its
     /// build. `hint = 0` (unknown cardinality) starts at the minimum and
-    /// grows by doubling as usual.
+    /// grows by doubling as usual. The table is allocated by the first
+    /// insert, not here.
     fn with_capacity(hint: usize) -> Self {
-        let buckets = (hint + hint / 3 + 1)
+        let initial_buckets = (hint + hint / 3 + 1)
             .next_power_of_two()
             .max(Self::MIN_BUCKETS);
         StemIndex {
             keys: Vec::new(),
-            buckets: vec![0; buckets],
+            buckets: Vec::new(),
             next: Vec::new(),
-            mask: buckets - 1,
+            mask: 0,
+            initial_buckets,
         }
     }
 
@@ -130,7 +137,7 @@ impl StemIndex {
     }
 
     fn grow(&mut self) {
-        let new_size = self.buckets.len() * 2;
+        let new_size = (self.buckets.len() * 2).max(self.initial_buckets);
         self.buckets.clear();
         self.buckets.resize(new_size, 0);
         self.mask = new_size - 1;
@@ -246,7 +253,7 @@ fn inner_projected_insert_bytes(inner: &StemInner, n: usize) -> usize {
     for idx in &inner.indices {
         bytes += vec_growth(idx.keys.len(), idx.keys.capacity(), n, 8)
             + vec_growth(idx.next.len(), idx.next.capacity(), n, 4);
-        let mut buckets = idx.buckets.len();
+        let mut buckets = idx.buckets.len().max(idx.initial_buckets);
         while idx.keys.len() + n > buckets - buckets / 4 {
             buckets *= 2;
         }
@@ -280,7 +287,10 @@ impl Stem {
     }
 
     /// Like [`new`](Self::new), but sizes each index's bucket table for
-    /// `hint` expected entries (e.g. the base relation's row count).
+    /// `hint` expected entries (e.g. the base relation's row count). The
+    /// tables are allocated by the first insert, so a STeM that is never
+    /// built costs nothing and [`memory_bytes`](Self::memory_bytes) reports
+    /// built state only.
     pub fn with_capacity_hint(
         rel: RelId,
         key_cols: Vec<ColId>,
@@ -1071,31 +1081,48 @@ mod tests {
 
     #[test]
     fn capacity_hint_sizes_buckets_and_shrinks_tiny_indices() {
-        // Unhinted (tiny) indices start at the minimum table...
+        // Nothing is allocated before the first insert: a STeM whose builds
+        // were all elided is free, and probing it finds nothing.
         let tiny = Stem::new(RelId(0), vec![ColId(0), ColId(1)], 1);
+        let hinted = Stem::with_capacity_hint(RelId(0), vec![ColId(0)], 1, 6000);
+        assert_eq!(tiny.memory_bytes(), 0);
+        assert_eq!(hinted.memory_bytes(), 0);
+        let mut hits = 0;
+        hinted.probe(0, 5, VERSION_ALL, |_, _| hits += 1);
+        assert_eq!(tiled(&hinted, 0, &[5, 6], VERSION_ALL, 1).0.len() + hits, 0);
+        // The governor's projection charges the table the first insert
+        // will allocate.
+        assert!(hinted.projected_insert_bytes(1) > tiny.projected_insert_bytes(1));
+        let global = AtomicU32::new(0);
+        let q = QuerySet::full(1);
+        let mut one = QuerySetColumn::new(1);
+        one.push(q.words());
+        // Unhinted (tiny) indices start at the minimum table...
+        tiny.insert_vector(&[0], &one, &[vec![1], vec![2]], &global);
         for idx in &tiny.shards[0].read().indices {
             assert_eq!(idx.buckets.len(), StemIndex::MIN_BUCKETS);
         }
         // ...a hinted index is sized to hold the hint at ≤3/4 load...
-        let hinted = Stem::with_capacity_hint(RelId(0), vec![ColId(0)], 1, 6000);
+        let projected = hinted.projected_insert_bytes(1);
+        hinted.insert_vector(&[0], &one, &[vec![0]], &global);
         let buckets = hinted.shards[0].read().indices[0].buckets.len();
         assert!(buckets.is_power_of_two());
         assert!(6000 <= buckets - buckets / 4, "{buckets} buckets under-sized");
         assert!(buckets <= 16384, "{buckets} buckets over-sized");
+        assert!(projected >= buckets * 4, "projection {projected} misses the bucket table");
         // ...and the footprint gap is visible to the memory governor.
         assert!(tiny.memory_bytes() < hinted.memory_bytes());
         // A correctly hinted build never rehashes: insert exactly `hint`
         // keys and check the table kept its initial size.
-        let global = AtomicU32::new(0);
-        let n = 6000u32;
-        let q = QuerySet::full(1);
+        let n = 5999u32;
         let mut qc = QuerySetColumn::new(1);
         for _ in 0..n {
             qc.push(q.words());
         }
-        let vids: Vec<u32> = (0..n).collect();
-        let keys: Vec<i64> = (0..n as i64).collect();
+        let vids: Vec<u32> = (1..=n).collect();
+        let keys: Vec<i64> = (1..=n as i64).collect();
         hinted.insert_vector(&vids, &qc, &[keys], &global);
+        assert_eq!(hinted.len(), 6000);
         assert_eq!(hinted.shards[0].read().indices[0].buckets.len(), buckets);
     }
 
@@ -1302,6 +1329,21 @@ mod tests {
         // insert. The routed projection must charge that shard for all n
         // rows, not n/S.
         let stem = Stem::with_shards(RelId(0), vec![ColId(0)], 2, 0, 8);
+        // One stored row per shard first: bucket tables are allocated by a
+        // shard's first insert, and the comparison below is about growth,
+        // not about who still owes its first table.
+        let global = AtomicU32::new(0);
+        let q = QuerySet::full(70);
+        let mut seeded = [false; 8];
+        for k in 0i64.. {
+            let s = stem.shard_of_key(k);
+            if !std::mem::replace(&mut seeded[s], true) {
+                stem.insert_shard(s, &[k as u32], &qcol(&[&q]), &[vec![k]], &global);
+            }
+            if seeded.iter().all(|&b| b) {
+                break;
+            }
+        }
         let n = 4096usize;
         let hot = vec![77i64; n];
         let shard = stem.shard_of_key(77);

@@ -117,6 +117,47 @@ impl ExecutionLog {
         self.spare.extend(self.entries.drain(len..));
     }
 
+    /// Folds the entries recorded after a mark taken with
+    /// [`len`](Self::len) that describe the same operator application —
+    /// equal scope, lineage, query-set and operator — into the first of
+    /// them, summing their cardinalities. The executor processes an
+    /// oversized intermediate vector in chunks; one plan node then logs once
+    /// per chunk, and folding gives the policy the one observation per node
+    /// it would have had from the unchunked vector (a join's cardinalities
+    /// add up over row ranges), whatever the chunk size. First occurrences
+    /// keep their order; the folded duplicates are parked for
+    /// [`push_reused`](Self::push_reused).
+    pub fn merge_from(&mut self, mark: usize) {
+        let mut kept = mark;
+        for read in mark..self.entries.len() {
+            let (head, tail) = self.entries.split_at_mut(read);
+            let Some(e) = tail.first() else { break };
+            let same = head.get_mut(mark..kept).and_then(|h| {
+                h.iter_mut().find(|t| {
+                    t.scope == e.scope
+                        && t.lineage == e.lineage
+                        && t.op == e.op
+                        && t.queries == e.queries
+                })
+            });
+            match same {
+                Some(t) => {
+                    t.n_in += e.n_in;
+                    t.n_out += e.n_out;
+                    t.n_div = match (t.n_div, e.n_div) {
+                        (None, None) => None,
+                        (a, b) => Some(a.unwrap_or(0) + b.unwrap_or(0)),
+                    };
+                }
+                None => {
+                    self.entries.swap(kept, read);
+                    kept += 1;
+                }
+            }
+        }
+        self.truncate(kept);
+    }
+
     /// Number of entries.
     #[inline]
     pub fn len(&self) -> usize {
@@ -197,6 +238,45 @@ mod tests {
         assert_eq!(log.len(), 1);
         log.push_reused(Scope::JOIN, 2, &qs, 0, 2, 2, None);
         assert_eq!(log.entries()[1].lineage, 2);
+    }
+
+    #[test]
+    fn merge_from_folds_chunked_entries_per_operator_application() {
+        let q = |i| QuerySet::singleton(roulette_core::QueryId(i), 3);
+        let mut log = ExecutionLog::new();
+        // Before the mark: never touched, even with an equal key.
+        log.push_reused(Scope::JOIN, 1, &q(0), 0, 7, 7, None);
+        let mark = log.len();
+        // Three chunks of one vector walking a two-node plan; the second
+        // chunk produces nothing at the first node, so never reaches the
+        // second, and only the third chunk diverges.
+        log.push_reused(Scope::JOIN, 1, &q(0), 0, 10, 4, Some(0));
+        log.push_reused(Scope::JOIN, 3, &q(0), 1, 4, 8, None);
+        log.push_reused(Scope::JOIN, 1, &q(0), 0, 10, 0, Some(0));
+        log.push_reused(Scope::JOIN, 1, &q(0), 0, 5, 1, Some(2));
+        log.push_reused(Scope::JOIN, 3, &q(0), 1, 1, 3, None);
+        // Same lineage and operator for another query-set: another node.
+        log.push_reused(Scope::JOIN, 3, &q(1), 1, 2, 2, None);
+        log.merge_from(mark);
+        let got: Vec<_> = log
+            .entries()
+            .iter()
+            .map(|e| (e.lineage, e.op, e.queries.clone(), e.n_in, e.n_out, e.n_div))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (1, 0, q(0), 7, 7, None),
+                (1, 0, q(0), 25, 5, Some(2)),
+                (3, 1, q(0), 5, 11, None),
+                (3, 1, q(1), 2, 2, None),
+            ]
+        );
+        // The folded duplicates are parked, not dropped.
+        assert_eq!(log.spare.len(), 3);
+        // Nothing after the mark: a no-op.
+        log.merge_from(log.len());
+        assert_eq!(log.len(), 4);
     }
 
     #[test]

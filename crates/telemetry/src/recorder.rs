@@ -24,6 +24,11 @@ pub struct EpisodeSample {
     pub selected: u64,
     /// Tuples inserted into the episode relation's STeM.
     pub inserted: u64,
+    /// Tuples that entered the join phase without being inserted: every
+    /// relation their queries join with was already complete, so nothing
+    /// could ever probe them. `inserted + elided` is what the join phase
+    /// saw.
+    pub elided: u64,
 }
 
 /// A sampled snapshot of the learned policy's internals.
@@ -133,6 +138,7 @@ mod tests {
             capacity: 1024,
             selected: 512,
             inserted: 512,
+            elided: 0,
         });
         r.record_probe_batch(64);
         r.record_shard_insert(3, 128);

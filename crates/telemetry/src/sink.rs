@@ -38,6 +38,7 @@ pub struct Telemetry {
     episode_latency_ns: Arc<Histogram>,
     query_latency_us: Arc<Histogram>,
     insert_batch: Arc<Histogram>,
+    elided_tuples: Arc<ShardedCounter>,
     probe_batch: Arc<Histogram>,
     shard_insert_tuples: Vec<Arc<ShardedCounter>>,
     shard_probe_keys: Vec<Arc<ShardedCounter>>,
@@ -91,6 +92,10 @@ impl Telemetry {
         let insert_batch = registry.histogram(
             "roulette_stem_insert_batch_tuples",
             "Tuples inserted into a STeM per episode",
+        );
+        let elided_tuples = registry.counter(
+            "roulette_stem_elided_tuples_total",
+            "Tuples joined without being inserted: every join partner was already complete",
         );
         let probe_batch = registry.histogram(
             "roulette_stem_probe_batch_tuples",
@@ -196,6 +201,7 @@ impl Telemetry {
             episode_latency_ns,
             query_latency_us,
             insert_batch,
+            elided_tuples,
             probe_batch,
             shard_insert_tuples,
             shard_probe_keys,
@@ -297,6 +303,7 @@ impl Recorder for Telemetry {
         self.episodes.inc();
         self.episode_latency_ns.record(sample.latency_ns);
         self.insert_batch.record(sample.inserted);
+        self.elided_tuples.add(sample.elided);
         if let Some(fill) = (sample.scanned * 1000).checked_div(sample.capacity) {
             self.vector_fill_permille.record(fill);
         }
@@ -399,10 +406,13 @@ mod tests {
             scanned: 512,
             capacity: 1024,
             selected: 256,
-            inserted: 256,
+            inserted: 192,
+            elided: 64,
         });
         t.record_probe_batch(128);
         let text = prom(&t);
+        assert!(text.contains("roulette_stem_insert_batch_tuples_sum 192"));
+        assert!(text.contains("roulette_stem_elided_tuples_total 64"));
         assert!(text.contains("roulette_episodes_total 1"));
         assert!(text.contains("roulette_episode_latency_ns_count 1"));
         assert!(text.contains("roulette_stem_probe_batch_tuples_count 1"));

@@ -57,10 +57,11 @@ fn main() {
         println!("  Q{i}: {} rows (checksum {:016x})", r.rows, r.checksum);
     }
     println!(
-        "\nengine: {} episodes, {} STeM inserts, {} intermediate join tuples, \
-         {} tuples pruned before materialization",
+        "\nengine: {} episodes, {} STeM inserts ({} builds elided: nothing left to probe them), \
+         {} intermediate join tuples, {} tuples pruned before materialization",
         outcome.stats.episodes,
         outcome.stats.inserted_tuples,
+        outcome.stats.elided_tuples,
         outcome.stats.join_tuples,
         outcome.stats.pruned_tuples,
     );

@@ -105,3 +105,41 @@ fn query_completion_is_tracked_per_query() {
     let solo = QatEngine::new(&ds.catalog, ExecMode::Vectorized, 1).execute(&pool[1]);
     assert_eq!(r1, solo);
 }
+
+#[test]
+fn query_admitted_after_builds_were_elided_matches_isolated_execution() {
+    // `store_sales` is ranked last, so by the time it scans every dimension
+    // is complete and its vectors are joined without being built. A query
+    // admitted *then* finds a fact STeM with those tuples missing — which
+    // must not matter: it brings its own query bits and its own circular
+    // scans, and the fact vectors it shares from here on carry both
+    // queries while the dimensions it re-opened are incomplete again.
+    let ds = tpcds::generate(0.2, 29);
+    let pool = tpcds_pool(&ds, SensitivityParams::default(), 2, 61).expect("workload generation");
+    let fact = ds.catalog.relation_id("store_sales").unwrap();
+    assert!(pool.iter().all(|q| q.relations.contains(fact)));
+    let qat = QatEngine::new(&ds.catalog, ExecMode::Vectorized, 1);
+    let expected: Vec<_> = qat.execute_serial(&pool);
+
+    for workers in [1usize, 4] {
+        let cfg = EngineConfig::default()
+            .with_vector_size(128)
+            .unwrap()
+            .with_workers(workers)
+            .unwrap();
+        let engine = RouletteEngine::new(&ds.catalog, cfg);
+        let mut session = engine.session(2);
+        let q0 = session.admit(pool[0].clone()).unwrap();
+        // Step into the fact scan: some of its vectors have been elided,
+        // most are still to come.
+        while session.stats().elided_tuples == 0 {
+            assert!(session.step(), "{workers} workers: q0 finished without eliding a build");
+        }
+        assert!(session.query_active(q0), "admission must land mid-scan");
+        assert_eq!(session.stem_len(fact), 0, "the elided vectors were built after all");
+        session.admit(pool[1].clone()).unwrap();
+        session.run();
+        let out = session.finish();
+        assert_eq!(out.per_query, expected, "{workers} workers");
+    }
+}

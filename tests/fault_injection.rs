@@ -20,6 +20,16 @@ use roulette::storage::{Catalog, RelationBuilder};
 
 /// fact(fk → dim.pk, v) with dangling fks; `scale` repeats the pattern.
 fn catalog(scale: usize) -> Catalog {
+    catalog_with_dim(scale, 4)
+}
+
+/// [`catalog`] with `dim_rows` dimension rows. A `dim` *larger* than `fact`
+/// turns the join's build side around: §5.2's ranking scans `fact` first,
+/// while `dim` can still arrive, so all of `fact` has to be built (and the
+/// `dim` vectors that follow are elided). With the 4-row `dim` the only
+/// STeM state the session needs is four entries — nothing for a memory
+/// budget to govern.
+fn catalog_with_dim(scale: usize, dim_rows: usize) -> Catalog {
     let mut c = Catalog::new();
     let pattern_fk = [0i64, 1, 2, 0, 1, 9, 9, 2];
     let mut fk = Vec::with_capacity(pattern_fk.len() * scale);
@@ -35,8 +45,8 @@ fn catalog(scale: usize) -> Catalog {
     f.int64("v", v);
     c.add(f.build()).unwrap();
     let mut d = RelationBuilder::new("dim");
-    d.int64("pk", vec![0, 1, 2, 3]);
-    d.int64("w", vec![10, 11, 12, 13]);
+    d.int64("pk", (0..dim_rows as i64).collect());
+    d.int64("w", (10..10 + dim_rows as i64).collect());
     c.add(d.build()).unwrap();
     c
 }
@@ -265,24 +275,37 @@ fn watchdog_trips_and_preserves_results() {
     let cfg = small_config();
     let clean = run(&c, &cfg, None);
 
-    // A 1-tuple join budget trips on the very first productive probe.
-    let tight = cfg.clone().with_episode_budget(Some(1), None).unwrap();
-    let engine = RouletteEngine::new(&c, tight);
-    let mut session = engine.session(3);
-    for q in workload(&c) {
-        session.admit(q).unwrap();
-    }
-    session.run();
-    let stats = session.stats();
-    assert!(stats.watchdog_trips > 0, "tight budget never tripped the watchdog");
-    let results = session.finish().per_query;
-    for (i, (r, cl)) in results.iter().zip(&clean).enumerate() {
-        assert!(r.is_complete(), "watchdog must not quarantine query {i}");
-        assert_eq!(
-            (r.rows, r.checksum),
-            (cl.rows, cl.checksum),
-            "query {i}: fallback replan changed results"
-        );
+    // A 1-tuple join budget trips on the very first productive probe. The
+    // only productive probes here are `fact` vectors probing the complete
+    // `dim` — vectors whose own build is elided, so the trip, the discarded
+    // outputs and the fallback replan all run on the insert-free path (no
+    // version drawn, `VERSION_ALL` probes), routed and unrouted.
+    for shards in [1usize, 8] {
+        let tight = cfg
+            .clone()
+            .with_episode_budget(Some(1), None)
+            .unwrap()
+            .with_stem_shards(shards)
+            .unwrap();
+        let engine = RouletteEngine::new(&c, tight);
+        let mut session = engine.session(3);
+        for q in workload(&c) {
+            session.admit(q).unwrap();
+        }
+        session.run();
+        let stats = session.stats();
+        assert!(stats.watchdog_trips > 0, "tight budget never tripped the watchdog");
+        assert_eq!(stats.inserted_tuples, 4, "S={shards}: only `dim` is ever built");
+        assert!(stats.elided_tuples > 0, "S={shards}: the tripped vectors were not elided");
+        let results = session.finish().per_query;
+        for (i, (r, cl)) in results.iter().zip(&clean).enumerate() {
+            assert!(r.is_complete(), "watchdog must not quarantine query {i}");
+            assert_eq!(
+                (r.rows, r.checksum),
+                (cl.rows, cl.checksum),
+                "S={shards} query {i}: fallback replan changed results"
+            );
+        }
     }
 }
 
@@ -291,7 +314,7 @@ fn memory_budget_is_never_exceeded() {
     // Large enough that the unbudgeted STeM footprint far exceeds the
     // budget; the governor must keep resident bytes under it at every
     // step by forcing pruning, pausing admissions, and finally evicting.
-    let c = catalog(2000); // 16k fact rows
+    let c = catalog_with_dim(2000, 16_001); // 16k fact rows, all of them built
     let cfg = EngineConfig::default().with_vector_size(256).unwrap();
     let unbounded = {
         let engine = RouletteEngine::new(&c, cfg.clone());
@@ -329,17 +352,21 @@ fn memory_budget_is_never_exceeded() {
 
 #[test]
 fn memory_pressure_pauses_admissions() {
-    let c = catalog(2000);
-    // Budget low enough that the first query's ingestion saturates it.
-    let cfg = EngineConfig::default()
-        .with_vector_size(256)
-        .unwrap()
-        .with_memory_budget(48 * 1024)
-        .unwrap();
-    let engine = RouletteEngine::new(&c, cfg);
+    let c = catalog_with_dim(2000, 16_001);
+    let cfg = EngineConfig::default().with_vector_size(256).unwrap();
+    // The footprint the first query's ingestion really needs — all of
+    // `fact`, built while `dim` can still arrive — measured unbudgeted; the
+    // budget then leaves it 5% of headroom, so the query completes and
+    // leaves the budget saturated past the 90% admission rung.
+    let needed = {
+        let engine = RouletteEngine::new(&c, cfg.clone());
+        engine.execute_batch(&[join_query(&c)]).unwrap().stats.stem_bytes as usize
+    };
+    let engine = RouletteEngine::new(&c, cfg.with_memory_budget(needed + needed / 20).unwrap());
     let mut session = engine.session(3);
     session.admit(join_query(&c)).unwrap();
     session.run();
+    assert!(session.result(QueryId(0)).is_complete(), "the budget must fit the first query");
     match session.admit(filtered_query(&c, 0, 100)) {
         Err(Error::ResourceExhausted(msg)) => assert!(msg.contains("admissions paused"), "{msg}"),
         other => panic!("expected ResourceExhausted, got {other:?}"),

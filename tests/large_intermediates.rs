@@ -11,7 +11,7 @@ use roulette::storage::{Catalog, RelationBuilder};
 fn chunked_probe_outputs_match_reference() {
     // fact(2048) × dim where every fact row matches 128 dim rows →
     // 262,144 intermediate tuples from ~2 input vectors, well past the
-    // 65,536-tuple pending-vector bound.
+    // 4096-tuple pending-vector bound.
     let mut c = Catalog::new();
     let mut f = RelationBuilder::new("fact");
     f.int64("k", (0..2048).map(|i| i % 4).collect());
@@ -37,8 +37,20 @@ fn chunked_probe_outputs_match_reference() {
 
     let expected = QatEngine::new(&c, ExecMode::Vectorized, 1).execute(&q);
     assert!(expected.rows > 150_000, "workload must exceed the chunk bound");
-    let out = RouletteEngine::new(&c, EngineConfig::default())
-        .execute_batch(std::slice::from_ref(&q))
-        .unwrap();
+    let engine = RouletteEngine::new(&c, EngineConfig::default());
+    let mut session = engine.session(1);
+    session.admit(q).unwrap();
+    session.run();
+    // Chunking is invisible to the policy: a plan node logs once per chunk,
+    // the chunks' entries are folded, and the policy observes each node
+    // once per episode — here at most one selection and two probes —
+    // however many chunks the node's input was cut into.
+    let observations = session.with_policy(|p| p.probe()).expect("learned policy").observations;
+    let out = session.finish();
     assert_eq!(out.per_query[0], expected);
+    assert!(
+        observations <= 3 * out.stats.episodes,
+        "{observations} observations in {} episodes: chunk entries reached the policy unfolded",
+        out.stats.episodes
+    );
 }

@@ -8,12 +8,15 @@
 //! unsharded engine: byte-identical `(status, rows, checksum)` and
 //! collected output rows, at one and four workers, on chain and star
 //! workloads, with scratch reuse on and off, and under mid-session fault
-//! quarantine.
+//! quarantine. The same matrix pins build elision against the
+//! build-everything engine (`pruning = false`).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use roulette::core::{EngineConfig, QueryId};
-use roulette::exec::{CompletionStatus, FaultInjector, FaultSite, QueryResult, RouletteEngine};
+use roulette::exec::{
+    CompletionStatus, EngineStats, FaultInjector, FaultSite, QueryResult, RouletteEngine, Session,
+};
 use roulette::query::generator::{chains_queries, sample_batch, tpcds_pool, SchemaMode,
     SensitivityParams};
 use roulette::query::SpjQuery;
@@ -52,6 +55,21 @@ fn run(
     cfg: &EngineConfig,
     injector: Option<FaultInjector>,
 ) -> (Vec<QueryResult>, Vec<Vec<Vec<i64>>>) {
+    let (res, rows, _, _) = run_with_stats(c, queries, cfg, injector, None, |_| {});
+    (res, rows)
+}
+
+/// [`run`], also returning the engine statistics and how many entries the
+/// STeM of relation `stem_of` (if named) held at the end. `warm_up` gets the
+/// session after admission and before the workers start.
+fn run_with_stats(
+    c: &Catalog,
+    queries: &[SpjQuery],
+    cfg: &EngineConfig,
+    injector: Option<FaultInjector>,
+    stem_of: Option<&str>,
+    warm_up: impl FnOnce(&mut Session<'_>),
+) -> (Vec<QueryResult>, Vec<Vec<Vec<i64>>>, EngineStats, usize) {
     let engine = RouletteEngine::new(c, cfg.clone());
     let mut session = engine.session(queries.len());
     session.collect_rows().unwrap();
@@ -61,6 +79,7 @@ fn run(
     for q in queries {
         session.admit(q.clone()).unwrap();
     }
+    warm_up(&mut session);
     session.run();
     let rows = (0..queries.len())
         .map(|i| {
@@ -69,7 +88,9 @@ fn run(
             r
         })
         .collect();
-    (session.finish().per_query, rows)
+    let stats = session.stats();
+    let stem_len = stem_of.map_or(0, |r| session.stem_len(c.relation_id(r).expect("relation")));
+    (session.finish().per_query, rows, stats, stem_len)
 }
 
 /// Pins every sharded variant against the unsharded reference run.
@@ -158,7 +179,10 @@ fn sharded_runs_match_with_scratch_reuse_off() {
 #[test]
 fn single_oversized_shard_still_trips_eviction_ladder() {
     // Accounting-seam regression: every fact key is identical, so with
-    // S = 8 all insert traffic routes to ONE shard. The memory governor
+    // S = 8 all insert traffic routes to ONE shard. `dim` is the larger
+    // relation, so `fact` is scanned first and all of it has to be built
+    // (a smaller `dim` would complete first and elide every fact insert,
+    // leaving the budget nothing to govern). The memory governor
     // gates on the *sum* of per-shard projected bytes; if it averaged
     // across shards (or only consulted the probed shard) the hot shard
     // would sail past the budget without the ladder ever engaging.
@@ -169,8 +193,8 @@ fn single_oversized_shard_still_trips_eviction_ladder() {
     f.int64("v", (0..n as i64).collect());
     c.add(f.build()).unwrap();
     let mut d = RelationBuilder::new("dim");
-    d.int64("pk", (0..32).collect());
-    d.int64("w", (100..132).collect());
+    d.int64("pk", (0..=n as i64).collect());
+    d.int64("w", (100..=100 + n as i64).collect());
     c.add(d.build()).unwrap();
     let queries: Vec<SpjQuery> = (0..3)
         .map(|i| {
@@ -211,6 +235,70 @@ fn single_oversized_shard_still_trips_eviction_ladder() {
     assert!(stats.stem_bytes <= budget as u64);
     assert!(max_pressure >= 1, "single hot shard never engaged the pressure ladder");
     assert!(stats.quarantined > 0, "budget this tight must evict someone");
+}
+
+#[test]
+fn elided_builds_match_the_build_everything_oracle() {
+    // With pruning off the engine sets no scan ranks, scans round-robin and
+    // inserts every selected tuple: the plain symmetric join. With pruning
+    // on, `store_sales` is ranked last and scanned once every dimension is
+    // complete, so its builds are elided — same results, byte for byte, and
+    // every selected tuple accounted for exactly once. (At this scale
+    // `store_sales` is larger than every dimension; below 0.1 `date_dim` is
+    // and the fact table is built.)
+    let ds = tpcds::generate(0.2, 47);
+    for (tag, schema) in
+        [("star", SchemaMode::StoreDirect), ("snowflake", SchemaMode::SnowflakeStore)]
+    {
+        let params = SensitivityParams { schema, ..Default::default() };
+        let pool = tpcds_pool(&ds, params, 12, 51).expect("workload");
+        let queries = sample_batch(&pool, 6, &mut StdRng::seed_from_u64(53));
+        for workers in [1usize, 4] {
+            for shards in [1usize, 8] {
+                let tag = format!("{tag}, {workers} workers, S={shards}");
+                let cfg = base_cfg(workers).with_stem_shards(shards).unwrap();
+                let mut oracle_cfg = cfg.clone();
+                oracle_cfg.pruning = false;
+                let fact_rel = Some("store_sales");
+                let (ref_res, ref_rows, ref_stats, ref_fact) =
+                    run_with_stats(&ds.catalog, &queries, &oracle_cfg, None, fact_rel, |_| {});
+                assert!(ref_res.iter().any(|r| r.rows > 0), "{tag}: degenerate workload");
+                assert_eq!((ref_stats.elided_tuples, ref_stats.pruned_tuples), (0, 0), "{tag}");
+                assert!(ref_fact > 0, "{tag}: the oracle must build the fact table");
+
+                // Two ways into the fact scan. Started cold, several workers
+                // race the dimensions' last episodes against the first fact
+                // vectors: a fact vector that starts while a dimension episode
+                // is still pending is built, one that starts later is elided
+                // — possibly none, if a worker is descheduled holding a queued
+                // dimension vector for the whole (short) fact scan. Stepped to
+                // the first elision, every dimension has retired before the
+                // workers start, so all of them elide, concurrently.
+                for stepped in [false, true] {
+                    let tag = format!("{tag}, {}", if stepped { "stepped" } else { "cold" });
+                    let (res, rows, stats, fact) =
+                        run_with_stats(&ds.catalog, &queries, &cfg, None, fact_rel, |s| {
+                            while stepped && s.stats().elided_tuples == 0 {
+                                assert!(s.step(), "{tag}: the batch ended before any elision");
+                            }
+                        });
+                    assert_eq!(res, ref_res, "{tag}: results diverged from the oracle");
+                    assert_eq!(rows, ref_rows, "{tag}: collected rows diverged from the oracle");
+                    assert_eq!(
+                        stats.inserted_tuples + stats.elided_tuples + stats.pruned_tuples,
+                        ref_stats.inserted_tuples,
+                        "{tag}: a selected tuple was lost or counted twice"
+                    );
+                    if workers == 1 || stepped {
+                        // Every dimension episode retired before the first
+                        // fact vector ran, so no fact tuple is ever built.
+                        assert!(stats.elided_tuples > 0, "{tag}: nothing was elided");
+                        assert_eq!(fact, 0, "{tag}: the last-ranked STeM was built");
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]

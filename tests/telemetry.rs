@@ -18,6 +18,14 @@ use roulette::telemetry::{NullRecorder, Recorder, Telemetry};
 
 /// fact(fk → dim.pk, v) with dangling fks; `scale` repeats the pattern.
 fn catalog(scale: usize) -> Catalog {
+    catalog_with_dim(scale, 4)
+}
+
+/// [`catalog`] with `dim_rows` dimension rows; a `dim` larger than `fact`
+/// makes `fact` the build side the session really needs (it is scanned
+/// first, while `dim` can still arrive), so a memory budget has state to
+/// govern.
+fn catalog_with_dim(scale: usize, dim_rows: usize) -> Catalog {
     let mut c = Catalog::new();
     let pattern_fk = [0i64, 1, 2, 0, 1, 9, 9, 2];
     let mut fk = Vec::with_capacity(pattern_fk.len() * scale);
@@ -33,8 +41,8 @@ fn catalog(scale: usize) -> Catalog {
     f.int64("v", v);
     c.add(f.build()).unwrap();
     let mut d = RelationBuilder::new("dim");
-    d.int64("pk", vec![0, 1, 2, 3]);
-    d.int64("w", vec![10, 11, 12, 13]);
+    d.int64("pk", (0..dim_rows as i64).collect());
+    d.int64("w", (10..10 + dim_rows as i64).collect());
     c.add(d.build()).unwrap();
     c
 }
@@ -169,7 +177,7 @@ fn eviction_ladder_reaches_event_stream() {
     // Same tight-budget setup as the fault-injection ladder test: the
     // governor must climb the pressure ladder and evict someone, and the
     // sink must see the transitions and the terminal quarantine.
-    let c = catalog(2000);
+    let c = catalog_with_dim(2000, 16_001);
     let cfg = EngineConfig::default().with_vector_size(256).unwrap();
     let unbounded = {
         let engine = RouletteEngine::new(&c, cfg.clone());
