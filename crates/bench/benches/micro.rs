@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use roulette_core::{ColId, QueryId, QuerySet, QuerySetColumn, RelId};
-use roulette_exec::{GroupedFilter, JoinSpace, PlainFilter, ProbeScratch, Stem, VERSION_ALL};
+use roulette_exec::{GroupedFilter, JoinSpace, PlainFilter, ProbeScratch, Stem, Walk, VERSION_ALL};
 use roulette_policy::{Policy, RandomPolicy};
 use roulette_query::generator::{tpcds_pool, SensitivityParams};
 use roulette_query::QueryBatch;
@@ -115,9 +115,10 @@ fn bench_stem(c: &mut Criterion) {
             let probe_keys = keys.get(..1024).unwrap_or(&[]);
             let on_tile = |t: roulette_exec::MatchTile<'_>, _: &mut QuerySetColumn| {
                 t.extend_vids(&mut out_vids);
-                true
+                Walk::Continue
             };
-            stem.probe_tiles(0, probe_keys, VERSION_ALL, &row_masks, &mut scratch, &mut out, on_tile);
+            let (masks, scratch, out) = (&row_masks, &mut scratch, &mut out);
+            stem.probe_tiles(0, probe_keys, VERSION_ALL, masks, scratch, out, None, on_tile);
             black_box((out.len(), out_vids.len()))
         })
     });

@@ -26,8 +26,8 @@
 use roulette_core::{ColId, EngineConfig, QueryId, QuerySet, QuerySetColumn, RelId, RowMask};
 use roulette_bench::routing::{routing_fixture, SHAPES};
 use roulette_exec::{
-    route, EpisodeSink, GroupedFilter, Kernels, LiveSet, Outputs, ProbeScratch, RouletteEngine,
-    RouteScratch, Stem, VERSION_ALL,
+    route, EpisodeSink, GroupedFilter, Kernels, LiveSet, MatchTile, Outputs, ProbeScratch,
+    RouletteEngine, RouteScratch, Stem, Walk, VERSION_ALL,
 };
 use roulette_query::generator::chains_queries;
 use roulette_storage::datagen::chains::{self, ChainsParams};
@@ -308,11 +308,13 @@ fn bench_stem_probe(
             out.clear();
             out_rows.clear();
             out_vids.clear();
-            stem.probe_tiles(0, &keys, VERSION_ALL, &row_masks, &mut scratch, &mut out, |tile, _| {
+            let on_tile = |tile: MatchTile<'_>, _: &mut QuerySetColumn| {
                 out_rows.extend_from_slice(tile.rows());
                 tile.extend_vids(&mut out_vids);
-                true
-            });
+                Walk::Continue
+            };
+            let (masks, scratch, out) = (&row_masks, &mut scratch, &mut out);
+            stem.probe_tiles(0, &keys, VERSION_ALL, masks, scratch, out, None, on_tile);
             matches += out.len() as u64;
         }
         std::hint::black_box((matches, &out_rows, &out_vids));

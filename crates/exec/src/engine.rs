@@ -1314,4 +1314,49 @@ mod tests {
         assert!(with.stats.pruned_tuples > 0);
         assert!(with.stats.inserted_tuples < without.stats.inserted_tuples);
     }
+
+    #[test]
+    fn inner_outputs_stay_under_four_tiles_of_pooled_capacity() {
+        use crate::stem::PROBE_TILE;
+        // fact ⋈ dim ⋈ dim2: each 1024-row fact vector meets 128 dim rows
+        // per row, 131 072 pairs, of which the query-set AND keeps the
+        // query's share (Q0 fact rows × Q0 dim rows and likewise for Q1) —
+        // 76 800 and 54 272 inner tuples, in tiles the AND leaves partly
+        // empty. Materialised, that output alone is 2^17 rows of pooled
+        // capacity. Handed off at two tiles it holds under three, which the
+        // appends' power-of-two growth rounds up to at most four.
+        let mut c = Catalog::new();
+        let mut f = RelationBuilder::new("fact");
+        f.int64("k", (0..2048).map(|i| i % 4).collect());
+        f.int64("v", (0..2048).collect());
+        c.add(f.build()).unwrap();
+        let mut d = RelationBuilder::new("dim");
+        d.int64("k", (0..512).map(|i| i % 4).collect());
+        d.int64("w", (0..512).collect());
+        c.add(d.build()).unwrap();
+        let mut d2 = RelationBuilder::new("dim2");
+        d2.int64("w", (0..512).collect());
+        c.add(d2.build()).unwrap();
+        let query = |v: (i64, i64), w: (i64, i64)| {
+            SpjQuery::builder(&c)
+                .relation("fact")
+                .relation("dim")
+                .relation("dim2")
+                .join(("fact", "k"), ("dim", "k"))
+                .join(("dim", "w"), ("dim2", "w"))
+                .range("fact", "v", v.0, v.1)
+                .range("dim", "w", w.0, w.1)
+                .build()
+                .unwrap()
+        };
+        let engine = RouletteEngine::new(&c, EngineConfig::default());
+        let mut session = engine.session(2);
+        session.admit(query((0, 1023), (0, 299))).unwrap();
+        session.admit(query((1024, 2047), (300, 511))).unwrap();
+        while session.step() {}
+        let pooled = session.scratch.lock().max_pooled_rows();
+        let out = session.finish();
+        assert_eq!([out.per_query[0].rows, out.per_query[1].rows], [4 * 256 * 75, 4 * 256 * 53]);
+        assert!(pooled <= 4 * PROBE_TILE, "a pooled buffer holds {pooled} rows of capacity");
+    }
 }

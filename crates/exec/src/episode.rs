@@ -22,9 +22,9 @@ use crate::planner::{
 };
 use crate::profile::{Category, Profile};
 use crate::router::{route, EpisodeSink, RouteScratch};
-use crate::scratch::EpisodeScratch;
+use crate::scratch::{EpisodeScratch, ProbeStaging};
 use crate::spaces::{JoinSpace, SelectionSpace};
-use crate::stem::{Stem, PROBE_TILE, VERSION_ALL};
+use crate::stem::{Stem, Walk, PROBE_TILE, VERSION_ALL};
 use crate::vector::DataVector;
 use roulette_core::{
     ColId, EngineConfig, Error, QueryId, QuerySet, QuerySetColumn, RelId, RelSet,
@@ -133,6 +133,15 @@ pub struct EngineShared<'a> {
     pub kernels: Kernels,
 }
 
+impl<'a> EngineShared<'a> {
+    /// The STeM of `rel`: `None` for a relation no query scans — or, were
+    /// a plan ever to name a relation outside the batch, for that too.
+    #[inline]
+    pub(crate) fn stem(&self, rel: RelId) -> Option<&'a Stem> {
+        self.stems.get(rel.index()).and_then(Option::as_ref)
+    }
+}
+
 /// Watchdog over one episode's join phase: trips once the phase exceeds its
 /// tuple or wall-clock budget, after which the episode discards the phase's
 /// staged outputs and log and replans with the greedy fallback policy.
@@ -205,7 +214,7 @@ fn heaviest_query(shared: &EngineShared<'_>, candidates: &QuerySet) -> Option<Qu
     for q in candidates.iter() {
         let mut score = 0.0;
         for r in shared.batch.query(q).relations.iter() {
-            let Some(stem) = shared.stems[r.index()].as_ref() else { continue };
+            let Some(stem) = shared.stem(r) else { continue };
             let sharers = shared.batch.rel_queries(r).intersection(&live).len().max(1);
             score += stem.memory_bytes() as f64 / sharers as f64;
         }
@@ -233,20 +242,28 @@ fn record_pressure(shared: &EngineShared<'_>, level: u8) {
     }
 }
 
-/// The typed exit for a scan vector that lost its scan column. `refill_scan`
-/// installs the column and compaction keeps it, so this is a defect — but
-/// without the column nothing can address the vector's rows, so its queries
-/// are quarantined with an internal error and the vector is emptied: the
-/// episode winds down through its normal empty-vector exits instead of
-/// panicking the worker or publishing a partial result.
-fn orphan_vector(shared: &EngineShared<'_>, rel: RelId, queries: &QuerySet, vec: &mut DataVector) {
+/// The typed exit for a scan vector the episode cannot process — it lost
+/// its scan column (`refill_scan` installs it and compaction keeps it), or
+/// the selection order names a filter the batch does not have. Either is a
+/// defect, but rather than panic the worker or publish a partial result,
+/// the vector's queries are quarantined with an internal error naming the
+/// `defect` and the vector is emptied: the episode winds down through its
+/// normal empty-vector exits.
+fn abandon_vector(
+    shared: &EngineShared<'_>,
+    queries: &QuerySet,
+    vec: &mut DataVector,
+    defect: &str,
+) {
     for q in queries.iter() {
-        (shared.quarantine)(
-            q,
-            Error::Internal(format!("{q}: a scan vector of {rel} lost its scan column")),
-        );
+        (shared.quarantine)(q, Error::Internal(format!("{q}: {defect}")));
     }
     vec.qsets.clear();
+}
+
+/// [`abandon_vector`] for a scan vector of `rel` without its scan column.
+fn orphan_vector(shared: &EngineShared<'_>, rel: RelId, queries: &QuerySet, vec: &mut DataVector) {
+    abandon_vector(shared, queries, vec, &format!("a scan vector of {rel} lost its scan column"));
 }
 
 /// Runs one episode. `complete` is the set of relations whose scans have
@@ -342,9 +359,13 @@ pub fn run_episode(
         if vec.is_empty() {
             break;
         }
-        let gid = groups[op as usize] as usize;
-        let group = &batch.selection_groups()[gid];
-        let filter = &shared.filters[gid];
+        let gid = groups.get(op as usize).map(|&g| g as usize);
+        let group = gid.and_then(|g| batch.selection_groups().get(g));
+        let (Some(group), Some(filter)) = (group, gid.and_then(|g| shared.filters.get(g))) else {
+            let defect = format!("selection operator {op} of {rel} has no filter");
+            abandon_vector(shared, &queries, &mut vec, &defect);
+            break;
+        };
         let Some(vids) = vec.vids_of(rel) else {
             orphan_vector(shared, rel, &queries, &mut vec);
             break;
@@ -428,7 +449,7 @@ pub fn run_episode(
         let used: usize = shared.stems.iter().flatten().map(|s| s.memory_bytes()).sum();
         let level = crate::engine::pressure_from_usage(used, budget);
         record_pressure(shared, level);
-        if let Some(stem) = shared.stems[rel.index()].as_ref().filter(|_| !elide) {
+        if let Some(stem) = shared.stem(rel).filter(|_| !elide) {
             // Final rung: gate the insert itself (an elided vector inserts
             // nothing, so there is nothing to gate). Evict the heaviest
             // queries until the projected footprint fits the budget; an
@@ -483,7 +504,7 @@ pub fn run_episode(
     sink.collecting = shared.outputs.collecting();
     let join_input = vec.len() as u64;
     if !vec.is_empty() {
-        if let Some(stem) = shared.stems[rel.index()].as_ref() {
+        if let Some(stem) = shared.stem(rel) {
             // Routed (sharded) STeMs get one insert critical section — and
             // one fresh global version — per shard the vector touches, and
             // each sub-chunk is probed with *its own* version; stem.rs's
@@ -734,7 +755,7 @@ fn prune_vector(
         if !complete.contains(other_side.0) {
             continue;
         }
-        let Some(stem) = shared.stems[other_side.0.index()].as_ref() else { continue };
+        let Some(stem) = shared.stem(other_side.0) else { continue };
         let Some(index_id) = stem.index_of(other_side.1) else { continue };
         let edge_q = batch.edge_queries(eid);
         let Some(vids) = vec.vids_of(rel) else {
@@ -747,33 +768,40 @@ fn prune_vector(
         // without this edge are unaffected by the semi-join. Seed every
         // row's mask with ¬Q_edge, then let the tiled semi-join OR the
         // matching entry sets in.
-        let EpisodeScratch { values, probe, row_masks, mask, .. } = scratch;
+        let EpisodeScratch { values, stage, mask, .. } = scratch;
         mask.clear();
         mask.extend(edge_q.words().iter().map(|&w| !w));
-        row_masks.reset(width);
-        row_masks.push_repeat(mask, n_in);
-        stem.semijoin_batch(index_id, values, probe, row_masks);
+        stage.row_masks.reset(width);
+        stage.row_masks.push_repeat(mask, n_in);
+        stem.semijoin_batch(index_id, values, &mut stage.probe, &mut stage.row_masks);
         // One bulk AND over the whole row range replaces the per-row
         // `and_row` loop; the survivor count falls out of the keep mask.
-        shared.kernels.qset_and(&mut vec.qsets, scratch.row_masks.raw(), &mut scratch.keep);
+        shared.kernels.qset_and(&mut vec.qsets, scratch.stage.row_masks.raw(), &mut scratch.keep);
         let dropped = (n_in - scratch.keep.count()) as u64;
         shared.stats.pruned_tuples.fetch_add(dropped, Ordering::Relaxed);
         vec.retain_mask(&scratch.keep, shared.kernels);
     }
 }
 
-/// Upper bound on an intermediate vector's tuple count: larger probe
-/// outputs are processed in chunks, bounding the pending-vector footprint
-/// (§3) — without this, a bad exploratory order on an expanding join chain
-/// can hold gigabytes of transient tuples across the recursion. One probe
-/// tile: the recursion then holds at most a tile of tuples per plan level
-/// below the probe whose output is being chunked, and a chunk's columns
-/// stay cache-resident from the copy to the probe that reads them
-/// (DESIGN.md §10). Only *inner* probe outputs (and their divergence
-/// branches) ever get larger than this: a plan's final join output, usually
-/// its biggest intermediate, is routed tile by tile inside its probe and
-/// never exists as a vector.
+/// Upper bound on the tuple count of a vector entering a probe: larger
+/// vectors are processed in chunks, bounding the pending-vector footprint
+/// (§3), and a chunk's columns stay cache-resident from the copy to the
+/// probe that reads them (DESIGN.md §10). One probe tile. What exceeds it
+/// is an inner probe's output handed on (at most [`HANDOFF_ROWS`]) or a
+/// scan vector when `vector_size` is larger than a tile: a
+/// plan's final join output, usually its biggest intermediate, is routed
+/// tile by tile inside its probe and never exists as a vector.
 const MAX_PENDING_VECTOR: usize = PROBE_TILE;
+
+/// Output rows at which an inner probe pauses its walk and hands the
+/// output's whole tiles to the operators below it (DESIGN.md §10). The tile
+/// that crosses it adds at most one more, so an inner output never reaches
+/// three tiles — the bound on every plan level, however far the probe's
+/// fan-out goes, where it used to be the whole output. Two tiles rather
+/// than one: `batch-shared`'s many outputs between one and two tiles then
+/// never hand off, and it needs no second staging level (a one-tile
+/// threshold cost it 0.2–0.35 MB of peak RSS).
+const HANDOFF_ROWS: usize = 2 * PROBE_TILE;
 
 /// Executes the join-phase plan for `vec` (probe sub-plans first, then
 /// divergence sub-plans, as in §3's executor walk-through).
@@ -793,23 +821,7 @@ fn exec_join(
         return;
     }
     if vec.len() > MAX_PENDING_VECTOR {
-        let log_mark = log.len();
-        let mut start = 0;
-        while start < vec.len() {
-            let end = (start + MAX_PENDING_VECTOR).min(vec.len());
-            let mut chunk = scratch.take_vector(vec.qsets.words_per_set());
-            vec.copy_range_into(start, end, &mut chunk, scratch.col_pool_mut());
-            exec_join(shared, node, &chunk, version, log, sink, guard, scratch);
-            scratch.release_vector(chunk);
-            if guard.tripped {
-                return;
-            }
-            // Fold this chunk's log entries into the earlier chunks': the
-            // policy sees one entry per plan node, as for the unchunked
-            // vector, and the log stays as short as the plan.
-            log.merge_from(log_mark);
-            start = end;
-        }
+        exec_chunks(shared, node, vec, vec.len(), version, log, sink, guard, scratch);
         return;
     }
     match node {
@@ -835,6 +847,40 @@ fn exec_join(
                 scratch.release_vector(dv);
             }
         }
+    }
+}
+
+/// Runs `node` over the first `rows` rows of `vec`, copied out in chunks of
+/// at most `MAX_PENDING_VECTOR` rows.
+// lint: hot-loop
+#[allow(clippy::too_many_arguments)]
+fn exec_chunks(
+    shared: &EngineShared<'_>,
+    node: &JoinNode,
+    vec: &DataVector,
+    rows: usize,
+    version: u32,
+    log: &mut ExecutionLog,
+    sink: &mut EpisodeSink,
+    guard: &mut JoinGuard,
+    scratch: &mut EpisodeScratch,
+) {
+    let log_mark = log.len();
+    let mut start = 0;
+    while start < rows {
+        let end = (start + MAX_PENDING_VECTOR).min(rows);
+        let mut chunk = scratch.take_vector(vec.qsets.words_per_set());
+        vec.copy_range_into(start, end, &mut chunk, scratch.col_pool_mut());
+        exec_join(shared, node, &chunk, version, log, sink, guard, scratch);
+        scratch.release_vector(chunk);
+        if guard.tripped {
+            return;
+        }
+        // Fold this chunk's log entries into the earlier chunks': the
+        // policy sees one entry per plan node, as for the unchunked
+        // vector, and the log stays as short as the plan.
+        log.merge_from(log_mark);
+        start = end;
     }
 }
 
@@ -885,16 +931,23 @@ fn route_leaf(
 /// pair query-sets into the output's query-set column and the carried vID
 /// columns are then gathered one column at a time from the surviving
 /// pairs. An *inner* probe (its main branch probes on) appends tile after
-/// tile and returns the materialised output. A *leaf* probe (its main
+/// tile; once the output holds [`HANDOFF_ROWS`] it pauses the walk, hands
+/// the output's whole tiles to the operators below ([`hand_off`]) with no
+/// latch held, and resumes. An output that never got that far is returned, as
+/// is, for the caller to hand on; one that did is handed on here, rest and
+/// all, and the returned main vector is empty. A *leaf* probe (its main
 /// branch is a router) routes each tile into `sink` on the spot and clears
 /// it, so the plan's final join output never exceeds one tile and the
 /// returned main vector is empty; the routed share of the probe's time is
-/// booked to [`Category::Route`]. The watchdog is charged per tile, so an
-/// exploding probe stops within one tile of its budget. The divergence
-/// branch is the same AND-select over the full vector. On unsharded STeMs
-/// the output order is identical to per-key probing, so outputs are
-/// byte-identical; sharded probes visit shard-grouped (a result-safe
-/// permutation, since the sink accumulates order-insensitively).
+/// booked to [`Category::Route`], the handed-off share to the operators
+/// that ran. The watchdog is charged per tile, so an exploding probe stops
+/// within one tile of its budget. The divergence branch is the same
+/// AND-select over the full vector. The probe's log entry is reserved
+/// before the walk and completed after it, so it precedes its subtree's.
+/// On unsharded STeMs the output order is identical to per-key probing, so
+/// outputs are byte-identical; sharded probes visit shard-grouped (a
+/// result-safe permutation, since the sink accumulates
+/// order-insensitively).
 // lint: hot-loop
 #[allow(clippy::too_many_arguments)]
 fn exec_probe(
@@ -930,10 +983,10 @@ fn exec_probe(
     // (source columns in input order, then the target's) in place, so the
     // passes below gather straight into them.
     let mut main_out = scratch.take_vector(width);
-    scratch.carry_main.clear();
+    scratch.stage.carry_main.clear();
     for (i, (r, _)) in cols.iter().enumerate() {
         if p.keep_main.contains(*r) {
-            scratch.carry_main.push(i);
+            scratch.stage.carry_main.push(i);
             main_out.push_column(*r, scratch.take_col());
         }
     }
@@ -942,11 +995,11 @@ fn exec_probe(
         main_out.push_column(p.target_rel, scratch.take_col());
     }
     let mut div_out = p.div_queries.as_ref().map(|_| scratch.take_vector(width));
-    scratch.carry_div.clear();
+    scratch.stage.carry_div.clear();
     if let Some(dv) = &mut div_out {
         for (i, (r, _)) in cols.iter().enumerate() {
             if p.keep_div.contains(*r) {
-                scratch.carry_div.push(i);
+                scratch.stage.carry_div.push(i);
                 dv.push_column(*r, scratch.take_col());
             }
         }
@@ -954,29 +1007,25 @@ fn exec_probe(
 
     // A plan only probes relations it scheduled and keys it indexed; were
     // that ever broken, the probe matches nothing rather than panicking.
-    let stem = shared.stems.get(p.target_rel.index()).and_then(Option::as_ref);
+    let stem = shared.stem(p.target_rel);
     let probe = stem.zip(vec.vids_of(p.probe_rel)).and_then(|(stem, vids)| {
         stem.index_of(p.target_col).map(|index_id| (stem, index_id, vids))
     });
     debug_assert!(probe.is_some(), "probe of an unscheduled relation or unindexed key");
 
-    let mut n_out = 0u64;
-    let mut route_ns = 0u64;
-    if let Some((stem, index_id, probe_vids)) = probe {
-        let EpisodeScratch {
-            probe,
-            probe_keys,
-            row_masks,
-            active_rows,
-            active_vids,
-            src_rows,
-            carry_main,
-            route: route_scratch,
-            ..
-        } = scratch;
+    // Reserved here, completed after the walk: hand-offs log the subtree
+    // below while the walk is still running.
+    let entry = log.len();
+    log.push_reused(Scope::JOIN, p.lineage.0, &p.queries, p.edge, vec.len() as u64, 0, None);
 
+    let mut n_out = 0u64;
+    let (mut route_ns, mut handoff_ns) = (0u64, 0u64);
+    let mut handed_off = false;
+    if let Some((stem, index_id, probe_vids)) = probe {
         // Pass 1: AND-select the rows whose query-set intersects the main
         // branch, then gather their probe vIDs and keys.
+        let ProbeStaging { row_masks, active_rows, active_vids, probe_keys, .. } =
+            &mut scratch.stage;
         row_masks.reset(width);
         pairs::and_select_rows(&vec.qsets, p.main_queries.words(), row_masks, active_rows);
         active_vids.clear();
@@ -991,51 +1040,85 @@ fn exec_probe(
         // at a time: the STeM ANDs the pair query-sets into the output's
         // query-set column, the carried columns are gathered here from the
         // surviving pairs — and a leaf routes the tile and takes it back
-        // out. Nothing in here may take a lock.
-        let (out_cols, out_qsets) = main_out.parts_mut();
-        stem.probe_tiles(
-            index_id,
-            probe_keys,
-            version,
-            row_masks,
-            probe,
-            out_qsets,
-            |tile, out_qsets| {
-                if tile.is_empty() {
-                    return !guard.charge(0);
-                }
-                n_out += tile.len() as u64;
-                if !carry_main.is_empty() {
-                    src_rows.clear();
-                    pairs::gather_u32(active_rows, tile.rows(), src_rows);
-                    for ((_, buf), &src) in out_cols.iter_mut().zip(carry_main.iter()) {
-                        if let Some((_, col)) = cols.get(src) {
-                            pairs::gather_u32(col, src_rows, buf);
+        // out. Nothing in here may take a lock. An inner output that holds
+        // `HANDOFF_ROWS` pauses the walk; it resumes after the hand-off.
+        let mut from = None;
+        loop {
+            let EpisodeScratch { stage, route: route_scratch, .. } = &mut *scratch;
+            let ProbeStaging {
+                probe, probe_keys, row_masks, active_rows, src_rows, carry_main, ..
+            } = stage;
+            let (out_cols, out_qsets) = main_out.parts_mut();
+            from = stem.probe_tiles(
+                index_id,
+                probe_keys,
+                version,
+                row_masks,
+                probe,
+                out_qsets,
+                from,
+                |tile, out_qsets| {
+                    if tile.is_empty() {
+                        return if guard.charge(0) { Walk::Stop } else { Walk::Continue };
+                    }
+                    n_out += tile.len() as u64;
+                    if !carry_main.is_empty() {
+                        src_rows.clear();
+                        pairs::gather_u32(active_rows, tile.rows(), src_rows);
+                        for ((_, buf), &src) in out_cols.iter_mut().zip(carry_main.iter()) {
+                            if let Some((_, col)) = cols.get(src) {
+                                pairs::gather_u32(col, src_rows, buf);
+                            }
                         }
                     }
-                }
-                if keep_target {
-                    if let Some((_, buf)) = out_cols.last_mut() {
-                        tile.extend_vids(buf);
+                    if keep_target {
+                        if let Some((_, buf)) = out_cols.last_mut() {
+                            tile.extend_vids(buf);
+                        }
                     }
-                }
-                if let Some(leaf) = leaf {
-                    let t_route = Instant::now();
-                    route_leaf(shared, leaf, out_qsets, out_cols, sink, route_scratch);
-                    out_qsets.clear();
-                    for (_, buf) in out_cols.iter_mut() {
-                        buf.clear();
+                    if let Some(leaf) = leaf {
+                        let t_route = Instant::now();
+                        route_leaf(shared, leaf, out_qsets, out_cols, sink, route_scratch);
+                        out_qsets.clear();
+                        for (_, buf) in out_cols.iter_mut() {
+                            buf.clear();
+                        }
+                        route_ns += t_route.elapsed().as_nanos() as u64;
                     }
-                    route_ns += t_route.elapsed().as_nanos() as u64;
-                }
-                !guard.charge(tile.len() as u64)
-            },
-        );
+                    if guard.charge(tile.len() as u64) {
+                        return Walk::Stop;
+                    }
+                    if out_qsets.len() >= HANDOFF_ROWS {
+                        return Walk::Yield;
+                    }
+                    Walk::Continue
+                },
+            );
+            if from.is_none() {
+                break;
+            }
+            // Whole tiles only: the rows past them stay for the resumed walk
+            // to fill up, so the operators below get full chunks.
+            let rows = main_out.len() / PROBE_TILE * PROBE_TILE;
+            let out = &mut main_out;
+            handoff_ns += hand_off(shared, p, out, rows, version, log, entry, sink, guard, scratch);
+            handed_off = true;
+            if guard.tripped {
+                break;
+            }
+        }
+    }
+    // The rest of an output that was handed on goes the same way, so the
+    // subtree logs one folded entry per node.
+    if handed_off && !guard.tripped && !main_out.is_empty() {
+        let rows = main_out.len();
+        let out = &mut main_out;
+        handoff_ns += hand_off(shared, p, out, rows, version, log, entry, sink, guard, scratch);
     }
 
     // Divergence branch: the same AND-select over the full vector.
     if let (Some(dv), Some(div_q)) = (&mut div_out, &p.div_queries) {
-        let EpisodeScratch { active_rows, carry_div, .. } = scratch;
+        let ProbeStaging { active_rows, carry_div, .. } = &mut scratch.stage;
         let (div_cols, div_qsets) = dv.parts_mut();
         pairs::and_select_rows(&vec.qsets, div_q.words(), div_qsets, active_rows);
         for ((_, buf), &src) in div_cols.iter_mut().zip(carry_div.iter()) {
@@ -1050,7 +1133,8 @@ fn exec_probe(
         .stats
         .materialized_cells
         .fetch_add(n_out * main_out.columns().len() as u64, Ordering::Relaxed);
-    let probe_ns = t0.elapsed().as_nanos() as u64;
+    // The hand-offs' time is booked by the operators they ran.
+    let probe_ns = (t0.elapsed().as_nanos() as u64).saturating_sub(handoff_ns);
     shared.profile.add(Category::Probe, probe_ns.saturating_sub(route_ns));
     if route_ns > 0 {
         shared.profile.add(Category::Route, route_ns);
@@ -1059,7 +1143,7 @@ fn exec_probe(
     if let Some(rec) = shared.recorder {
         rec.record_probe_batch(vec.len() as u64);
         if stem.is_some_and(|s| s.n_shards() > 1) {
-            for (s, &keys) in scratch.probe.shard_key_counts().iter().enumerate() {
+            for (s, &keys) in scratch.stage.probe.shard_key_counts().iter().enumerate() {
                 if keys > 0 {
                     rec.record_shard_probe(s, keys as u64);
                 }
@@ -1067,15 +1151,43 @@ fn exec_probe(
         }
     }
 
-    log.push_reused(
-        Scope::JOIN,
-        p.lineage.0,
-        &p.queries,
-        p.edge,
-        vec.len() as u64,
-        n_out,
-        div_out.as_ref().map(|d| d.len() as u64),
-    );
+    if let Some(e) = log.entry_mut(entry) {
+        e.n_out = n_out;
+        e.n_div = div_out.as_ref().map(|d| d.len() as u64);
+    }
 
     (main_out, div_out)
+}
+
+/// Hands the first `rows` rows of an inner probe's output to the
+/// operators below it (DESIGN.md §10): runs `p.main` over them on the next
+/// level's staging — the probe's own holds its paused walk — with no shard
+/// latch held, folds the entries they log into those of the probe's
+/// earlier hand-offs (the probe's own entry is `entry`), and drops them
+/// from `out`. Returns the time spent, which those operators booked to
+/// their own categories.
+#[allow(clippy::too_many_arguments)]
+fn hand_off(
+    shared: &EngineShared<'_>,
+    p: &ProbeNode,
+    out: &mut DataVector,
+    rows: usize,
+    version: u32,
+    log: &mut ExecutionLog,
+    entry: usize,
+    sink: &mut EpisodeSink,
+    guard: &mut JoinGuard,
+    scratch: &mut EpisodeScratch,
+) -> u64 {
+    let t0 = Instant::now();
+    let parked = scratch.park_stage();
+    if rows == out.len() {
+        exec_join(shared, &p.main, out, version, log, sink, guard, scratch);
+    } else {
+        exec_chunks(shared, &p.main, out, rows, version, log, sink, guard, scratch);
+    }
+    scratch.unpark_stage(parked);
+    log.merge_from(entry + 1);
+    out.drain_front(rows);
+    t0.elapsed().as_nanos() as u64
 }

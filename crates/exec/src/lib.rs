@@ -46,7 +46,7 @@ pub use router::{route, EpisodeSink, RouteScratch};
 pub use scratch::EpisodeScratch;
 pub use spaces::{JoinSpace, SelectionSpace};
 pub use stem::{
-    shard_for_key, MatchTile, ProbeScratch, Stem, StemReader, MAX_STEM_SHARDS, PROBE_TILE,
-    VERSION_ALL,
+    shard_for_key, MatchTile, ProbeScratch, Stem, StemReader, Walk, WalkCursor, MAX_STEM_SHARDS,
+    PROBE_TILE, VERSION_ALL,
 };
 pub use vector::DataVector;

@@ -36,13 +36,40 @@ pub struct EpisodeScratch {
     /// Per-index insert key columns (outer Vec tracks the widest STeM
     /// seen; inner buffers are reused by `Column::gather`).
     pub(crate) insert_keys: Vec<Vec<i64>>,
-    /// Tiled probe staging (hashes + bucket heads + shard partition + the
-    /// fixed-capacity match-pair tile).
-    pub(crate) probe: ProbeScratch,
     /// Owning shard of each insert row (sharded-STeM build phase).
     pub(crate) shard_ids: Vec<u8>,
     /// Per-index key columns of the sub-chunk being built for one shard.
     pub(crate) shard_keys: Vec<Vec<i64>>,
+    /// The running probe's staging (and the pruning semi-joins').
+    pub(crate) stage: ProbeStaging,
+    /// The router's buffers (counts, CSR partition, gathered column, row
+    /// hashes; `route_vals` and `row` inside are used only when collecting
+    /// rows and by the direct-router ablation).
+    pub(crate) route: RouteScratch,
+    /// The episode-local staged-output sink (taken for the episode's
+    /// duration, restored at commit).
+    pub(crate) sink: EpisodeSink,
+    /// Stagings of the levels below a hand-off, idle between hand-offs.
+    spare_stages: Vec<ProbeStaging>,
+    /// Parked intermediate vectors (emptied, columns harvested).
+    vec_pool: Vec<DataVector>,
+    /// Parked vID column buffers.
+    col_pool: Vec<Vec<u32>>,
+    hits: u64,
+    misses: u64,
+}
+
+/// One probe's staging: everything a probe step holds from its
+/// AND-select until its walk ends. An inner probe that hands its output on
+/// mid-walk keeps its staging (and the paused walk in it) while the
+/// operators below run on another one: see
+/// [`EpisodeScratch::park_stage`]. The vector and column pools, the
+/// router's buffers and the sink are shared by all levels.
+#[derive(Debug, Default)]
+pub(crate) struct ProbeStaging {
+    /// Tiled probe staging (hashes + bucket heads + shard partition + the
+    /// fixed-capacity match-pair tile).
+    pub(crate) probe: ProbeScratch,
     /// Per-row query-set masks: the main-branch intersections of the
     /// active probe rows, or the `allowed` sets of a pruning semi-join.
     pub(crate) row_masks: QuerySetColumn,
@@ -59,19 +86,6 @@ pub struct EpisodeScratch {
     pub(crate) carry_main: Vec<usize>,
     /// Column indices carried to the divergence branch.
     pub(crate) carry_div: Vec<usize>,
-    /// The router's buffers (counts, CSR partition, gathered column, row
-    /// hashes; `route_vals` and `row` inside are used only when collecting
-    /// rows and by the direct-router ablation).
-    pub(crate) route: RouteScratch,
-    /// The episode-local staged-output sink (taken for the episode's
-    /// duration, restored at commit).
-    pub(crate) sink: EpisodeSink,
-    /// Parked intermediate vectors (emptied, columns harvested).
-    vec_pool: Vec<DataVector>,
-    /// Parked vID column buffers.
-    col_pool: Vec<Vec<u32>>,
-    hits: u64,
-    misses: u64,
 }
 
 impl EpisodeScratch {
@@ -123,11 +137,39 @@ impl EpisodeScratch {
         &mut self.col_pool
     }
 
+    /// Takes the running probe's staging out of the arena and installs the
+    /// next level's in its place, so the operators a hand-off runs cannot
+    /// touch the paused probe's state. Give it back with
+    /// [`unpark_stage`](Self::unpark_stage).
+    pub(crate) fn park_stage(&mut self) -> ProbeStaging {
+        let next = self.spare_stages.pop().unwrap_or_default();
+        std::mem::replace(&mut self.stage, next)
+    }
+
+    /// Reinstalls a staging taken by [`park_stage`](Self::park_stage),
+    /// keeping the level below for the next hand-off.
+    pub(crate) fn unpark_stage(&mut self, parked: ProbeStaging) {
+        let below = std::mem::replace(&mut self.stage, parked);
+        self.spare_stages.push(below);
+    }
+
     /// Drains the reuse counters accumulated since the last call: buffer
     /// acquisitions served from a pool (`hits`) vs. freshly allocated
     /// (`misses`). Reported per episode to the telemetry recorder.
     pub(crate) fn take_reuse_counters(&mut self) -> (u64, u64) {
         (std::mem::take(&mut self.hits), std::mem::take(&mut self.misses))
+    }
+
+    /// The largest row capacity any pooled vector or column holds (rows of
+    /// a query-set column at its current width).
+    #[cfg(test)]
+    pub(crate) fn max_pooled_rows(&self) -> usize {
+        let vecs = self.vec_pool.iter().map(|v| {
+            let cols = v.columns().iter().map(|(_, c)| c.capacity()).max().unwrap_or(0);
+            cols.max(v.qsets.capacity_words() / v.qsets.words_per_set())
+        });
+        let cols = self.col_pool.iter().map(Vec::capacity);
+        vecs.chain(cols).max().unwrap_or(0)
     }
 
     /// Drops everything back to a pristine arena. Only used after a panic

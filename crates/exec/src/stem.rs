@@ -38,6 +38,14 @@
 //! indices and semi-joins visit all shards, one latch at a time. A STeM
 //! constructed without key columns has no routing index: everything lives
 //! in shard 0 and probes scan all shards (only shard 0 is nonempty).
+//!
+//! ## Pausing a probe
+//!
+//! A tiled probe may pause between tiles ([`Walk::Yield`]): the walker
+//! drops the shard latch and returns a [`WalkCursor`], and a later call
+//! resumes exactly where it paused, inserts made in between notwithstanding
+//! (DESIGN.md §12). The engine pauses an inner probe to hand its output to
+//! the next operator with no latch held.
 
 use crate::kernels::pairs;
 use parking_lot::{RwLock, RwLockReadGuard};
@@ -178,6 +186,20 @@ impl StemIndex {
             cur = nx;
         }
         true
+    }
+
+    /// The chain link after entry `e` (0 = end): where a walk that yielded
+    /// at `e` resumes.
+    #[inline]
+    fn next_of(&self, e: u32) -> u32 {
+        self.next.get(e as usize).copied().unwrap_or(0)
+    }
+
+    /// Bucket-table size; it only ever grows, so an unchanged size means
+    /// no rehash happened in between.
+    #[inline]
+    fn table_len(&self) -> usize {
+        self.buckets.len()
     }
 
     /// Calls `f(entry_index)` for every entry with this key.
@@ -529,7 +551,23 @@ impl Stem {
     /// `on_tile(rows, entries, shard)` whenever it fills and when a shard's
     /// walk ends (entry indices are shard-local, and the shard's read latch
     /// is held across the call). A hot key's fan-out therefore never grows
-    /// a buffer. `on_tile` returns whether to keep walking.
+    /// a buffer. `on_tile` says whether to continue, stop, or yield.
+    ///
+    /// On [`Walk::Yield`] the walker returns a [`WalkCursor`] — the tile was
+    /// drained by the call that asked to yield — and drops the latch; a
+    /// later call with `from = Some(cursor)` and the same `keys`, `version`
+    /// and `scratch` re-takes that shard's latch and continues at the link
+    /// after the last emitted entry. The hashes and the shard partition are
+    /// computed once per probe (on the call with `from = None`) and kept in
+    /// `scratch`, the bucket heads once per shard — again on resuming only
+    /// if the bucket table grew in between. Resuming is exact
+    /// (DESIGN.md §12): entries are append-only, a key's entries share one
+    /// bucket chain in descending index order before and after any
+    /// bucket-table growth, and whatever was inserted while the latch was
+    /// dropped drew its version after the probe's own, so the version
+    /// filter hides it (a `VERSION_ALL` probe of a complete relation can
+    /// only meet entries of queries admitted later, which its query-set AND
+    /// drops).
     ///
     /// Unsharded, pairs come in probe-row order then chain order. Sharded,
     /// rows are counting-sorted by owning shard (routing index) or
@@ -548,12 +586,24 @@ impl Stem {
         keys: &[i64],
         version: u32,
         scratch: &mut ProbeScratch,
-        mut on_tile: impl FnMut(&mut [u32], &mut [u32], &StemInner) -> bool,
-    ) {
-        let ProbeScratch { hashes, heads, shard_of, order, counts, tile_rows, tile_entries } =
+        from: Option<WalkCursor>,
+        mut on_tile: impl FnMut(&mut [u32], &mut [u32], &StemInner) -> Walk,
+    ) -> Option<WalkCursor> {
+        let ProbeScratch { hashes, heads, shard_of, order, counts, offs, tile_rows, tile_entries } =
             scratch;
-        hashes.clear();
-        hashes.extend(keys.iter().map(|&k| hash_key(k)));
+        let routed = self.routed && index_id == 0;
+        if from.is_none() {
+            hashes.clear();
+            hashes.extend(keys.iter().map(|&k| hash_key(k)));
+            if routed {
+                partition_probe_rows(self.shards.len(), hashes, shard_of, order, counts, offs);
+            } else {
+                // Full scan: every shard sees the whole batch in row order.
+                order.clear();
+                order.extend(0..keys.len() as u32);
+                counts.clear();
+            }
+        }
         // The tile is a pair of fixed `PROBE_TILE`-slot arrays with a
         // cursor: a match is written to the cursor's slot unconditionally
         // and the cursor advances only if the entry's version qualifies, so
@@ -561,24 +611,15 @@ impl Stem {
         tile_rows.resize(PROBE_TILE, 0);
         tile_entries.resize(PROBE_TILE, 0);
         let mut pending = 0usize;
-        let offs = if self.routed && index_id == 0 {
-            Some(partition_probe_rows(self.shards.len(), hashes, shard_of, order, counts))
-        } else {
-            // Full scan: every shard sees the whole batch in row order.
-            order.clear();
-            order.extend(0..keys.len() as u32);
-            counts.clear();
-            None
-        };
-        for (s, shard) in self.shards.iter().enumerate() {
-            let rows = match &offs {
-                Some(offs) => {
-                    let (Some(&start), Some(&end)) = (offs.get(s), offs.get(s + 1)) else {
-                        break;
-                    };
-                    order.get(start as usize..end as usize).unwrap_or(&[])
-                }
-                None => order.as_slice(),
+        let from = from.unwrap_or(WalkCursor::entering(0));
+        for (s, shard) in self.shards.iter().enumerate().skip(from.shard) {
+            let rows = if routed {
+                let (Some(&start), Some(&end)) = (offs.get(s), offs.get(s + 1)) else {
+                    break;
+                };
+                order.get(start as usize..end as usize).unwrap_or(&[])
+            } else {
+                order.as_slice()
             };
             if rows.is_empty() {
                 continue;
@@ -587,14 +628,33 @@ impl Stem {
             let Some(index) = inner.indices.get(index_id) else {
                 continue;
             };
-            if offs.is_none() {
-                counts.push(keys.len() as u32);
+            // Entering the shard, fetch the bucket heads of its rows.
+            // Resuming inside it, the yielded row's walk goes on after its
+            // last emitted entry: that link becomes the row's head.
+            let resumed = from.last.filter(|_| from.shard == s);
+            let start = if resumed.is_some() { from.pos } else { 0 };
+            if resumed.is_none() {
+                if !routed {
+                    counts.push(keys.len() as u32);
+                }
+                heads.clear();
+                heads.extend(rows.iter().map(|&i| {
+                    hashes.get(i as usize).map_or(0, |&h| index.head_of_hash(h))
+                }));
+            } else if index.table_len() != from.table_len {
+                // A head names the newest entry of its bucket, which may
+                // hold another key; the bucket table grew while the latch
+                // was dropped, so that entry may now sit on another chain.
+                // Without a growth a head still reaches every entry it did.
+                for (head, &i) in heads.iter_mut().zip(rows.iter()).skip(start) {
+                    *head = hashes.get(i as usize).map_or(0, |&h| index.head_of_hash(h));
+                }
             }
-            heads.clear();
-            heads.extend(rows.iter().map(|&i| {
-                hashes.get(i as usize).map_or(0, |&h| index.head_of_hash(h))
-            }));
-            for (&i, &head) in rows.iter().zip(heads.iter()) {
+            if let (Some(e), Some(head)) = (resumed, heads.get_mut(start)) {
+                *head = index.next_of(e);
+            }
+            let (mut step, mut last) = (Walk::Continue, 0);
+            for (pos, (&i, &head)) in rows.iter().zip(heads.iter()).enumerate().skip(start) {
                 let Some(&key) = keys.get(i as usize) else {
                     continue;
                 };
@@ -613,10 +673,13 @@ impl Stem {
                         return true;
                     }
                     pending = 0;
-                    on_tile(tile_rows, tile_entries, &inner)
+                    (step, last) = (on_tile(tile_rows, tile_entries, &inner), e);
+                    step == Walk::Continue
                 });
                 if !go {
-                    return;
+                    let table_len = index.table_len();
+                    return (step == Walk::Yield)
+                        .then_some(WalkCursor { shard: s, pos, last: Some(last), table_len });
                 }
             }
             // Entry indices are shard-local: drain before the latch drops.
@@ -624,12 +687,15 @@ impl Stem {
                 let (rows, entries) = (tile_rows.get_mut(..pending), tile_entries.get_mut(..pending));
                 pending = 0;
                 if let (Some(rows), Some(entries)) = (rows, entries) {
-                    if !on_tile(rows, entries, &inner) {
-                        return;
+                    match on_tile(rows, entries, &inner) {
+                        Walk::Continue => {}
+                        Walk::Stop => return None,
+                        Walk::Yield => return Some(WalkCursor::entering(s + 1)),
                     }
                 }
             }
         }
+        None
     }
 
     /// The shared probe operator: for every key in `keys` (one per probe
@@ -645,9 +711,16 @@ impl Stem {
     /// A consumer that lets `out` accumulate materialises the probe output;
     /// one that consumes the tile's rows and clears `out` before returning
     /// (a fused leaf routes them) keeps the output tile-local. `on_tile`
-    /// returns whether to keep probing, so a watchdog can stop an exploding
-    /// probe within one tile. It runs under the shard's read latch and must
-    /// not take a lock.
+    /// returns whether to continue, to stop — so a watchdog can stop an
+    /// exploding probe within one tile — or to yield. It runs under the
+    /// shard's read latch and must not take a lock.
+    ///
+    /// A yield returns a [`WalkCursor`] with no latch held; passing it back
+    /// as `from` (with the same keys, version, row masks and scratch)
+    /// resumes the probe exactly where it paused, and the two calls'
+    /// outputs together equal one uninterrupted probe. This is how an inner
+    /// probe hands its output to the next operator mid-walk. A walk that
+    /// ends or stops returns `None`; `from = None` starts a probe.
     ///
     /// Unsharded, output order is probe-row order then chain order —
     /// byte-identical to calling [`probe`](Self::probe) per key; sharded it
@@ -663,10 +736,11 @@ impl Stem {
         row_masks: &QuerySetColumn,
         scratch: &mut ProbeScratch,
         out: &mut QuerySetColumn,
-        mut on_tile: impl FnMut(MatchTile<'_>, &mut QuerySetColumn) -> bool,
-    ) {
+        from: Option<WalkCursor>,
+        mut on_tile: impl FnMut(MatchTile<'_>, &mut QuerySetColumn) -> Walk,
+    ) -> Option<WalkCursor> {
         debug_assert_eq!(row_masks.len(), keys.len());
-        self.walk_tiles(index_id, keys, version, scratch, |rows, entries, inner| {
+        self.walk_tiles(index_id, keys, version, scratch, from, |rows, entries, inner| {
             let kept = pairs::and_select_pairs(row_masks, &inner.qsets, rows, entries, out);
             let tile = MatchTile {
                 rows: rows.get(..kept).unwrap_or(&[]),
@@ -674,7 +748,7 @@ impl Stem {
                 vids: &inner.vids,
             };
             on_tile(tile, out)
-        });
+        })
     }
 
     /// Batched semi-join for symmetric join pruning (§5.2): ORs into row
@@ -690,9 +764,9 @@ impl Stem {
         row_masks: &mut QuerySetColumn,
     ) {
         debug_assert_eq!(row_masks.len(), keys.len());
-        self.walk_tiles(index_id, keys, VERSION_ALL, scratch, |rows, entries, inner| {
+        self.walk_tiles(index_id, keys, VERSION_ALL, scratch, None, |rows, entries, inner| {
             pairs::or_pairs(row_masks, &inner.qsets, rows, entries);
-            true
+            Walk::Continue
         });
     }
 
@@ -770,14 +844,15 @@ impl Stem {
 
 /// Counting-sorts probe rows by owning shard: fills `shard_of` (row →
 /// shard), `order` (row indices grouped by shard), `counts` (keys per
-/// shard), and returns the per-shard offsets into `order`.
+/// shard) and `offs` (the `n_shards + 1` per-shard offsets into `order`).
 fn partition_probe_rows(
     n_shards: usize,
     hashes: &[u64],
     shard_of: &mut Vec<u8>,
     order: &mut Vec<u32>,
     counts: &mut Vec<u32>,
-) -> [u32; MAX_STEM_SHARDS + 1] {
+    offs: &mut Vec<u32>,
+) {
     shard_of.clear();
     shard_of.extend(hashes.iter().map(|&h| (h % n_shards as u64) as u8));
     counts.clear();
@@ -787,15 +862,19 @@ fn partition_probe_rows(
             *c += 1;
         }
     }
-    let mut offs = [0u32; MAX_STEM_SHARDS + 1];
+    offs.clear();
+    offs.push(0);
     let mut acc = 0u32;
-    for (o, &c) in offs.iter_mut().skip(1).zip(counts.iter()) {
+    for &c in counts.iter() {
         acc += c;
-        *o = acc;
+        offs.push(acc);
     }
     order.clear();
     order.resize(hashes.len(), 0);
-    let mut cursor = offs;
+    let mut cursor = [0u32; MAX_STEM_SHARDS];
+    for (c, &o) in cursor.iter_mut().zip(offs.iter()) {
+        *c = o;
+    }
     for (i, &s) in shard_of.iter().enumerate() {
         if let Some(c) = cursor.get_mut(s as usize) {
             if let Some(slot) = order.get_mut(*c as usize) {
@@ -804,7 +883,39 @@ fn partition_probe_rows(
             *c += 1;
         }
     }
-    offs
+}
+
+/// What a tile consumer of [`Stem::probe_tiles`] asks of the walk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Walk {
+    /// Keep walking.
+    Continue,
+    /// End the probe here (a tripped watchdog).
+    Stop,
+    /// Pause: drop the shard latch and return a [`WalkCursor`] to resume
+    /// from.
+    Yield,
+}
+
+/// Where a yielded [`Stem::probe_tiles`] walk resumes: the shard, the
+/// position in that shard's row order, the last entry emitted for that row
+/// (`None`: start the shard afresh — the walk yielded as the previous shard
+/// ended), and the size of the walked index's bucket table at the yield.
+/// Only meaningful together with the [`ProbeScratch`] that walked it, which
+/// keeps the probe's hashes, shard partition and bucket heads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WalkCursor {
+    shard: usize,
+    pos: usize,
+    last: Option<u32>,
+    table_len: usize,
+}
+
+impl WalkCursor {
+    /// The start of `shard`'s walk.
+    fn entering(shard: usize) -> Self {
+        WalkCursor { shard, pos: 0, last: None, table_len: 0 }
+    }
 }
 
 /// One tile of surviving match pairs, handed to the consumer of
@@ -844,14 +955,18 @@ impl MatchTile<'_> {
 /// Reusable working state for [`Stem::probe_tiles`] and
 /// [`Stem::semijoin_batch`]: the batched hash, bucket-head and
 /// shard-partition slices, and the fixed-capacity match-pair tile. Owned
-/// by the episode scratch arena so steady-state probing never allocates.
+/// by the episode scratch arena so steady-state probing never allocates;
+/// between a yield and its resume it holds the paused probe's state.
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
     hashes: Vec<u64>,
+    /// Bucket heads of the current shard's rows, fetched on entering it.
     heads: Vec<u32>,
     shard_of: Vec<u8>,
     order: Vec<u32>,
     counts: Vec<u32>,
+    /// Per-shard offsets into `order` (routed probes only).
+    offs: Vec<u32>,
     /// Probe row of each pending match pair (at most [`PROBE_TILE`]).
     tile_rows: Vec<u32>,
     /// Shard-local entry index of each pending match pair.
@@ -1140,12 +1255,22 @@ mod tests {
         let mut scratch = ProbeScratch::new();
         let mut out = QuerySetColumn::new(width);
         let (mut rows, mut vids) = (Vec::new(), Vec::new());
-        stem.probe_tiles(index_id, keys, version, &masks, &mut scratch, &mut out, |tile, _| {
-            assert!(tile.len() <= PROBE_TILE);
-            rows.extend_from_slice(tile.rows());
-            tile.extend_vids(&mut vids);
-            true
-        });
+        let end = stem.probe_tiles(
+            index_id,
+            keys,
+            version,
+            &masks,
+            &mut scratch,
+            &mut out,
+            None,
+            |tile, _| {
+                assert!(tile.len() <= PROBE_TILE);
+                rows.extend_from_slice(tile.rows());
+                tile.extend_vids(&mut vids);
+                Walk::Continue
+            },
+        );
+        assert_eq!(end, None);
         assert_eq!(out.len(), rows.len());
         let got = (0..rows.len()).map(|k| (rows[k] as usize, out.row(k)[0], vids[k])).collect();
         (got, scratch)
@@ -1180,6 +1305,132 @@ mod tests {
                 assert!(batched.len() > PROBE_TILE);
             }
         }
+    }
+
+    /// Index-0 key of entry `i`: one of 30 hot keys for even `i`, a key of
+    /// its own for odd `i` — so a bucket's newest entry often holds another
+    /// key than the one a probe row is after.
+    fn key0(i: i64) -> i64 {
+        if i % 2 == 0 { (i / 2) % 30 } else { 1000 + i }
+    }
+
+    /// Entries `base..base + n` of a two-index STeM (index 0 keys [`key0`],
+    /// index 1 keys `i % 23`), every entry carrying the query-set `bits`.
+    fn insert_entries(stem: &Stem, global: &AtomicU32, base: u32, n: u32, bits: u64) {
+        let vids: Vec<u32> = (base..base + n).collect();
+        let keys0: Vec<i64> = vids.iter().map(|&i| key0(i as i64)).collect();
+        let keys1: Vec<i64> = vids.iter().map(|&i| i as i64 % 23).collect();
+        let mut qc = QuerySetColumn::new(1);
+        qc.push_repeat(&[bits], n as usize);
+        stem.insert_vector(&vids, &qc, &[keys0, keys1], global);
+    }
+
+    /// Probes yielding after every tile; at each pause `between(pause)`
+    /// runs with no latch held. Returns `(probe_row, ANDed query-set, vid)`
+    /// per output row, in order, and the number of pauses.
+    fn tiled_yielding(
+        stem: &Stem,
+        index_id: usize,
+        keys: &[i64],
+        version: u32,
+        masks: &QuerySetColumn,
+        mut between: impl FnMut(usize),
+    ) -> (Vec<(u32, u64, u32)>, usize) {
+        let mut scratch = ProbeScratch::new();
+        let mut out = QuerySetColumn::new(1);
+        let (mut rows, mut vids) = (Vec::new(), Vec::new());
+        let (mut from, mut pauses) = (None, 0);
+        loop {
+            let on_tile = |tile: MatchTile<'_>, _: &mut QuerySetColumn| {
+                rows.extend_from_slice(tile.rows());
+                tile.extend_vids(&mut vids);
+                Walk::Yield
+            };
+            let (scratch, out) = (&mut scratch, &mut out);
+            from = stem.probe_tiles(index_id, keys, version, masks, scratch, out, from, on_tile);
+            if from.is_none() {
+                break;
+            }
+            between(pauses);
+            pauses += 1;
+        }
+        let got = (0..rows.len()).map(|k| (rows[k], out.row(k)[0], vids[k])).collect();
+        (got, pauses)
+    }
+
+    #[test]
+    fn yielded_probe_resumes_exactly_across_inserts_and_growth() {
+        // Probe rows alternate hot keys (50 entries each, several tiles per
+        // shard even at 8 shards) with single-entry keys, and hit and miss
+        // the secondary index's keys too.
+        let probe_keys: Vec<i64> = (0..1500).map(|i| key0(i * 7 % 3000)).collect();
+        let mut masks = QuerySetColumn::new(1);
+        masks.push_repeat(&[0b011], probe_keys.len());
+        for shards in [1usize, 2, 8] {
+            for index_id in [0usize, 1] {
+                // `version`: drawn after the stored entries and before the
+                // inserts made while the walk is paused, which reuse the
+                // probed keys (any bits: the version hides them).
+                // `VERSION_ALL`: the paused inserts carry only a query bit
+                // the probe rows do not hold, as a later admission's would.
+                for all in [false, true] {
+                    let stem = Stem::with_shards(RelId(0), vec![ColId(0), ColId(1)], 1, 0, shards);
+                    let global = AtomicU32::new(0);
+                    insert_entries(&stem, &global, 0, 3000, 0b001);
+                    insert_entries(&stem, &global, 3000, 300, 0b010);
+                    let version =
+                        if all { VERSION_ALL } else { global.fetch_add(1, Ordering::Relaxed) };
+                    let late = if all { 0b100 } else { 0b011 };
+                    let (want, _) =
+                        tiled_yielding(&stem, index_id, &probe_keys, version, &masks, |_| {});
+                    let mut next = 3300;
+                    let (got, pauses) =
+                        tiled_yielding(&stem, index_id, &probe_keys, version, &masks, |pause| {
+                            // The first pause grows every shard's bucket
+                            // tables; later ones add a few same-key entries.
+                            let n = if pause == 0 { 3000 } else { 40 };
+                            insert_entries(&stem, &global, next, n, late);
+                            next += n;
+                        });
+                    let tag = format!("shards {shards} index {index_id} all {all}");
+                    assert!(pauses >= 4, "{tag}: only {pauses} pauses");
+                    assert!(want.len() > 4 * PROBE_TILE, "{tag}: {} rows", want.len());
+                    assert_eq!(got, want, "{tag}: a resumed walk diverged from a whole one");
+                    // And the uninterrupted walk agrees with per-key probing.
+                    let mut single = Vec::new();
+                    for (i, &k) in probe_keys.iter().enumerate() {
+                        stem.probe(index_id, k, version, |qs, vid| {
+                            if qs[0] & 0b011 != 0 {
+                                single.push((i as u32, qs[0] & 0b011, vid));
+                            }
+                        });
+                    }
+                    let mut sorted = want.clone();
+                    sorted.sort_unstable();
+                    single.sort_unstable();
+                    assert_eq!(sorted, single, "{tag}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn yield_at_a_shard_end_resumes_at_the_next_shard() {
+        // Few pairs per shard: every tile is a shard's end-of-walk drain, so
+        // every pause resumes at the start of the next nonempty shard.
+        let stem = Stem::with_shards(RelId(0), vec![ColId(0), ColId(1)], 1, 0, 8);
+        let global = AtomicU32::new(0);
+        insert_entries(&stem, &global, 0, 200, 0b001);
+        let keys: Vec<i64> = (0..40).collect();
+        let mut masks = QuerySetColumn::new(1);
+        masks.push_repeat(&[0b001], keys.len());
+        let (want, none) = tiled_yielding(&stem, 0, &keys, VERSION_ALL, &masks, |_| {});
+        let (got, pauses) = tiled_yielding(&stem, 0, &keys, VERSION_ALL, &masks, |_| {
+            insert_entries(&stem, &global, 200, 1, 0b100);
+        });
+        assert_eq!(none, pauses);
+        assert!(pauses >= 7, "{pauses} pauses over 8 shards");
+        assert_eq!(got, want);
     }
 
     #[test]

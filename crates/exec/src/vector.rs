@@ -66,6 +66,18 @@ impl DataVector {
         (&mut self.cols, &mut self.qsets)
     }
 
+    /// Drops the first `n` rows, moving the rest to the front of every
+    /// column (an inner probe's output after handing those rows on).
+    pub fn drain_front(&mut self, n: usize) {
+        let (len, w) = (self.len(), self.qsets.words_per_set());
+        let n = n.min(len);
+        for (_, vids) in &mut self.cols {
+            vids.drain(..n.min(vids.len()));
+        }
+        self.qsets.raw_mut().copy_within(n * w.., 0);
+        self.qsets.truncate(len - n);
+    }
+
     /// The vID column of `rel`, if still carried.
     pub fn vids_of(&self, rel: RelId) -> Option<&[u32]> {
         self.cols.iter().find(|(r, _)| *r == rel).map(|(_, v)| v.as_slice())
@@ -207,6 +219,22 @@ mod tests {
         qsets.clear();
         assert!(v.is_empty());
         assert_eq!(v.columns().len(), 1);
+    }
+
+    #[test]
+    fn drain_front_keeps_the_rest_in_order() {
+        let qs = QuerySet::full(70);
+        let mut v = DataVector::from_scan(RelId(0), 0, 5, &qs);
+        v.push_column(RelId(1), vec![10, 11, 12, 13, 14]);
+        v.qsets.row_mut(3)[1] = 0;
+        v.drain_front(3);
+        assert_eq!(v.len(), 2);
+        assert_eq!(v.vids_of(RelId(0)).unwrap(), &[3, 4]);
+        assert_eq!(v.vids_of(RelId(1)).unwrap(), &[13, 14]);
+        assert_eq!(v.qsets.row(0), &[u64::MAX, 0]);
+        v.drain_front(2);
+        assert!(v.is_empty());
+        assert_eq!(v.columns().len(), 2);
     }
 
     #[test]

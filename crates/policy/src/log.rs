@@ -101,6 +101,14 @@ impl ExecutionLog {
         &self.entries
     }
 
+    /// Entry `i`, to complete one reserved before its cardinalities were
+    /// known (a probe that hands its output on mid-walk logs before its
+    /// subtree does).
+    #[inline]
+    pub fn entry_mut(&mut self, i: usize) -> Option<&mut LogEntry> {
+        self.entries.get_mut(i)
+    }
+
     /// Clears the log for the next episode, parking the retired entries for
     /// [`push_reused`](Self::push_reused).
     #[inline]

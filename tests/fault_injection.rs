@@ -575,3 +575,121 @@ fn query_quarantined_mid_episode_is_masked_at_flush_of_a_fused_leaf() {
     }
     assert!(masked_at_flush, "no occurrence fired the fault inside the output episode");
 }
+
+/// `fact ⋈ dim ⋈ dim2` on one hot key: the one `fact` vector (256 rows)
+/// meets all 64 `dim` rows per row, so its first probe — an inner probe —
+/// fills two full tiles and hands them to the `dim2` probe below before its
+/// walk is half done. Q0 takes the first half of `fact`, Q1 the second.
+/// Only `dim`'s vID is carried past the inner probe (the next probe's key),
+/// so each of its output rows is one materialised cell. Returns the catalog
+/// and the two queries.
+fn handoff_scenario() -> (Catalog, Vec<SpjQuery>) {
+    let mut c = Catalog::new();
+    let mut f = RelationBuilder::new("fact");
+    f.int64("k", vec![0; 256]);
+    f.int64("v", (0..256).collect());
+    c.add(f.build()).unwrap();
+    let mut d = RelationBuilder::new("dim");
+    d.int64("k", vec![0; 64]);
+    d.int64("w", (0..64).collect());
+    c.add(d.build()).unwrap();
+    let mut d2 = RelationBuilder::new("dim2");
+    d2.int64("w", (0..64).collect());
+    c.add(d2.build()).unwrap();
+    let query = |v_lo: i64| {
+        SpjQuery::builder(&c)
+            .relation("fact")
+            .relation("dim")
+            .relation("dim2")
+            .join(("fact", "k"), ("dim", "k"))
+            .join(("dim", "w"), ("dim2", "w"))
+            .range("fact", "v", v_lo, v_lo + 127)
+            .build()
+            .unwrap()
+    };
+    let queries = vec![query(0), query(128)];
+    (c, queries)
+}
+
+fn run_handoff(
+    cfg: EngineConfig,
+    injector: Option<FaultInjector>,
+) -> (Vec<QueryResult>, roulette::exec::EngineStats) {
+    let (c, queries) = handoff_scenario();
+    let engine = RouletteEngine::new(&c, cfg);
+    let mut session = engine.session(queries.len());
+    if let Some(inj) = injector {
+        session.set_fault_injector(inj);
+    }
+    for q in queries {
+        session.admit(q).unwrap();
+    }
+    session.run();
+    let stats = session.stats();
+    (session.finish().per_query, stats)
+}
+
+#[test]
+fn watchdog_trip_inside_a_handed_off_subtree_stops_the_parent_walk() {
+    use roulette::exec::PROBE_TILE;
+    let handoff = 2 * PROBE_TILE as u64;
+    let cfg = EngineConfig::default().with_vector_size(256).unwrap();
+    let (clean, clean_stats) = run_handoff(cfg.clone(), None);
+    assert_eq!([clean[0].rows, clean[1].rows], [128 * 64, 128 * 64]);
+
+    // The inner probe's two tiles fit the budget; the first tile the
+    // handed-off `dim2` probe charges does not.
+    let budget = handoff + 100;
+    let (guarded, stats) =
+        run_handoff(cfg.with_episode_budget(Some(budget), None).unwrap(), None);
+    assert!(stats.watchdog_trips > 0, "the handed-off subtree never tripped the watchdog");
+    // The single plan's greedy replan redoes the clean run's work; the rest
+    // is what tripped attempts materialised: the inner probe reached the
+    // hand-off (so the trip came from below it), and once the subtree
+    // tripped the parent walked at most one tile further.
+    let overshoot = stats.materialized_cells - clean_stats.materialized_cells;
+    assert!(
+        overshoot >= stats.watchdog_trips * handoff,
+        "{overshoot} cells over: a trip came before the hand-off"
+    );
+    assert!(
+        overshoot < stats.watchdog_trips * (handoff + PROBE_TILE as u64),
+        "{} trips materialised {overshoot} cells: the parent kept walking",
+        stats.watchdog_trips
+    );
+    for (q, (g, cl)) in guarded.iter().zip(&clean).enumerate() {
+        assert!(g.is_complete(), "watchdog must not quarantine query {q}");
+        assert_eq!((g.rows, g.checksum), (cl.rows, cl.checksum), "query {q}: replan diverged");
+    }
+}
+
+#[test]
+fn stem_probe_fault_inside_a_handed_off_subtree_quarantines_only_its_query() {
+    let cfg = EngineConfig::default().with_vector_size(256).unwrap();
+    let (clean, clean_stats) = run_handoff(cfg.clone(), None);
+    // Sweep every `StemProbe` check that sees Q1. The `fact` episode makes
+    // one for its inner probe and one per chunk the hand-offs feed the
+    // `dim2` probe; firing at any of those leaves the episode's work as in
+    // the clean run (the in-flight vectors keep Q1's bits, the flush masks
+    // them), where firing in an earlier episode drops Q1's half of `fact`
+    // before it is probed.
+    let mut in_fact_episode = 0;
+    for after in 0..16 {
+        let inj = FaultInjector::new().fail_at(FaultSite::StemProbe, Some(QueryId(1)), after);
+        let (res, stats) = run_handoff(cfg.clone(), Some(inj));
+        assert!(res[0].is_complete(), "after={after}");
+        assert_eq!((res[0].rows, res[0].checksum), (clean[0].rows, clean[0].checksum));
+        match res[1].status {
+            CompletionStatus::Quarantined => {
+                assert_eq!((res[1].rows, res[1].checksum), (0, 0), "after={after}");
+                in_fact_episode +=
+                    usize::from(stats.materialized_cells == clean_stats.materialized_cells);
+            }
+            CompletionStatus::Complete => {
+                assert_eq!((res[1].rows, res[1].checksum), (clean[1].rows, clean[1].checksum));
+            }
+        }
+    }
+    // The inner probe's own check plus at least one inside a hand-off.
+    assert!(in_fact_episode >= 2, "{in_fact_episode} faults fired in the fact episode");
+}

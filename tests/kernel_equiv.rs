@@ -19,8 +19,9 @@ use roulette::core::queryset::and_into;
 use roulette::core::{ColId, EngineConfig, QueryId, QuerySet, QuerySetColumn, RelId, RowMask};
 use roulette::exec::kernels::{pairs, route};
 use roulette::exec::{
-    row_hash, CompletionStatus, FaultInjector, FaultSite, GroupedFilter, Kernels, Partition,
-    PlainFilter, ProbeScratch, QueryResult, RouletteEngine, Stem, PROBE_TILE, VERSION_ALL,
+    row_hash, CompletionStatus, FaultInjector, FaultSite, GroupedFilter, Kernels, MatchTile,
+    Partition, PlainFilter, ProbeScratch, QueryResult, RouletteEngine, Stem, Walk, PROBE_TILE,
+    VERSION_ALL,
 };
 use std::sync::atomic::AtomicU32;
 use roulette::query::SpjQuery;
@@ -440,12 +441,13 @@ fn tiled_probe(
     let mut scratch = ProbeScratch::new();
     let mut out = QuerySetColumn::new(w);
     let (mut src_rows, mut vids) = (Vec::new(), Vec::new());
-    stem.probe_tiles(0, &active_keys, version, &row_masks, &mut scratch, &mut out, |tile, _| {
+    let on_tile = |tile: MatchTile<'_>, _: &mut QuerySetColumn| {
         assert!(!tile.is_empty() && tile.len() <= PROBE_TILE);
         pairs::gather_u32(&active_rows, tile.rows(), &mut src_rows);
         tile.extend_vids(&mut vids);
-        true
-    });
+        Walk::Continue
+    };
+    stem.probe_tiles(0, &active_keys, version, &row_masks, &mut scratch, &mut out, None, on_tile);
     assert_eq!((src_rows.len(), vids.len()), (out.len(), out.len()));
     let main_out =
         (0..out.len()).map(|k| (src_rows[k], vids[k], out.row(k).to_vec())).collect();
@@ -566,12 +568,127 @@ fn tiled_probe_stops_when_the_consumer_says_so() {
     let mut scratch = ProbeScratch::new();
     let mut out = QuerySetColumn::new(1);
     let mut tiles = 0;
-    stem.probe_tiles(0, &[5, 5, 5, 5], VERSION_ALL, &masks, &mut scratch, &mut out, |_, _| {
+    let on_tile = |_: MatchTile<'_>, _: &mut QuerySetColumn| {
         tiles += 1;
-        tiles < 2
-    });
+        if tiles < 2 { Walk::Continue } else { Walk::Stop }
+    };
+    let (scratch, out) = (&mut scratch, &mut out);
+    let end = stem.probe_tiles(0, &[5, 5, 5, 5], VERSION_ALL, &masks, scratch, out, None, on_tile);
+    assert_eq!(end, None, "a stopped walk cannot be resumed");
     assert_eq!(tiles, 2, "the walk must stop at the tile that returned false");
     assert!(out.len() <= 2 * PROBE_TILE);
+}
+
+/// Probes index `index_id` tile by tile; with `pause = Some(between)` the
+/// walk yields after every tile and `between(pause_no)` runs, no latch
+/// held, before it is resumed. Returns the output rows and the pauses.
+fn walk_resumably(
+    stem: &Stem,
+    index_id: usize,
+    keys: &[i64],
+    version: u32,
+    masks: &QuerySetColumn,
+    mut pause: Option<&mut dyn FnMut(usize)>,
+) -> (Vec<ProbeRow>, usize) {
+    let mut scratch = ProbeScratch::new();
+    let mut out = QuerySetColumn::new(masks.words_per_set());
+    let (mut rows, mut vids) = (Vec::new(), Vec::new());
+    let step = if pause.is_some() { Walk::Yield } else { Walk::Continue };
+    let (mut from, mut pauses) = (None, 0);
+    loop {
+        let on_tile = |tile: MatchTile<'_>, _: &mut QuerySetColumn| {
+            rows.extend_from_slice(tile.rows());
+            tile.extend_vids(&mut vids);
+            step
+        };
+        let (scratch, out) = (&mut scratch, &mut out);
+        from = stem.probe_tiles(index_id, keys, version, masks, scratch, out, from, on_tile);
+        let (Some(between), Some(_)) = (pause.as_mut(), from) else { break };
+        between(pauses);
+        pauses += 1;
+    }
+    let got = (0..out.len()).map(|k| (rows[k], vids[k], out.row(k).to_vec())).collect();
+    (got, pauses)
+}
+
+#[test]
+fn tiled_probe_resumed_after_every_tile_matches_an_uninterrupted_probe() {
+    // Index 0 (the routing index when sharded): even entries share 30 hot
+    // keys, odd ones have a key each, so a bucket's newest entry often
+    // holds another key than the probe row's. Index 1 (secondary, walked
+    // shard by shard): 23 keys.
+    let key0 = |i: i64| if i % 2 == 0 { (i / 2) % 30 } else { 1000 + i };
+    let insert = |stem: &Stem, global: &AtomicU32, base: usize, qsets: &QuerySetColumn| {
+        let vids: Vec<u32> = (base..base + qsets.len()).map(|i| i as u32).collect();
+        let keys0 = vids.iter().map(|&i| key0(i as i64)).collect();
+        let keys1 = vids.iter().map(|&i| i as i64 % 23).collect();
+        stem.insert_vector(&vids, qsets, &[keys0, keys1], global);
+    };
+    let probe_keys: Vec<i64> = (0..1500).map(|i| key0(i * 7 % 3000)).collect();
+    for &capacity in &[7usize, 130, 300] {
+        let (main, _) = split_queries(capacity);
+        let w = main.width();
+        // Probe rows hold main-branch queries only; query 1 is not one.
+        let mut masks = QuerySetColumn::new(w);
+        let (probe_q, mut row) = (make_qsets(capacity, probe_keys.len(), 59), vec![0u64; w]);
+        for i in 0..probe_keys.len() {
+            and_into(&mut row, probe_q.row(i), main.words());
+            masks.push(&row);
+        }
+        for shards in [1usize, 2, 8] {
+            for index_id in [0usize, 1] {
+                // Inserted between a yield and its resume, reusing the
+                // probed keys: at a version drawn before them (any
+                // query-sets: the version hides them), and at `VERSION_ALL`
+                // carrying only query 1 (a later admission's bits).
+                for late_admission in [false, true] {
+                    let tag = format!(
+                        "cap={capacity} shards={shards} index={index_id} all={late_admission}"
+                    );
+                    let stem = Stem::with_shards(RelId(0), vec![ColId(0), ColId(1)], w, 0, shards);
+                    let global = AtomicU32::new(0);
+                    let stored = make_qsets(capacity, 3000, 53);
+                    for (c, chunk) in stored.raw().chunks(1000 * w).enumerate() {
+                        let mut q = QuerySetColumn::new(w);
+                        q.push_rows(chunk);
+                        insert(&stem, &global, c * 1000, &q);
+                    }
+                    let version = if late_admission {
+                        VERSION_ALL
+                    } else {
+                        global.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+                    };
+                    let (want, _) =
+                        walk_resumably(&stem, index_id, &probe_keys, version, &masks, None);
+                    let mut next = 3000;
+                    let mut between = |pause: usize| {
+                        // The first pause grows every shard's bucket tables.
+                        let n = if pause == 0 { 3000 } else { 40 };
+                        let late = if late_admission {
+                            let mut q = QuerySetColumn::new(w);
+                            q.push_repeat(QuerySet::singleton(QueryId(1), capacity).words(), n);
+                            q
+                        } else {
+                            make_qsets(capacity, n, 67 + pause as i64)
+                        };
+                        insert(&stem, &global, next, &late);
+                        next += n;
+                    };
+                    let (got, pauses) = walk_resumably(
+                        &stem,
+                        index_id,
+                        &probe_keys,
+                        version,
+                        &masks,
+                        Some(&mut between),
+                    );
+                    assert!(pauses >= 4, "{tag}: {pauses} pauses");
+                    assert_eq!(got.len(), want.len(), "{tag}: match count diverged");
+                    assert_eq!(got, want, "{tag}: a resumed probe diverged");
+                }
+            }
+        }
+    }
 }
 
 // --- end-to-end: wide vs scalar engines must agree byte-for-byte ---

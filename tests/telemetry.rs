@@ -230,3 +230,42 @@ fn null_recorder_overhead_within_noise() {
     let ratio = with_null.as_secs_f64() / bare.as_secs_f64().max(1e-9);
     assert!(ratio < 3.0, "null recorder overhead ratio {ratio:.2} out of bounds");
 }
+
+#[test]
+fn handed_off_time_is_booked_once() {
+    // A chain in which every row meets eight rows of the next relation:
+    // the 1024-row scan vector grows to 8 192 × 8 tuples at its second
+    // probe, so inner probes hand their output on mid-walk and the
+    // hand-offs nest. Each level's filter / build / probe / route time is
+    // booked by the level that spent it; booked twice, the categories of
+    // this probe-bound run would add up to more than its wall time.
+    let mut c = Catalog::new();
+    let links: [(&str, &[&str]); 4] =
+        [("r0", &["a"]), ("r1", &["a", "b"]), ("r2", &["b", "c"]), ("r3", &["c"])];
+    for (name, keys) in links {
+        let mut r = RelationBuilder::new(name);
+        for (k, &key) in keys.iter().enumerate() {
+            r.int64(key, (0..1024).map(|i| (i * (1 + 4 * k as i64)) % 128).collect());
+        }
+        c.add(r.build()).unwrap();
+    }
+    let q = SpjQuery::builder(&c)
+        .relation("r0")
+        .relation("r1")
+        .relation("r2")
+        .relation("r3")
+        .join(("r0", "a"), ("r1", "a"))
+        .join(("r1", "b"), ("r2", "b"))
+        .join(("r2", "c"), ("r3", "c"))
+        .build()
+        .unwrap();
+    let engine = RouletteEngine::new(&c, config().with_vector_size(1024).unwrap());
+    let t0 = Instant::now();
+    let out = engine.execute_batch(&[q]).expect("batch");
+    let wall_ns = t0.elapsed().as_nanos() as u64;
+    assert_eq!(out.per_query[0].rows, 1024 * 8 * 8 * 8);
+    let s = &out.stats;
+    let booked = s.filter_ns + s.build_ns + s.probe_ns + s.route_ns;
+    assert!(booked <= wall_ns, "{booked} ns booked in {wall_ns} ns of wall time");
+    assert!(s.probe_ns > 0 && s.route_ns > 0);
+}
