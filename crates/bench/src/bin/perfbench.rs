@@ -2,8 +2,8 @@
 //!
 //! Dependency-free, fixed-seed, median-of-k wall-clock benchmarks over the
 //! engine's hot loops: end-to-end episode throughput on the synthetic chain
-//! workload, STeM insert and the tiled probe operator (in and out of
-//! cache), windowed-relation expiry (the
+//! workload, STeM insert and the tiled probe operator (through a dense-key
+//! view in and out of cache, and along the hash chains), windowed-relation expiry (the
 //! streaming layer's reclamation path), three data-parallel kernels (filter
 //! masking, bulk query-set intersection, survivor compaction — DESIGN.md
 //! §14) and the router in its count-only and projected shapes. Emits `BENCH_perf.json` so
@@ -260,12 +260,16 @@ fn bench_stem_contended_insert(quick: bool, runs: usize) -> (BenchResult, BenchR
 }
 
 /// STeM probe side, through the operator `exec_probe` drives: 1024-key
-/// vectors into `Stem::probe_tiles` (tiled chain walk + pair AND-select),
+/// vectors into `Stem::probe_tiles` (tiled walk + pair AND-select),
 /// gathering the probe-row and target-vID columns of every surviving pair.
-/// Chain length ≈ 4, half the keys miss, every pair's query-sets
-/// intersect. `entries` × `capacity` picks the regime: the in-cache run
-/// keeps ~1 MB of STeM state with one-word query-sets (the join-heavy
-/// benchmark's shape); the out-of-cache run keeps ~30 MB with four-word
+/// Four entries per key over a dense key range, half the keys miss, every
+/// pair's query-sets intersect. At `VERSION_ALL` the walk goes through the
+/// index's dense-key view (built by the first probe); `hide_last` probes
+/// at the version of the last inserted vector instead, which the view
+/// cannot serve, so the same STeM is walked along its hash chains.
+/// `entries` × `capacity` picks the regime: the in-cache runs keep ~1 MB
+/// of STeM state with one-word query-sets (the join-heavy benchmark's
+/// shape); the out-of-cache run keeps ~30 MB with four-word
 /// query-sets — a regime **no benchmark workload reaches**: the large STeM
 /// of a batch belongs to the relation scanned last, whose builds are
 /// elided, so every probe of `batch-shared` lands in a STeM of ≤ 16 k
@@ -276,6 +280,7 @@ fn bench_stem_probe(
     entries: u32,
     capacity: usize,
     probes: u32,
+    hide_last: bool,
     runs: usize,
 ) -> BenchResult {
     let q = QuerySet::full(capacity);
@@ -285,13 +290,15 @@ fn bench_stem_probe(
     qsets.push_repeat(q.words(), 1024);
     let mut vids = vec![0u32; 1024];
     let mut keys = vec![0i64; 1024];
+    let mut last_version = VERSION_ALL;
     for base in (0..entries).step_by(1024) {
         for i in 0..1024u32 {
             vids[i as usize] = base + i;
             keys[i as usize] = ((base + i) % (entries / 4)) as i64;
         }
-        stem.insert_vector(&vids, &qsets, std::slice::from_ref(&keys), &global);
+        last_version = stem.insert_vector(&vids, &qsets, std::slice::from_ref(&keys), &global);
     }
+    let version = if hide_last { last_version } else { VERSION_ALL };
     let row_masks = qsets;
     let mut scratch = ProbeScratch::new();
     let mut out = QuerySetColumn::new(q.width());
@@ -314,7 +321,7 @@ fn bench_stem_probe(
                 Walk::Continue
             };
             let (masks, scratch, out) = (&row_masks, &mut scratch, &mut out);
-            stem.probe_tiles(0, &keys, VERSION_ALL, masks, scratch, out, None, on_tile);
+            stem.probe_tiles(0, &keys, version, masks, scratch, out, None, on_tile);
             matches += out.len() as u64;
         }
         std::hint::black_box((matches, &out_rows, &out_vids));
@@ -624,17 +631,20 @@ fn main() {
         Kernels::from_config(&EngineConfig::default()).mode_name()
     );
     let (contended_sharded, contended_unsharded) = bench_stem_contended_insert(quick, runs);
+    let probes_in_cache = if quick { 1 << 18 } else { 1 << 21 };
     let mut results = vec![
         bench_episode_chains(quick, runs),
         bench_stem_insert(quick, runs),
         contended_sharded,
         contended_unsharded,
-        bench_stem_probe("stem_probe", 1 << 15, 64, if quick { 1 << 18 } else { 1 << 21 }, runs),
+        bench_stem_probe("stem_probe", 1 << 15, 64, probes_in_cache, false, runs),
+        bench_stem_probe("stem_probe_chained", 1 << 15, 64, probes_in_cache, true, runs),
         bench_stem_probe(
             "stem_probe_out_of_cache",
             1 << 19,
             256,
             if quick { 1 << 17 } else { 1 << 20 },
+            false,
             runs,
         ),
         bench_stem_expiry(quick, runs),

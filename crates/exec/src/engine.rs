@@ -65,6 +65,12 @@ pub struct EngineStats {
     /// Approximate resident STeM bytes (the in-memory state that bounds
     /// the processable dataset size, §3).
     pub stem_bytes: u64,
+    /// Resident bytes of the STeMs' dense-key views: read-only copies of
+    /// complete indices that probes take instead of the hash chains, built
+    /// on first use and dropped by the next insert. Not in `stem_bytes`,
+    /// which is what a memory budget governs; a session under a budget
+    /// builds none.
+    pub view_bytes: u64,
     /// Queries evicted from the shared plan (faults, panics, memory
     /// pressure).
     pub quarantined: u64,
@@ -442,7 +448,9 @@ impl<'a> Session<'a> {
             let mut key_cols: Vec<ColId> = Vec::new();
             for &eid in self.batch.edges_of(rel) {
                 let edge = self.batch.edge(eid);
-                let (this_side, _) = edge.oriented_from(rel).expect("edge is incident");
+                let (this_side, _) = edge.oriented_from(rel).ok_or_else(|| {
+                    Error::Internal(format!("edge {eid:?} listed for {rel:?} is not incident"))
+                })?;
                 if !key_cols.contains(&this_side.1) {
                     key_cols.push(this_side.1);
                 }
@@ -459,15 +467,15 @@ impl<'a> Session<'a> {
                 Some(budget) => rows.min(budget / 256),
                 None => rows,
             };
-            match &mut self.stems[rel.index()] {
-                slot @ None => {
-                    *slot = Some(Stem::with_shards(
-                        rel,
-                        key_cols,
-                        wps,
-                        hint,
-                        self.config.stem_shards,
-                    ))
+            let slot = self.stems.get_mut(rel.index()).ok_or_else(|| {
+                Error::Internal(format!("no STeM slot for {rel:?}"))
+            })?;
+            match slot {
+                None => {
+                    *slot = Some(
+                        Stem::with_shards(rel, key_cols, wps, hint, self.config.stem_shards)
+                            .with_views(self.config.memory_budget_bytes.is_none()),
+                    )
                 }
                 Some(stem) => {
                     for col in key_cols {
@@ -480,23 +488,29 @@ impl<'a> Session<'a> {
         // (Re)build filters for new or extended selection groups.
         let capacity = self.batch.capacity();
         for (gid, group) in self.batch.selection_groups().iter().enumerate() {
-            let fresh = gid >= self.filters.len();
-            if fresh || self.filter_pred_counts[gid] != group.preds.len() {
-                let pair = FilterPair {
-                    grouped: GroupedFilter::build(&group.preds, capacity),
-                    plain: PlainFilter::new(&group.preds, capacity),
-                };
-                let owners = group_queries(&group.preds, capacity);
-                if fresh {
-                    self.filters.push(pair);
-                    self.filter_pred_counts.push(group.preds.len());
-                    self.sel_owners.push(owners);
-                } else {
-                    self.filters[gid] = pair;
-                    self.filter_pred_counts[gid] = group.preds.len();
-                    self.sel_owners[gid] = owners;
-                }
+            let n_preds = group.preds.len();
+            if self.filter_pred_counts.get(gid) == Some(&n_preds) {
+                continue;
             }
+            let pair = FilterPair {
+                grouped: GroupedFilter::build(&group.preds, capacity),
+                plain: PlainFilter::new(&group.preds, capacity),
+            };
+            let owners = group_queries(&group.preds, capacity);
+            if gid >= self.filters.len() {
+                self.filters.push(pair);
+                self.filter_pred_counts.push(n_preds);
+                self.sel_owners.push(owners);
+                continue;
+            }
+            let (Some(filter), Some(count), Some(owner)) = (
+                self.filters.get_mut(gid),
+                self.filter_pred_counts.get_mut(gid),
+                self.sel_owners.get_mut(gid),
+            ) else {
+                return Err(Error::Internal(format!("selection group {gid} has no filter")));
+            };
+            (*filter, *count, *owner) = (pair, n_preds, owners);
         }
 
         // Projection metadata.
@@ -684,9 +698,11 @@ impl<'a> Session<'a> {
     }
 
     fn finish_episode(&self, rel: RelId) {
-        // ordering: Release publishes the episode's STeM/output writes to
-        // the load in complete_now's completeness check.
-        self.pending_episodes[rel.index()].fetch_sub(1, Ordering::Release);
+        if let Some(pending) = self.pending_episodes.get(rel.index()) {
+            // ordering: Release publishes the episode's STeM/output writes
+            // to the load in complete_now's completeness check.
+            pending.fetch_sub(1, Ordering::Release);
+        }
     }
 
     /// Runs one episode inside the panic-isolation boundary. A panic
@@ -875,6 +891,7 @@ impl<'a> Session<'a> {
                 .flatten()
                 .map(|s| s.memory_bytes() as u64)
                 .sum(),
+            view_bytes: self.stems.iter().flatten().map(|s| s.view_bytes() as u64).sum(),
             quarantined: self.stats.quarantined.load(Ordering::Relaxed),
             watchdog_trips: self.stats.watchdog_trips.load(Ordering::Relaxed),
             // ordering: monitoring snapshot; a stale ladder level is fine.
@@ -1125,6 +1142,25 @@ mod tests {
             .execute_batch(&[join_query(&c)])
             .unwrap();
         assert!(out.stats.stem_bytes > 0);
+    }
+
+    #[test]
+    fn views_are_built_without_a_memory_budget_only() {
+        // `dim` is scanned first; `fact`'s elided vectors then probe it at
+        // `VERSION_ALL`, which builds a view of its dense keys — unless a
+        // budget governs the session, whose join state is the chains alone.
+        let c = tiny_catalog();
+        let run = |cfg: EngineConfig| {
+            RouletteEngine::new(&c, cfg.with_vector_size(2).unwrap())
+                .execute_batch(&[join_query(&c)])
+                .unwrap()
+        };
+        let free = run(EngineConfig::default());
+        let governed = run(EngineConfig::default().with_memory_budget(1 << 20).unwrap());
+        assert_eq!(free.per_query, governed.per_query);
+        assert_eq!(free.stats.stem_bytes, governed.stats.stem_bytes);
+        assert!(free.stats.view_bytes > 0);
+        assert_eq!(governed.stats.view_bytes, 0);
     }
 
     #[test]

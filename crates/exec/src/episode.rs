@@ -699,6 +699,7 @@ pub fn run_episode(
     if let Some(rec) = shared.recorder {
         let (hits, misses) = scratch.take_reuse_counters();
         rec.record_scratch(hits, misses);
+        rec.record_view_bytes(shared.stems.iter().flatten().map(|s| s.view_bytes() as u64).sum());
         rec.record_episode(&EpisodeSample {
             episode,
             latency_ns: t0_episode.map_or(0, |t| t.elapsed().as_nanos() as u64),
@@ -774,6 +775,10 @@ fn prune_vector(
         stage.row_masks.reset(width);
         stage.row_masks.push_repeat(mask, n_in);
         stem.semijoin_batch(index_id, values, &mut stage.probe, &mut stage.row_masks);
+        if let Some(rec) = shared.recorder {
+            let (view_keys, chain_keys) = stage.probe.path_key_counts();
+            rec.record_probe_keys(view_keys, chain_keys);
+        }
         // One bulk AND over the whole row range replaces the per-row
         // `and_row` loop; the survivor count falls out of the keep mask.
         shared.kernels.qset_and(&mut vec.qsets, scratch.stage.row_masks.raw(), &mut scratch.keep);
@@ -1142,6 +1147,8 @@ fn exec_probe(
 
     if let Some(rec) = shared.recorder {
         rec.record_probe_batch(vec.len() as u64);
+        let (view_keys, chain_keys) = scratch.stage.probe.path_key_counts();
+        rec.record_probe_keys(view_keys, chain_keys);
         if stem.is_some_and(|s| s.n_shards() > 1) {
             for (s, &keys) in scratch.stage.probe.shard_key_counts().iter().enumerate() {
                 if keys > 0 {

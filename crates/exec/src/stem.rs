@@ -46,11 +46,24 @@
 //! resumes exactly where it paused, inserts made in between notwithstanding
 //! (DESIGN.md §12). The engine pauses an inner probe to hand its output to
 //! the next operator with no latch held.
+//!
+//! ## Dense-key views
+//!
+//! §5.2 scans the largest relation last, so most probing happens against
+//! STeMs that will take no more inserts. A tiled walk whose version hides
+//! nothing in a shard reads each index through a read-only *view* instead
+//! of its chains: the entries grouped by key over the key span, so a
+//! probe is two adjacent loads per key. The first [`VERSION_ALL`] walk of
+//! an index builds it under the shard's read latch, the next insert drops
+//! it under the write latch, and indices whose keys are sparse keep no
+//! view. The chained index stays the only build structure and the
+//! reference (DESIGN.md §14).
 
 use crate::kernels::pairs;
 use parking_lot::{RwLock, RwLockReadGuard};
 use roulette_core::{ColId, QuerySetColumn, RelId};
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::OnceLock;
 
 /// Version value meaning "see everything" (semi-joins against completed
 /// scans).
@@ -105,6 +118,83 @@ struct StemIndex {
     /// the STeM of a relation whose builds were all elided — owns no
     /// memory, and every probe of it finds an empty chain.
     initial_buckets: usize,
+    /// The read-only dense-key view of the entries (DESIGN.md §14): built
+    /// under the shard read latch by the first walk that sees every entry,
+    /// reset by the next insert under the write latch. `Some(None)` caches
+    /// that the keys are too sparse for one.
+    view: OnceLock<Option<DenseView>>,
+}
+
+/// A [`StemIndex`]'s entries grouped by key, for probes that see every
+/// entry (DESIGN.md §14): `ids[offs[k − lo]..offs[k − lo + 1]]` are the
+/// entries with key `k` in descending index order — the chain's order — so
+/// a probe is two adjacent loads per key, with no hash, bucket head, chain
+/// link, key compare or version check.
+#[derive(Debug)]
+struct DenseView {
+    lo: i64,
+    offs: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl DenseView {
+    /// Smallest key span a view may always take; above it the span must
+    /// stay within [`Self::SPAN_PER_ENTRY`] slots per entry.
+    const MIN_SPAN: u64 = 1024;
+    const SPAN_PER_ENTRY: u64 = 4;
+
+    /// Groups `keys` (entry `e` has key `keys[e]`) by key, or `None` when
+    /// there are none or their span exceeds `max(4·entries, 1024)`.
+    fn build(keys: &[i64]) -> Option<DenseView> {
+        let lo = keys.iter().copied().min()?;
+        let hi = keys.iter().copied().max()?;
+        let limit = (Self::SPAN_PER_ENTRY * keys.len() as u64).max(Self::MIN_SPAN);
+        let span = hi.abs_diff(lo).checked_add(1).filter(|&s| s <= limit)?;
+        let mut offs = vec![0u32; span as usize + 1];
+        for &k in keys {
+            if let Some(c) = offs.get_mut(k.wrapping_sub(lo) as usize + 1) {
+                *c += 1;
+            }
+        }
+        let mut acc = 0;
+        for o in offs.iter_mut() {
+            acc += *o;
+            *o = acc;
+        }
+        // `offs[s + 1]` is now the end of slot `s`'s run: fill each run
+        // from its end, entries ascending, so it reads descending.
+        let mut ids = vec![0u32; keys.len()];
+        for (e, &k) in keys.iter().enumerate() {
+            if let Some(end) = offs.get_mut(k.wrapping_sub(lo) as usize + 1) {
+                *end -= 1;
+                if let Some(slot) = ids.get_mut(*end as usize) {
+                    *slot = e as u32;
+                }
+            }
+        }
+        // Each end moved down to its run's start, which is slot `s`'s
+        // start — one place left of where `offs[s]` must hold it.
+        offs.rotate_left(1);
+        if let Some(last) = offs.last_mut() {
+            *last = keys.len() as u32;
+        }
+        Some(DenseView { lo, offs, ids })
+    }
+
+    /// The entries with key `key`, in descending index order.
+    #[inline]
+    fn run_of(&self, key: i64) -> &[u32] {
+        // A key below `lo` wraps to a slot past the span.
+        let slot = key.wrapping_sub(self.lo) as u64 as usize;
+        let Some(&[start, end]) = self.offs.get(slot..slot.wrapping_add(2)) else {
+            return &[];
+        };
+        self.ids.get(start as usize..end as usize).unwrap_or(&[])
+    }
+
+    fn memory_bytes(&self) -> usize {
+        (self.offs.capacity() + self.ids.capacity()) * std::mem::size_of::<u32>()
+    }
 }
 
 impl StemIndex {
@@ -127,6 +217,7 @@ impl StemIndex {
             next: Vec::new(),
             mask: 0,
             initial_buckets,
+            view: OnceLock::new(),
         }
     }
 
@@ -295,6 +386,9 @@ pub struct Stem {
     /// `ensure_index` later adds indices — routing by a late index would
     /// strand already-stored entries in the wrong shard.
     routed: bool,
+    /// Whether walks that see every entry may build dense-key views
+    /// ([`with_views`](Self::with_views)).
+    views: bool,
     shards: Box<[RwLock<StemInner>]>,
 }
 
@@ -345,7 +439,16 @@ impl Stem {
                 })
             })
             .collect();
-        Stem { rel, routed: n_shards > 1 && !key_cols.is_empty(), key_cols, shards }
+        Stem { rel, routed: n_shards > 1 && !key_cols.is_empty(), views: true, key_cols, shards }
+    }
+
+    /// Whether walks may build dense-key views of complete indices (on by
+    /// default). Views are read-only copies outside
+    /// [`memory_bytes`](Self::memory_bytes), so a session under a memory
+    /// budget builds none and always walks its chains.
+    pub(crate) fn with_views(mut self, views: bool) -> Self {
+        self.views = views;
+        self
     }
 
     /// The STeM's relation.
@@ -432,6 +535,9 @@ impl Stem {
         }
         for (idx, index_keys) in inner.indices.iter_mut().zip(keys.iter()) {
             debug_assert_eq!(index_keys.len(), vids.len());
+            // The view no longer matches the entries: the next walk that
+            // sees every entry builds a new one.
+            idx.view.take();
             for &key in index_keys {
                 idx.insert(key);
             }
@@ -543,7 +649,7 @@ impl Stem {
         }
     }
 
-    /// The one batched chain walker behind [`probe_tiles`](Self::probe_tiles)
+    /// The one batched walker behind [`probe_tiles`](Self::probe_tiles)
     /// and [`semijoin_batch`](Self::semijoin_batch): for every key in
     /// `keys` (one per probe row) it emits a `(probe_row, entry)` pair per
     /// match with version strictly older than `version` into the
@@ -553,32 +659,42 @@ impl Stem {
     /// is held across the call). A hot key's fan-out therefore never grows
     /// a buffer. `on_tile` says whether to continue, stop, or yield.
     ///
+    /// Per shard the walk takes one of two paths that emit the same pairs
+    /// in the same order (DESIGN.md §14). When `version` hides no entry of
+    /// the shard — [`VERSION_ALL`], or a version above the shard's last
+    /// insert — and the index has a dense-key view, each row's matches are
+    /// one run of the view. A `VERSION_ALL` walk builds that view if the
+    /// index has none yet (unless the STeM was built
+    /// [`with_views(false)`](Self::with_views)); the next insert into the
+    /// shard drops it. Otherwise the walk follows the hash chains: phase
+    /// one fetches every bucket head of the shard's rows in a tight loop
+    /// over the bucket table (independent loads the hardware can overlap
+    /// and prefetch), phase two walks the dependent chain links. Key
+    /// hashes are computed once per probe, when a routed probe partitions
+    /// its rows or a shard first walks its chains.
+    ///
     /// On [`Walk::Yield`] the walker returns a [`WalkCursor`] — the tile was
     /// drained by the call that asked to yield — and drops the latch; a
     /// later call with `from = Some(cursor)` and the same `keys`, `version`
-    /// and `scratch` re-takes that shard's latch and continues at the link
-    /// after the last emitted entry. The hashes and the shard partition are
-    /// computed once per probe (on the call with `from = None`) and kept in
-    /// `scratch`, the bucket heads once per shard — again on resuming only
-    /// if the bucket table grew in between. Resuming is exact
-    /// (DESIGN.md §12): entries are append-only, a key's entries share one
-    /// bucket chain in descending index order before and after any
-    /// bucket-table growth, and whatever was inserted while the latch was
-    /// dropped drew its version after the probe's own, so the version
-    /// filter hides it (a `VERSION_ALL` probe of a complete relation can
-    /// only meet entries of queries admitted later, which its query-set AND
-    /// drops).
+    /// and `scratch` re-takes that shard's latch and continues after the
+    /// last emitted entry, on whichever path the shard offers now: a view
+    /// may have been built or dropped in between. A view resume skips the
+    /// row's run up to that entry; a chain resume continues at its link,
+    /// with the bucket heads kept in `scratch` — re-fetched only if the
+    /// bucket table grew or the shard was last walked through its view.
+    /// Resuming is exact (DESIGN.md §12): entries are append-only, a key's
+    /// entries share one bucket chain in descending index order before and
+    /// after any bucket-table growth, and whatever was inserted while the
+    /// latch was dropped drew its version after the probe's own, so the
+    /// version filter hides it (a `VERSION_ALL` probe of a complete
+    /// relation can only meet entries of queries admitted later, which its
+    /// query-set AND drops).
     ///
     /// Unsharded, pairs come in probe-row order then chain order. Sharded,
     /// rows are counting-sorted by owning shard (routing index) or
     /// re-probed per shard (secondary indices), so the order is
     /// shard-grouped — a permutation of the unsharded matches. Only one
     /// shard's read latch is held at a time.
-    ///
-    /// Per shard, phase one fetches every bucket head of the batch in a
-    /// tight loop over the bucket table (independent loads the hardware
-    /// can overlap and prefetch); only phase two walks the dependent chain
-    /// links.
     // lint: hot-loop
     fn walk_tiles(
         &self,
@@ -589,13 +705,22 @@ impl Stem {
         from: Option<WalkCursor>,
         mut on_tile: impl FnMut(&mut [u32], &mut [u32], &StemInner) -> Walk,
     ) -> Option<WalkCursor> {
-        let ProbeScratch { hashes, heads, shard_of, order, counts, offs, tile_rows, tile_entries } =
-            scratch;
+        let ProbeScratch {
+            hashes,
+            heads,
+            shard_of,
+            order,
+            counts,
+            offs,
+            tile_rows,
+            tile_entries,
+            path_keys,
+        } = scratch;
         let routed = self.routed && index_id == 0;
         if from.is_none() {
             hashes.clear();
-            hashes.extend(keys.iter().map(|&k| hash_key(k)));
             if routed {
+                hashes.extend(keys.iter().map(|&k| hash_key(k)));
                 partition_probe_rows(self.shards.len(), hashes, shard_of, order, counts, offs);
             } else {
                 // Full scan: every shard sees the whole batch in row order.
@@ -603,6 +728,7 @@ impl Stem {
                 order.extend(0..keys.len() as u32);
                 counts.clear();
             }
+            *path_keys = [0, 0];
         }
         // The tile is a pair of fixed `PROBE_TILE`-slot arrays with a
         // cursor: a match is written to the cursor's slot unconditionally
@@ -628,58 +754,126 @@ impl Stem {
             let Some(index) = inner.indices.get(index_id) else {
                 continue;
             };
-            // Entering the shard, fetch the bucket heads of its rows.
-            // Resuming inside it, the yielded row's walk goes on after its
-            // last emitted entry: that link becomes the row's head.
+            // Resuming inside the shard, the yielded row's walk goes on
+            // after its last emitted entry.
             let resumed = from.last.filter(|_| from.shard == s);
             let start = if resumed.is_some() { from.pos } else { 0 };
+            if resumed.is_none() && !routed {
+                counts.push(keys.len() as u32);
+            }
+            let view = self.view_of(&inner, index, version);
             if resumed.is_none() {
-                if !routed {
-                    counts.push(keys.len() as u32);
-                }
-                heads.clear();
-                heads.extend(rows.iter().map(|&i| {
-                    hashes.get(i as usize).map_or(0, |&h| index.head_of_hash(h))
-                }));
-            } else if index.table_len() != from.table_len {
-                // A head names the newest entry of its bucket, which may
-                // hold another key; the bucket table grew while the latch
-                // was dropped, so that entry may now sit on another chain.
-                // Without a growth a head still reaches every entry it did.
-                for (head, &i) in heads.iter_mut().zip(rows.iter()).skip(start) {
-                    *head = hashes.get(i as usize).map_or(0, |&h| index.head_of_hash(h));
+                if let Some(n) = path_keys.get_mut(usize::from(view.is_none())) {
+                    *n += rows.len() as u64;
                 }
             }
-            if let (Some(e), Some(head)) = (resumed, heads.get_mut(start)) {
-                *head = index.next_of(e);
-            }
-            let (mut step, mut last) = (Walk::Continue, 0);
-            for (pos, (&i, &head)) in rows.iter().zip(heads.iter()).enumerate().skip(start) {
-                let Some(&key) = keys.get(i as usize) else {
-                    continue;
-                };
-                let go = index.walk_chain(head, key, |e| {
-                    if let (Some(r), Some(x)) =
-                        (tile_rows.get_mut(pending), tile_entries.get_mut(pending))
-                    {
-                        *r = i;
-                        *x = e;
+            if let Some(view) = view {
+                for (pos, &i) in rows.iter().enumerate().skip(start) {
+                    let Some(&key) = keys.get(i as usize) else {
+                        continue;
+                    };
+                    let mut run = view.run_of(key);
+                    if let Some(e) = resumed.filter(|_| pos == start) {
+                        run = run.get(run.partition_point(|&x| x >= e)..).unwrap_or(&[]);
                     }
-                    // `VERSION_ALL` sees everything: skip the version load.
-                    let visible = version == VERSION_ALL
-                        || inner.versions.get(e as usize).is_some_and(|&v| v < version);
-                    pending += usize::from(visible);
-                    if pending < PROBE_TILE {
-                        return true;
+                    // A dimension's key has one entry: while the tile has
+                    // room after it, it takes no run copy.
+                    if let [e] = run {
+                        if pending + 1 < PROBE_TILE {
+                            if let (Some(r), Some(x)) =
+                                (tile_rows.get_mut(pending), tile_entries.get_mut(pending))
+                            {
+                                (*r, *x) = (i, *e);
+                            }
+                            pending += 1;
+                            continue;
+                        }
                     }
-                    pending = 0;
-                    (step, last) = (on_tile(tile_rows, tile_entries, &inner), e);
-                    step == Walk::Continue
-                });
-                if !go {
-                    let table_len = index.table_len();
-                    return (step == Walk::Yield)
-                        .then_some(WalkCursor { shard: s, pos, last: Some(last), table_len });
+                    // A run is copied into the tile as whole as it fits.
+                    while !run.is_empty() {
+                        let n = run.len().min(PROBE_TILE - pending);
+                        let (now, rest) = run.split_at(n);
+                        let end = pending + n;
+                        if let (Some(r), Some(x)) =
+                            (tile_rows.get_mut(pending..end), tile_entries.get_mut(pending..end))
+                        {
+                            for ((r, x), &e) in r.iter_mut().zip(x.iter_mut()).zip(now) {
+                                (*r, *x) = (i, e);
+                            }
+                        }
+                        run = rest;
+                        pending = end;
+                        if pending < PROBE_TILE {
+                            break;
+                        }
+                        pending = 0;
+                        let step = on_tile(tile_rows, tile_entries, &inner);
+                        if step != Walk::Continue {
+                            // No bucket table has 0 slots once walked: a
+                            // chain resume fetches its heads.
+                            return (step == Walk::Yield).then_some(WalkCursor {
+                                shard: s,
+                                pos,
+                                last: now.last().copied(),
+                                table_len: 0,
+                            });
+                        }
+                    }
+                }
+            } else {
+                if hashes.len() != keys.len() {
+                    hashes.clear();
+                    hashes.extend(keys.iter().map(|&k| hash_key(k)));
+                }
+                let head_of = |i: u32| hashes.get(i as usize).map_or(0, |&h| index.head_of_hash(h));
+                // Entering the shard, fetch the bucket heads of its rows.
+                // Resuming, the kept heads still reach every entry they did
+                // unless the bucket table grew — a head names its bucket's
+                // newest entry, which may hold another key and move chain on
+                // a growth — or the shard was walked through its view and
+                // fetched none (its cursor holds a table of 0 slots).
+                if resumed.is_none() {
+                    heads.clear();
+                    heads.extend(rows.iter().map(|&i| head_of(i)));
+                } else if index.table_len() != from.table_len {
+                    heads.resize(rows.len(), 0);
+                    for (head, &i) in heads.iter_mut().zip(rows.iter()).skip(start) {
+                        *head = head_of(i);
+                    }
+                }
+                // The yielded row's walk goes on at the link after its last
+                // emitted entry: that link becomes the row's head.
+                if let (Some(e), Some(head)) = (resumed, heads.get_mut(start)) {
+                    *head = index.next_of(e);
+                }
+                let (mut step, mut last) = (Walk::Continue, 0);
+                for (pos, (&i, &head)) in rows.iter().zip(heads.iter()).enumerate().skip(start) {
+                    let Some(&key) = keys.get(i as usize) else {
+                        continue;
+                    };
+                    let go = index.walk_chain(head, key, |e| {
+                        if let (Some(r), Some(x)) =
+                            (tile_rows.get_mut(pending), tile_entries.get_mut(pending))
+                        {
+                            *r = i;
+                            *x = e;
+                        }
+                        // `VERSION_ALL` sees everything: skip the version load.
+                        let visible = version == VERSION_ALL
+                            || inner.versions.get(e as usize).is_some_and(|&v| v < version);
+                        pending += usize::from(visible);
+                        if pending < PROBE_TILE {
+                            return true;
+                        }
+                        pending = 0;
+                        (step, last) = (on_tile(tile_rows, tile_entries, &inner), e);
+                        step == Walk::Continue
+                    });
+                    if !go {
+                        let table_len = index.table_len();
+                        return (step == Walk::Yield)
+                            .then_some(WalkCursor { shard: s, pos, last: Some(last), table_len });
+                    }
                 }
             }
             // Entry indices are shard-local: drain before the latch drops.
@@ -696,6 +890,28 @@ impl Stem {
             }
         }
         None
+    }
+
+    /// The dense-key view a walk at `version` may take through `index` of
+    /// the shard `inner`: only if `version` hides none of the shard's
+    /// entries, built here by a [`VERSION_ALL`] walk if there is none yet.
+    /// The build runs under the shard's read latch; a concurrent walk of the
+    /// same index waits for it and takes no lock of its own meanwhile.
+    #[inline]
+    fn view_of<'a>(
+        &self,
+        inner: &StemInner,
+        index: &'a StemIndex,
+        version: u32,
+    ) -> Option<&'a DenseView> {
+        if version == VERSION_ALL {
+            if self.views {
+                return index.view.get_or_init(|| DenseView::build(&index.keys)).as_ref();
+            }
+        } else if inner.versions.last().is_some_and(|&v| v >= version) {
+            return None;
+        }
+        index.view.get()?.as_ref()
     }
 
     /// The shared probe operator: for every key in `keys` (one per probe
@@ -791,6 +1007,20 @@ impl Stem {
     /// [`memory_bytes`](Self::memory_bytes).
     pub fn shard_memory_bytes(&self) -> Vec<usize> {
         self.shards.iter().map(|s| inner_memory_bytes(&s.read())).collect()
+    }
+
+    /// Resident bytes of the dense-key views currently built, summed over
+    /// shards and indices. Not part of [`memory_bytes`](Self::memory_bytes):
+    /// a view is a read-only copy that the next insert drops.
+    pub fn view_bytes(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| {
+                let inner = s.read();
+                let views = inner.indices.iter().filter_map(|i| i.view.get()?.as_ref());
+                views.map(DenseView::memory_bytes).sum::<usize>()
+            })
+            .sum()
     }
 
     /// Whether no entries are stored.
@@ -900,7 +1130,8 @@ pub enum Walk {
 /// Where a yielded [`Stem::probe_tiles`] walk resumes: the shard, the
 /// position in that shard's row order, the last entry emitted for that row
 /// (`None`: start the shard afresh — the walk yielded as the previous shard
-/// ended), and the size of the walked index's bucket table at the yield.
+/// ended), and the size of the walked index's bucket table at the yield (0
+/// if the shard was walked through its dense-key view).
 /// Only meaningful together with the [`ProbeScratch`] that walked it, which
 /// keeps the probe's hashes, shard partition and bucket heads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -954,7 +1185,7 @@ impl MatchTile<'_> {
 
 /// Reusable working state for [`Stem::probe_tiles`] and
 /// [`Stem::semijoin_batch`]: the batched hash, bucket-head and
-/// shard-partition slices, and the fixed-capacity match-pair tile. Owned
+/// shard-partition slices, the per-path key counts, and the fixed-capacity match-pair tile. Owned
 /// by the episode scratch arena so steady-state probing never allocates;
 /// between a yield and its resume it holds the paused probe's state.
 #[derive(Debug, Default)]
@@ -971,6 +1202,9 @@ pub struct ProbeScratch {
     tile_rows: Vec<u32>,
     /// Shard-local entry index of each pending match pair.
     tile_entries: Vec<u32>,
+    /// Keys the current probe walked through a view (`[0]`) and along
+    /// chains (`[1]`), counted per visited shard.
+    path_keys: [u64; 2],
 }
 
 impl ProbeScratch {
@@ -985,6 +1219,15 @@ impl ProbeScratch {
     /// batch size once per shard.
     pub fn shard_key_counts(&self) -> &[u32] {
         &self.counts
+    }
+
+    /// `(view, chain)`: how many keys of the most recent tiled probe or
+    /// semi-join through this scratch a shard matched through its
+    /// dense-key view and how many along its hash chains, counted once per
+    /// visited shard as it was entered (telemetry hook).
+    pub fn path_key_counts(&self) -> (u64, u64) {
+        let [view, chain] = self.path_keys;
+        (view, chain)
     }
 }
 
@@ -1431,6 +1674,109 @@ mod tests {
         assert_eq!(none, pauses);
         assert!(pauses >= 7, "{pauses} pauses over 8 shards");
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn dense_view_runs_follow_the_chain_order() {
+        let stem = Stem::new(RelId(0), vec![ColId(0)], 1);
+        let global = AtomicU32::new(0);
+        let keys: Vec<i64> = (0..3000i64).map(|i| (i * 7) % 500 - 250).collect();
+        let mut qc = QuerySetColumn::new(1);
+        qc.push_repeat(&[1], keys.len());
+        let vids: Vec<u32> = (0..keys.len() as u32).collect();
+        stem.insert_vector(&vids, &qc, std::slice::from_ref(&keys), &global);
+        let inner = stem.shards[0].read();
+        let index = &inner.indices[0];
+        let view = DenseView::build(&index.keys).expect("500 keys over 3000 entries are dense");
+        assert_eq!(view.lo, -250);
+        for key in -260..260 {
+            let mut chain = Vec::new();
+            index.for_each_match(key, |e| chain.push(e as u32));
+            assert_eq!(view.run_of(key), chain.as_slice(), "key {key}");
+        }
+        // Keys far outside the span, either side, wrap to no slot.
+        for key in [i64::MIN, i64::MIN + 1, -251, 250, i64::MAX] {
+            assert!(view.run_of(key).is_empty(), "key {key}");
+        }
+        // The density rule: a span of up to max(4·entries, 1024) slots.
+        assert!(DenseView::build(&[]).is_none());
+        assert!(DenseView::build(&[5, 5 + 1023]).is_some());
+        assert!(DenseView::build(&[5, 5 + 1024]).is_none());
+        let wide: Vec<i64> = (0..2000).map(|i| i * 4).collect();
+        assert!(DenseView::build(&wide).is_some());
+        let sparse: Vec<i64> = (0..2000).map(|i| i * 5).collect();
+        assert!(DenseView::build(&sparse).is_none());
+        assert!(DenseView::build(&[i64::MIN, i64::MAX]).is_none());
+        let single = DenseView::build(&[i64::MAX, i64::MAX]).expect("one key");
+        assert_eq!(single.run_of(i64::MAX), &[1, 0]);
+        assert!(single.run_of(i64::MIN).is_empty());
+    }
+
+    #[test]
+    fn single_entry_runs_fill_and_resume_tiles_like_the_chains() {
+        // A dimension's primary key: one entry per key, so runs of one
+        // entry fill the tile to its last slot and across it.
+        let stem = Stem::new(RelId(0), vec![ColId(0)], 1);
+        let global = AtomicU32::new(0);
+        let n = 3 * PROBE_TILE as u32 + 7;
+        let vids: Vec<u32> = (0..n).collect();
+        let keys: Vec<i64> = (0..n as i64).map(|i| (i * 7919) % n as i64).collect();
+        let mut qc = QuerySetColumn::new(1);
+        qc.push_repeat(&[1], n as usize);
+        stem.insert_vector(&vids, &qc, &[keys], &global);
+        let probe_keys: Vec<i64> = (0..n as i64 + 500).rev().collect();
+        let mut masks = QuerySetColumn::new(1);
+        masks.push_repeat(&[1], probe_keys.len());
+        let mut want = Vec::new();
+        for (i, &k) in probe_keys.iter().enumerate() {
+            stem.probe(0, k, VERSION_ALL, |qs, vid| want.push((i as u32, qs[0], vid)));
+        }
+        let (got, pauses) = tiled_yielding(&stem, 0, &probe_keys, VERSION_ALL, &masks, |_| {});
+        assert!(stem.view_bytes() > 0);
+        // Three full tiles, then the shard's end drains the last 7 pairs.
+        assert_eq!(pauses, 4);
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn views_are_built_by_complete_walks_dropped_by_inserts_and_not_under_a_budget() {
+        let probe_keys: Vec<i64> = (0..64).collect();
+        let mut masks = QuerySetColumn::new(1);
+        masks.push_repeat(&[1], probe_keys.len());
+        for views in [true, false] {
+            let stem = Stem::new(RelId(0), vec![ColId(0), ColId(1)], 1).with_views(views);
+            let global = AtomicU32::new(0);
+            insert_entries(&stem, &global, 0, 200, 1);
+            // Index 0's keys span 1200 slots for 200 entries: too sparse.
+            let (_, scratch) = tiled(&stem, 0, &probe_keys, VERSION_ALL, 1);
+            assert_eq!(scratch.path_key_counts(), (0, 64));
+            let footprint = stem.memory_bytes();
+            // A versioned walk sees every entry but builds nothing.
+            let above = global.fetch_add(1, Ordering::Relaxed);
+            let (versioned, scratch) = tiled(&stem, 1, &probe_keys, above, 1);
+            assert_eq!(scratch.path_key_counts(), (0, 64));
+            assert_eq!(stem.view_bytes(), 0);
+            // A `VERSION_ALL` walk builds the view — unless views are off,
+            // as under a memory budget — and the versioned walk takes it.
+            let (all, scratch) = tiled(&stem, 1, &probe_keys, VERSION_ALL, 1);
+            assert_eq!(all, versioned);
+            let built = if views { (64, 0) } else { (0, 64) };
+            assert_eq!(scratch.path_key_counts(), built);
+            assert_eq!(stem.view_bytes() > 0, views);
+            assert_eq!(tiled(&stem, 1, &probe_keys, above, 1).0, versioned);
+            let mut acc = masks.clone();
+            stem.semijoin_batch(1, &probe_keys, &mut ProbeScratch::new(), &mut acc);
+            // Views are not STeM state: the governed footprint is unchanged.
+            assert_eq!(stem.memory_bytes(), footprint);
+            // An insert drops the view; a walk at a version at or below it
+            // takes the chains, and only a complete walk builds a new view.
+            insert_entries(&stem, &global, 200, 10, 1);
+            assert_eq!(stem.view_bytes(), 0);
+            let (_, scratch) = tiled(&stem, 1, &probe_keys, above, 1);
+            assert_eq!(scratch.path_key_counts(), (0, 64));
+            stem.semijoin_batch(1, &probe_keys, &mut ProbeScratch::new(), &mut acc);
+            assert_eq!(stem.view_bytes() > 0, views);
+        }
     }
 
     #[test]

@@ -79,6 +79,19 @@ pub trait Recorder: Send + Sync {
         let _ = tuples;
     }
 
+    /// Called once per STeM probe batch or semi-join with how many of its
+    /// keys were matched through a dense-key view of a complete index and
+    /// how many along hash chains (summed over the shards visited).
+    fn record_probe_keys(&self, view_keys: u64, chain_keys: u64) {
+        let _ = (view_keys, chain_keys);
+    }
+
+    /// Called once per episode with the resident bytes of every STeM's
+    /// dense-key views (outside the governed STeM footprint).
+    fn record_view_bytes(&self, bytes: u64) {
+        let _ = bytes;
+    }
+
     /// Called once per sharded-STeM sub-chunk insert with the owning shard
     /// and the number of tuples it received (never called on unsharded
     /// STeMs, keeping the legacy path instrumentation-free).
@@ -141,6 +154,8 @@ mod tests {
             elided: 0,
         });
         r.record_probe_batch(64);
+        r.record_probe_keys(48, 16);
+        r.record_view_bytes(4096);
         r.record_shard_insert(3, 128);
         r.record_shard_probe(3, 64);
         r.record_steal(1);

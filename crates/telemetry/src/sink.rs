@@ -40,6 +40,9 @@ pub struct Telemetry {
     insert_batch: Arc<Histogram>,
     elided_tuples: Arc<ShardedCounter>,
     probe_batch: Arc<Histogram>,
+    probe_view_keys: Arc<ShardedCounter>,
+    probe_chain_keys: Arc<ShardedCounter>,
+    view_bytes: Arc<Gauge>,
     shard_insert_tuples: Vec<Arc<ShardedCounter>>,
     shard_probe_keys: Vec<Arc<ShardedCounter>>,
     steals: Arc<ShardedCounter>,
@@ -100,6 +103,18 @@ impl Telemetry {
         let probe_batch = registry.histogram(
             "roulette_stem_probe_batch_tuples",
             "Tuples probing a STeM per probe batch",
+        );
+        let probe_view_keys = registry.counter(
+            "roulette_stem_probe_view_keys_total",
+            "Probe and semi-join keys matched through a dense-key view of a complete STeM index",
+        );
+        let probe_chain_keys = registry.counter(
+            "roulette_stem_probe_chain_keys_total",
+            "Probe and semi-join keys matched along STeM hash chains",
+        );
+        let view_bytes = registry.gauge(
+            "roulette_stem_view_bytes",
+            "Resident bytes of STeM dense-key views (not part of the governed STeM footprint)",
         );
         let shard_insert_tuples = (0..TRACKED_SHARDS)
             .map(|s| {
@@ -203,6 +218,9 @@ impl Telemetry {
             insert_batch,
             elided_tuples,
             probe_batch,
+            probe_view_keys,
+            probe_chain_keys,
+            view_bytes,
             shard_insert_tuples,
             shard_probe_keys,
             steals,
@@ -316,6 +334,15 @@ impl Recorder for Telemetry {
         self.probe_batch.record(tuples);
     }
 
+    fn record_probe_keys(&self, view_keys: u64, chain_keys: u64) {
+        self.probe_view_keys.add(view_keys);
+        self.probe_chain_keys.add(chain_keys);
+    }
+
+    fn record_view_bytes(&self, bytes: u64) {
+        self.view_bytes.set(bytes);
+    }
+
     fn record_shard_insert(&self, shard: usize, tuples: u64) {
         if let Some(counter) = self.shard_insert_tuples.get(shard.min(TRACKED_SHARDS - 1)) {
             counter.add(tuples);
@@ -410,7 +437,13 @@ mod tests {
             elided: 64,
         });
         t.record_probe_batch(128);
+        t.record_probe_keys(100, 28);
+        t.record_probe_keys(4, 0);
+        t.record_view_bytes(8192);
         let text = prom(&t);
+        assert!(text.contains("roulette_stem_probe_view_keys_total 104"));
+        assert!(text.contains("roulette_stem_probe_chain_keys_total 28"));
+        assert!(text.contains("roulette_stem_view_bytes 8192"));
         assert!(text.contains("roulette_stem_insert_batch_tuples_sum 192"));
         assert!(text.contains("roulette_stem_elided_tuples_total 64"));
         assert!(text.contains("roulette_episodes_total 1"));

@@ -5,7 +5,7 @@
 
 use roulette::baselines::{ExecMode, QatEngine};
 use roulette::core::{EngineConfig, QueryId};
-use roulette::exec::RouletteEngine;
+use roulette::exec::{EngineStats, RouletteEngine, Session};
 use roulette::query::generator::{tpcds_pool, SensitivityParams};
 use roulette::storage::datagen::tpcds;
 
@@ -141,5 +141,48 @@ fn query_admitted_after_builds_were_elided_matches_isolated_execution() {
         session.run();
         let out = session.finish();
         assert_eq!(out.per_query, expected, "{workers} workers");
+    }
+}
+
+#[test]
+fn views_of_complete_stems_thaw_on_readmission_and_rebuild() {
+    // The elided fact vectors probe complete dimension STeMs at
+    // `VERSION_ALL`, which builds their dense-key views. A query admitted
+    // then re-scans those dimensions for its own bits: its inserts drop the
+    // views (a thaw), and once the dimensions are complete again the fact
+    // vectors' probes build new ones. Results stay those of isolated
+    // execution; the chained index alone is the reference semantics.
+    let ds = tpcds::generate(0.2, 29);
+    let pool = tpcds_pool(&ds, SensitivityParams::default(), 2, 61).expect("workload generation");
+    let qat = QatEngine::new(&ds.catalog, ExecMode::Vectorized, 1);
+    let expected: Vec<_> = qat.execute_serial(&pool);
+
+    for workers in [1usize, 4] {
+        let cfg =
+            EngineConfig::default().with_vector_size(128).unwrap().with_workers(workers).unwrap();
+        let engine = RouletteEngine::new(&ds.catalog, cfg);
+        let mut session = engine.session(2);
+        session.admit(pool[0].clone()).unwrap();
+        // `step()` runs one episode on the calling thread, so the phases
+        // below do not depend on scheduling; `run()` then uses `workers`.
+        step_until(&mut session, "a view was built", |s| s.elided_tuples > 0 && s.view_bytes > 0);
+        let frozen = session.stats();
+        session.admit(pool[1].clone()).unwrap();
+        step_until(&mut session, "a re-scan thawed a view", |s| s.view_bytes < frozen.view_bytes);
+        let thawed = session.stats();
+        step_until(&mut session, "views were rebuilt", |s| {
+            s.elided_tuples > thawed.elided_tuples && s.view_bytes > 0
+        });
+        session.run();
+        let out = session.finish();
+        assert_eq!(out.per_query, expected, "{workers} workers");
+    }
+}
+
+/// Runs `session` one episode at a time, on the calling thread, until its
+/// statistics satisfy `done`.
+fn step_until(session: &mut Session<'_>, what: &str, done: impl Fn(&EngineStats) -> bool) {
+    while !done(&session.stats()) {
+        assert!(session.step(), "ran out of work before {what}");
     }
 }

@@ -691,6 +691,182 @@ fn tiled_probe_resumed_after_every_tile_matches_an_uninterrupted_probe() {
     }
 }
 
+/// Probes index `index_id` uninterrupted and returns the output rows and
+/// the number of surviving pairs of every tile, in order.
+fn walk_whole(
+    stem: &Stem,
+    index_id: usize,
+    keys: &[i64],
+    version: u32,
+    masks: &QuerySetColumn,
+) -> (Vec<ProbeRow>, Vec<usize>) {
+    let mut lens = Vec::new();
+    let mut scratch = ProbeScratch::new();
+    let mut out = QuerySetColumn::new(masks.words_per_set());
+    let on_tile = |tile: MatchTile<'_>, _: &mut QuerySetColumn| {
+        lens.push(tile.len());
+        Walk::Continue
+    };
+    stem.probe_tiles(index_id, keys, version, masks, &mut scratch, &mut out, None, on_tile);
+    let (rows, _) = walk_resumably(stem, index_id, keys, version, masks, None);
+    (rows, lens)
+}
+
+#[test]
+fn view_walks_match_chain_walks_across_freezes_and_thaws() {
+    // Two identically built STeMs. `viewed` is walked at `VERSION_ALL` and
+    // semi-joined, which builds dense-key views; its twin is only ever
+    // walked at real versions and probed per key, which build none, so it
+    // walks its chains: the oracle. Index 0 (routing when sharded) has 500
+    // keys, index 1 has 23; both are dense in every shard.
+    let insert = |stem: &Stem, global: &AtomicU32, base: usize, qsets: &QuerySetColumn| {
+        let vids: Vec<u32> = (base..base + qsets.len()).map(|i| i as u32).collect();
+        let keys0 = vids.iter().map(|&i| i as i64 % 500).collect();
+        let keys1 = vids.iter().map(|&i| i as i64 % 23).collect();
+        stem.insert_vector(&vids, qsets, &[keys0, keys1], global)
+    };
+    let probe_keys: Vec<i64> = (0..4000).map(|i| (i * 7) % 560 - 30).collect();
+    let draw = |global: &AtomicU32| global.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    // Widths 1, 2, 3, 4 and 5 words.
+    for &capacity in &[7usize, 65, 130, 256, 300] {
+        let (main, _) = split_queries(capacity);
+        let w = main.width();
+        let mut masks = QuerySetColumn::new(w);
+        let (probe_q, mut row) = (make_qsets(capacity, probe_keys.len(), 59), vec![0u64; w]);
+        for i in 0..probe_keys.len() {
+            and_into(&mut row, probe_q.row(i), main.words());
+            masks.push(&row);
+        }
+        // Carries only query 1, which no probe row holds: a later
+        // admission's bits.
+        let late = |n: usize| {
+            let mut q = QuerySetColumn::new(w);
+            q.push_repeat(QuerySet::singleton(QueryId(1), capacity).words(), n);
+            q
+        };
+        let semijoin = |stem: &Stem, index_id: usize| {
+            let mut acc = QuerySetColumn::new(w);
+            acc.push_repeat(&vec![0; w], probe_keys.len());
+            stem.semijoin_batch(index_id, &probe_keys, &mut ProbeScratch::new(), &mut acc);
+            acc
+        };
+        for shards in [1usize, 2, 8] {
+            for index_id in [0usize, 1] {
+                let tag = format!("cap={capacity} shards={shards} index={index_id}");
+                let build = || {
+                    let stem = Stem::with_shards(RelId(0), vec![ColId(0), ColId(1)], w, 0, shards);
+                    let global = AtomicU32::new(0);
+                    let stored = make_qsets(capacity, 3000, 53);
+                    let mut last = 0;
+                    for (c, chunk) in stored.raw().chunks(1000 * w).enumerate() {
+                        let mut q = QuerySetColumn::new(w);
+                        q.push_rows(chunk);
+                        last = insert(&stem, &global, c * 1000, &q);
+                    }
+                    (stem, global, last)
+                };
+                let (viewed, global, last) = build();
+                let (chained, chained_global, _) = build();
+                // Both sides' versions run in step: one above everything
+                // stored, and the last insert's own, which hides its vector.
+                let (above, chained_above) = (draw(&global), draw(&chained_global));
+                assert_eq!(above, chained_above);
+                let oracle = walk_whole(&chained, index_id, &probe_keys, above, &masks);
+
+                // Uninterrupted, tile boundaries included: a version above
+                // the last insert finds no view yet, `VERSION_ALL` builds
+                // it, then both take it.
+                for version in [above, VERSION_ALL, above] {
+                    assert_eq!(
+                        walk_whole(&viewed, index_id, &probe_keys, version, &masks),
+                        oracle,
+                        "{tag} version={version}: the view diverged from the chains"
+                    );
+                }
+                assert!(viewed.view_bytes() > 0, "{tag}");
+                assert_eq!(
+                    walk_whole(&viewed, index_id, &probe_keys, last, &masks),
+                    walk_whole(&chained, index_id, &probe_keys, last, &masks),
+                    "{tag}: a walk hiding the last insert diverged"
+                );
+                let mut per_key = QuerySetColumn::new(w);
+                per_key.push_repeat(&vec![0; w], probe_keys.len());
+                for (i, &k) in probe_keys.iter().enumerate() {
+                    chained.probe(index_id, k, VERSION_ALL, |qs, _| {
+                        for (acc, &word) in per_key.row_mut(i).iter_mut().zip(qs) {
+                            *acc |= word;
+                        }
+                    });
+                }
+                assert_eq!(semijoin(&viewed, index_id).raw(), per_key.raw(), "{tag}: semi-join");
+
+                // Yield after every tile, at versions above the stored
+                // entries. First walk: it starts on the chains (an insert of
+                // late bits dropped the view), the first pause freezes (a
+                // semi-join builds the view, which the resume takes), the
+                // second thaws (an insert, hidden by the version, drops it:
+                // the resume walks the chains), and so on. Second walk: it
+                // enters every shard through a view and every pause thaws,
+                // so its chain resumes fetch bucket heads it never had.
+                let (oracle, _) = oracle;
+                let mut next = 3000;
+                for freeze_first in [true, false] {
+                    insert(&viewed, &global, next, &late(1));
+                    next += 1;
+                    if !freeze_first {
+                        semijoin(&viewed, index_id);
+                    }
+                    let version = draw(&global);
+                    let mut freeze_thaw = |pause: usize| {
+                        if freeze_first && pause.is_multiple_of(2) {
+                            semijoin(&viewed, index_id);
+                            assert!(viewed.view_bytes() > 0);
+                        } else {
+                            insert(&viewed, &global, next, &late(40));
+                            next += 40;
+                        }
+                    };
+                    let (got, pauses) = walk_resumably(
+                        &viewed,
+                        index_id,
+                        &probe_keys,
+                        version,
+                        &masks,
+                        Some(&mut freeze_thaw),
+                    );
+                    assert!(pauses >= 4, "{tag}: {pauses} pauses");
+                    assert_eq!(
+                        got, oracle,
+                        "{tag} freeze_first={freeze_first}: a versioned walk diverged \
+                         across a freeze or thaw"
+                    );
+                }
+
+                // At `VERSION_ALL` every resume rebuilds the view a thaw
+                // dropped; what the thaws insert carries only late bits.
+                let mut thaw = |pause: usize| {
+                    if pause.is_multiple_of(2) {
+                        insert(&viewed, &global, next, &late(40));
+                        next += 40;
+                        assert_eq!(viewed.view_bytes(), 0);
+                    }
+                };
+                let (got, pauses) = walk_resumably(
+                    &viewed,
+                    index_id,
+                    &probe_keys,
+                    VERSION_ALL,
+                    &masks,
+                    Some(&mut thaw),
+                );
+                assert!(pauses >= 4, "{tag}: {pauses} pauses");
+                assert_eq!(got, oracle, "{tag}: a VERSION_ALL walk diverged across a thaw");
+                assert_eq!(chained.view_bytes(), 0, "{tag}: the oracle built a view");
+            }
+        }
+    }
+}
+
 // --- end-to-end: wide vs scalar engines must agree byte-for-byte ---
 
 /// fact(fk → dim.pk, v) with dangling fks; `scale` repeats the pattern.

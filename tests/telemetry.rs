@@ -139,6 +139,10 @@ fn seeded_run_produces_nonempty_snapshots() {
         "roulette_stem_probe_batch_tuples_count",
         "roulette_vector_fill_permille_count",
         "roulette_query_latency_us_count",
+        // `dim` completes first; the elided `fact` vectors probe its
+        // dense-key view, which stays built to the end.
+        "roulette_stem_probe_view_keys_total",
+        "roulette_stem_view_bytes",
     ] {
         assert!(prom_value(&text, metric) > 0, "{metric} never recorded:\n{text}");
     }
