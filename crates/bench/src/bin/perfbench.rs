@@ -142,16 +142,12 @@ fn bench_stem_insert(quick: bool, runs: usize) -> BenchResult {
 
 /// One contended-insert pass: `threads` workers concurrently push their
 /// own vector streams into the shared STeM (chain length ≈ 4, per-thread
-/// key streams decorrelated so concurrent workers hit different shards),
-/// following the engine's episode hot path — one single-pass reused-buffer
-/// partition per vector, then one `insert_shard` critical section per
-/// touched shard. Each worker visits shards starting at its own offset so
-/// the fleet pipelines around the shard ring instead of convoying on
-/// shard 0. Returns total tuples inserted.
+/// key streams decorrelated), following the engine's episode hot path:
+/// the whole vector in one `insert_vector` critical section. Returns total
+/// tuples inserted.
 fn contended_insert_pass(stem: &Stem, threads: usize, n_per: u32, width: usize) -> u64 {
     let global = &AtomicU32::new(0);
     let q = QuerySet::full(64);
-    let n_shards = stem.n_shards();
     let domain = (threads as u32 * n_per / 4).max(1);
     std::thread::scope(|scope| {
         for t in 0..threads {
@@ -159,62 +155,15 @@ fn contended_insert_pass(stem: &Stem, threads: usize, n_per: u32, width: usize) 
             scope.spawn(move || {
                 let mut vids = vec![0u32; 1024];
                 let mut keys = vec![0i64; 1024];
-                let mut shard_ids = vec![0u8; 1024];
-                let mut counts = vec![0u32; n_shards];
-                let mut offs = vec![0u32; n_shards + 1];
-                let mut order = vec![0u32; 1024];
-                let mut sub_vids: Vec<u32> = Vec::with_capacity(1024);
-                let mut sub_keys = vec![Vec::with_capacity(1024)];
-                let mut sub_qsets = QuerySetColumn::new(width);
-                let mut full_qsets = QuerySetColumn::new(width);
-                full_qsets.push_repeat(q.words(), 1024);
+                let mut qsets = QuerySetColumn::new(width);
+                qsets.push_repeat(q.words(), 1024);
                 for base in (0..n_per).step_by(1024) {
                     for i in 0..1024u32 {
                         let row = t as u32 * n_per + base + i;
                         vids[i as usize] = row;
                         keys[i as usize] = (row.wrapping_mul(0x9e37_79b1) % domain) as i64;
                     }
-                    if !stem.is_routed() {
-                        // The engine's unrouted path: no partition, the
-                        // whole vector in one critical section.
-                        sub_keys[0].clear();
-                        sub_keys[0].extend_from_slice(&keys);
-                        stem.insert_shard(0, &vids, &full_qsets, &sub_keys, global);
-                        continue;
-                    }
-                    // Single-pass partition into a row-order permutation,
-                    // exactly like the episode path's scratch partition.
-                    counts.fill(0);
-                    for (sid, &k) in shard_ids.iter_mut().zip(keys.iter()) {
-                        *sid = stem.shard_of_key(k) as u8;
-                        counts[*sid as usize] += 1;
-                    }
-                    offs[0] = 0;
-                    for s in 0..n_shards {
-                        offs[s + 1] = offs[s] + counts[s];
-                    }
-                    let mut cursor = offs.clone();
-                    for (i, &sid) in shard_ids.iter().enumerate() {
-                        let c = &mut cursor[sid as usize];
-                        order[*c as usize] = i as u32;
-                        *c += 1;
-                    }
-                    for j in 0..n_shards {
-                        let s = (t + j) % n_shards;
-                        let rows = &order[offs[s] as usize..offs[s + 1] as usize];
-                        if rows.is_empty() {
-                            continue;
-                        }
-                        sub_vids.clear();
-                        sub_keys[0].clear();
-                        sub_qsets.clear();
-                        for &r in rows {
-                            sub_vids.push(vids[r as usize]);
-                            sub_keys[0].push(keys[r as usize]);
-                        }
-                        sub_qsets.push_repeat(q.words(), rows.len());
-                        stem.insert_shard(s, &sub_vids, &sub_qsets, &sub_keys, global);
-                    }
+                    stem.insert_vector(&vids, &qsets, std::slice::from_ref(&keys), global);
                 }
             });
         }
@@ -222,41 +171,19 @@ fn contended_insert_pass(stem: &Stem, threads: usize, n_per: u32, width: usize) 
     threads as u64 * n_per as u64
 }
 
-/// Contended STeM build side: 4 threads inserting concurrently. Sharded
-/// (S = 8) the write critical sections land on disjoint shard latches;
-/// unsharded every insert serializes on the one latch. Both variants go
-/// into the JSON (and the `--gate` ratio check); the printed speedup is
-/// the tentpole's scaling claim.
-fn bench_stem_contended_insert(quick: bool, runs: usize) -> (BenchResult, BenchResult) {
+/// Contended STeM build side: 4 threads inserting concurrently, every
+/// insert serializing on the STeM's one write latch.
+fn bench_stem_contended_insert(quick: bool, runs: usize) -> BenchResult {
     const THREADS: usize = 4;
     // Threaded medians swing more than single-threaded ones (scheduler
     // placement); extra runs keep the CI gate's back-to-back ratio stable.
     let runs = runs.max(5);
     let n_per: u32 = if quick { 1 << 14 } else { 1 << 16 };
     let width = QuerySet::full(64).width();
-    let sharded = bench("stem_contended_insert", "tuples", runs, || {
-        let stem = Stem::with_shards(RelId(0), vec![ColId(0)], width, 0, 8);
-        contended_insert_pass(&stem, THREADS, n_per, width)
-    });
-    let unsharded = bench("stem_contended_insert_unsharded", "tuples", runs, || {
+    bench("stem_contended_insert", "tuples", runs, || {
         let stem = Stem::new(RelId(0), vec![ColId(0)], width);
         contended_insert_pass(&stem, THREADS, n_per, width)
-    });
-    let cores =
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    println!(
-        "stem_contended_insert: sharded {:.0}/s vs unsharded {:.0}/s ({:.2}x at {THREADS} threads, {cores} core(s))",
-        sharded.per_sec(),
-        unsharded.per_sec(),
-        sharded.per_sec() / unsharded.per_sec().max(1e-12)
-    );
-    if cores < THREADS {
-        println!(
-            "  (note: {cores} core(s) < {THREADS} threads — workers time-slice, so the \
-             sharded/unsharded ratio measures partition overhead, not latch scalability)"
-        );
-    }
-    (sharded, unsharded)
+    })
 }
 
 /// STeM probe side, through the operator `exec_probe` drives: 1024-key
@@ -630,13 +557,15 @@ fn main() {
         "perfbench (quick={quick}, median of {runs}, kernels={})",
         Kernels::from_config(&EngineConfig::default()).mode_name()
     );
-    let (contended_sharded, contended_unsharded) = bench_stem_contended_insert(quick, runs);
+    // The threaded bench runs first: the benches after it read the heap
+    // state it and `episode_chains` leave, so a fixed order keeps their
+    // numbers comparable across commits.
+    let contended = bench_stem_contended_insert(quick, runs);
     let probes_in_cache = if quick { 1 << 18 } else { 1 << 21 };
     let mut results = vec![
         bench_episode_chains(quick, runs),
         bench_stem_insert(quick, runs),
-        contended_sharded,
-        contended_unsharded,
+        contended,
         bench_stem_probe("stem_probe", 1 << 15, 64, probes_in_cache, false, runs),
         bench_stem_probe("stem_probe_chained", 1 << 15, 64, probes_in_cache, true, runs),
         bench_stem_probe(

@@ -44,17 +44,9 @@ pub fn fig19(scale: Scale) {
         let mut row = vec![format!("{}", b + 1)];
         let mut t1 = None;
         for &w in &worker_counts {
-            // Sharded STeMs (uniform across the ladder so every rung runs
-            // the same storage layout): workers inserting into different
-            // shards skip the write-latch serialization that used to flatten
-            // the slope past 4 cores.
             let engine = crate::harness::engine(
                 &ds.catalog,
-                EngineConfig::default()
-                    .with_workers(w)
-                    .unwrap()
-                    .with_stem_shards(8)
-                    .unwrap(),
+                EngineConfig::default().with_workers(w).unwrap(),
             );
             let (elapsed, _) =
                 crate::harness::time(|| engine.execute_batch(&queries).expect("batch"));
@@ -98,15 +90,10 @@ pub fn fig20(scale: Scale) {
                 });
             }
         });
-        // RouLette: one batch with a query per client, all cores, sharded
-        // STeMs so the build side scales with the worker pool.
+        // RouLette: one batch with a query per client, all cores.
         let engine = crate::harness::engine(
             &ds.catalog,
-            EngineConfig::default()
-                .with_workers(cores().min(12))
-                .unwrap()
-                .with_stem_shards(8)
-                .unwrap(),
+            EngineConfig::default().with_workers(cores().min(12)).unwrap(),
         );
         let (rl_time, _) =
             crate::harness::time(|| engine.execute_batch(queries).expect("batch"));

@@ -6,7 +6,7 @@ use rand::{Rng, SeedableRng};
 use roulette_baselines::optimize_shared;
 use roulette_core::cost::{calibrate, CostSample};
 use roulette_core::{EngineConfig, QueryId, QuerySet, QuerySetColumn, RelId};
-use roulette_exec::{GroupedFilter, Stem, VERSION_ALL};
+use roulette_exec::{GroupedFilter, Stem, StemReader, VERSION_ALL};
 use roulette_query::generator::{tpcds_pool, SensitivityParams};
 use roulette_storage::datagen::tpcds;
 use roulette_storage::Stats;
@@ -54,6 +54,15 @@ pub fn swo_anecdote(scale: Scale) {
         &["batch", "space", "SWO opt (s)", "evals", "exhaustive", "RouLette total (s)", "RL join tuples"],
         &rows,
     );
+}
+
+/// Matches of every key of `keys` in index 0 of the STeM `reader` pins.
+fn count_matches(reader: &StemReader<'_>, keys: &[i64]) -> u64 {
+    let mut out = 0;
+    for &k in keys {
+        reader.probe(0, k, VERSION_ALL, |_, _| out += 1);
+    }
+    out
 }
 
 /// Reproduces the §4.3 calibration: times each operator type at varying
@@ -128,11 +137,7 @@ pub fn calibrate_cost_model(_scale: Scale) {
             let mut out = 0u64;
             for _warm in 0..3 {
                 let t0 = Instant::now();
-                let reader = stem.read();
-                out = 0;
-                for &k in &keys {
-                    reader.probe(0, k, VERSION_ALL, |_, _| out += 1);
-                }
+                out = count_matches(&stem.read(), &keys);
                 best = best.min(t0.elapsed().as_nanos() as f64);
             }
             samples.push(CostSample { n_in: n as u64, n_out: out, time_ns: best });

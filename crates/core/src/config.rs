@@ -93,13 +93,6 @@ pub struct EngineConfig {
     /// byte-identical results — used by the kernel differential tests and
     /// as an optimization ablation.
     pub wide_kernels: bool,
-    /// Number of hash shards each relation's STeM is partitioned into
-    /// (DESIGN.md §15). `1` (the default) is the unsharded legacy layout;
-    /// larger values split every STeM by join-key hash so concurrent
-    /// workers insert and probe under disjoint latches. Per-query results
-    /// are identical across shard counts; sharding only changes which lock
-    /// an episode touches.
-    pub stem_shards: usize,
 }
 
 impl Default for EngineConfig {
@@ -121,7 +114,6 @@ impl Default for EngineConfig {
             telemetry: TelemetryConfig::default(),
             scratch_reuse: true,
             wide_kernels: true,
-            stem_shards: 1,
         }
     }
 }
@@ -206,23 +198,6 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style override of the STeM shard count (see
-    /// [`EngineConfig::stem_shards`]). Rejects 0; capped at 64 shards —
-    /// beyond that the per-shard bucket tables fragment without buying
-    /// additional lock disjointness on realistic core counts.
-    pub fn with_stem_shards(mut self, shards: usize) -> Result<Self> {
-        if shards == 0 {
-            return Err(Error::InvalidQuery("stem shard count must be positive".into()));
-        }
-        if shards > 64 {
-            return Err(Error::InvalidQuery(format!(
-                "stem shard count must be ≤ 64, got {shards}"
-            )));
-        }
-        self.stem_shards = shards;
-        Ok(self)
-    }
-
     /// Builder-style override of the data-parallel kernel layer (see
     /// [`EngineConfig::wide_kernels`]). `false` pins the scalar reference
     /// path used by the `kernel_equiv` differential suite.
@@ -254,9 +229,6 @@ mod tests {
         assert_eq!(c.epsilon, 0.014);
         assert_eq!(c.gamma, 1.0);
         assert!(c.pruning && c.adaptive_projections && c.grouped_filters && c.locality_router);
-        // Sharding is an extension knob; the paper's layout is one STeM
-        // (one latch) per relation.
-        assert_eq!(c.stem_shards, 1);
     }
 
     #[test]
@@ -281,12 +253,9 @@ mod tests {
             .unwrap()
             .with_episode_budget(Some(10_000), None)
             .unwrap()
-            .with_stem_shards(8)
-            .unwrap()
             .with_seed(7);
         assert_eq!(c.vector_size, 256);
         assert_eq!(c.workers, 4);
-        assert_eq!(c.stem_shards, 8);
         assert_eq!((c.mu, c.epsilon, c.gamma), (0.5, 0.1, 0.9));
         assert_eq!(c.seed, 7);
         assert_eq!(c.memory_budget_bytes, Some(1 << 20));
@@ -307,9 +276,6 @@ mod tests {
         let e = EngineConfig::default().with_learning(1.5, 0.1, 1.0).unwrap_err();
         assert!(e.to_string().contains("μ"), "{e}");
         assert!(EngineConfig::default().with_memory_budget(0).is_err());
-        assert!(EngineConfig::default().with_stem_shards(0).is_err());
-        assert!(EngineConfig::default().with_stem_shards(65).is_err());
-        assert!(EngineConfig::default().with_stem_shards(64).is_ok());
         assert!(EngineConfig::default().with_episode_budget(Some(0), None).is_err());
         assert!(EngineConfig::default()
             .with_telemetry(TelemetryConfig { policy_probe_every: 1, event_capacity: 0 })

@@ -473,7 +473,7 @@ impl<'a> Session<'a> {
             match slot {
                 None => {
                     *slot = Some(
-                        Stem::with_shards(rel, key_cols, wps, hint, self.config.stem_shards)
+                        Stem::with_capacity_hint(rel, key_cols, wps, hint)
                             .with_views(self.config.memory_budget_bytes.is_none()),
                     )
                 }

@@ -455,23 +455,11 @@ pub fn run_episode(
             // queries until the projected footprint fits the budget; an
             // emptied vector skips insert and join entirely, so resident
             // STeM bytes never overshoot by more than one vector's growth.
-            // On routed (sharded) STeMs the projection follows the actual
-            // routing keys and sums per-shard growth, so a skewed vector
-            // that lands whole in one shard is fully charged and still
-            // trips the ladder; the keys are re-gathered after every
-            // eviction because scrubbing shrinks the vector.
             loop {
                 if vec.is_empty() {
                     break;
                 }
-                let routing = stem.key_cols().first().copied().zip(vec.vids_of(rel));
-                let projected = match routing {
-                    Some((c0, vids)) if stem.is_routed() => {
-                        relation.column(c0).gather(vids, &mut scratch.values);
-                        stem.projected_insert_bytes_routed(vec.len(), &scratch.values)
-                    }
-                    _ => stem.projected_insert_bytes(vec.len()),
-                };
+                let projected = stem.projected_insert_bytes(vec.len());
                 if used + projected <= budget {
                     break;
                 }
@@ -505,14 +493,8 @@ pub fn run_episode(
     let join_input = vec.len() as u64;
     if !vec.is_empty() {
         if let Some(stem) = shared.stem(rel) {
-            // Routed (sharded) STeMs get one insert critical section — and
-            // one fresh global version — per shard the vector touches, and
-            // each sub-chunk is probed with *its own* version; stem.rs's
-            // module docs prove exactly-once under that pairing. Unrouted
-            // STeMs keep the legacy single insert + single join, so S=1
-            // runs are byte-identical to the pre-sharding engine. An elided
-            // vector draws no version: every STeM it probes is final.
-            let mut chunks: Vec<(DataVector, u32)> = Vec::new();
+            // An elided vector draws no version: every STeM it probes is
+            // final.
             let mut version = VERSION_ALL;
             if elide {
                 shared.stats.elided_tuples.fetch_add(join_input, Ordering::Relaxed);
@@ -526,70 +508,12 @@ pub fn run_episode(
                 for (k, &c) in scratch.insert_keys.iter_mut().zip(stem.key_cols()) {
                     relation.column(c).gather(vids, k);
                 }
-                if stem.is_routed() {
-                    let insert_keys = std::mem::take(&mut scratch.insert_keys);
-                    let mut shard_ids = std::mem::take(&mut scratch.shard_ids);
-                    let mut sub_keys = std::mem::take(&mut scratch.shard_keys);
-                    let mut shard_rows = [0u32; crate::stem::MAX_STEM_SHARDS];
-                    shard_ids.clear();
-                    for &k in insert_keys.first().map(Vec::as_slice).unwrap_or(&[]) {
-                        let s = stem.shard_of_key(k);
-                        if let Some(rows) = shard_rows.get_mut(s) {
-                            *rows += 1;
-                        }
-                        shard_ids.push(s as u8);
-                    }
-                    if sub_keys.len() < nkeys {
-                        sub_keys.resize_with(nkeys, Vec::new);
-                    }
-                    for (s, &rows) in shard_rows.iter().enumerate().take(stem.n_shards()) {
-                        if rows == 0 {
-                            continue;
-                        }
-                        let mut chunk = scratch.take_vector(vec.qsets.words_per_set());
-                        let mut col = scratch.take_col();
-                        for sk in sub_keys.iter_mut() {
-                            sk.clear();
-                        }
-                        for (i, (&sid, &vid)) in shard_ids.iter().zip(vids.iter()).enumerate() {
-                            if sid as usize != s {
-                                continue;
-                            }
-                            col.push(vid);
-                            chunk.qsets.push_row_from(&vec.qsets, i);
-                            for (sk, keys) in sub_keys.iter_mut().zip(insert_keys.iter()) {
-                                sk.extend(keys.get(i).copied());
-                            }
-                        }
-                        let v = stem.insert_shard(
-                            s,
-                            &col,
-                            &chunk.qsets,
-                            sub_keys.get(..nkeys).unwrap_or(&[]),
-                            shared.global_version,
-                        );
-                        if let Some(rec) = shared.recorder {
-                            rec.record_shard_insert(s, col.len() as u64);
-                        }
-                        chunk.push_column(rel, col);
-                        chunks.push((chunk, v));
-                    }
-                    scratch.insert_keys = insert_keys;
-                    scratch.shard_ids = shard_ids;
-                    scratch.shard_keys = sub_keys;
-                } else {
-                    version = stem.insert_vector(
-                        vids,
-                        &vec.qsets,
-                        scratch.insert_keys.get(..nkeys).unwrap_or(&[]),
-                        shared.global_version,
-                    );
-                    if stem.n_shards() > 1 {
-                        if let Some(rec) = shared.recorder {
-                            rec.record_shard_insert(0, vec.len() as u64);
-                        }
-                    }
-                }
+                version = stem.insert_vector(
+                    vids,
+                    &vec.qsets,
+                    scratch.insert_keys.get(..nkeys).unwrap_or(&[]),
+                    shared.global_version,
+                );
                 shared.profile.add(Category::Build, t_build.elapsed().as_nanos() as u64);
                 shared.stats.inserted_tuples.fetch_add(join_input, Ordering::Relaxed);
                 inserted = join_input;
@@ -600,16 +524,7 @@ pub fn run_episode(
             // --- Join phase ------------------------------------------------
             let log_mark = log.len();
             let mut guard = JoinGuard::from_config(shared.config);
-            if chunks.is_empty() {
-                exec_join(shared, &join_plan, &vec, version, log, &mut sink, &mut guard, scratch);
-            } else {
-                for (chunk, v) in &chunks {
-                    exec_join(shared, &join_plan, chunk, *v, log, &mut sink, &mut guard, scratch);
-                    if guard.tripped {
-                        break;
-                    }
-                }
-            }
+            exec_join(shared, &join_plan, &vec, version, log, &mut sink, &mut guard, scratch);
             if guard.tripped {
                 // Watchdog: the learned plan blew its budget. Discard the
                 // phase's staged outputs and log, replan with the greedy
@@ -636,20 +551,7 @@ pub fn run_episode(
                     shared.config.adaptive_projections,
                 );
                 let mut unbounded = JoinGuard::unbounded();
-                if chunks.is_empty() {
-                    exec_join(
-                        shared, &fb_plan, &vec, version, log, &mut sink, &mut unbounded, scratch,
-                    );
-                } else {
-                    for (chunk, v) in &chunks {
-                        exec_join(
-                            shared, &fb_plan, chunk, *v, log, &mut sink, &mut unbounded, scratch,
-                        );
-                    }
-                }
-            }
-            for (chunk, _) in chunks {
-                scratch.release_vector(chunk);
+                exec_join(shared, &fb_plan, &vec, version, log, &mut sink, &mut unbounded, scratch);
             }
         }
     }
@@ -892,7 +794,7 @@ fn exec_chunks(
 /// Everything about routing to `leaf` that may take a lock — the `Route`
 /// fault site and the quarantine of queries whose projections the planner
 /// could not resolve — done once, *before* any tuple is routed: a leaf
-/// probe routes under a STeM shard's read latch, where quarantining (which
+/// probe routes under a STeM's read latch, where quarantining (which
 /// takes the session's output and ingestion locks) would invert the lock
 /// order. Quarantine only: the flush-time live mask suppresses whatever
 /// the dead query stages.
@@ -949,10 +851,8 @@ fn route_leaf(
 /// within one tile of its budget. The divergence branch is the same
 /// AND-select over the full vector. The probe's log entry is reserved
 /// before the walk and completed after it, so it precedes its subtree's.
-/// On unsharded STeMs the output order is identical to per-key probing, so
-/// outputs are byte-identical; sharded probes visit shard-grouped (a
-/// result-safe permutation, since the sink accumulates
-/// order-insensitively).
+/// The output order is identical to per-key probing, so outputs are
+/// byte-identical.
 // lint: hot-loop
 #[allow(clippy::too_many_arguments)]
 fn exec_probe(
@@ -1041,8 +941,8 @@ fn exec_probe(
             .column(p.probe_col)
             .gather(active_vids, probe_keys);
 
-        // Passes 2 and 3, per tile of match pairs and one shard read latch
-        // at a time: the STeM ANDs the pair query-sets into the output's
+        // Passes 2 and 3, per tile of match pairs under the STeM's read
+        // latch: the STeM ANDs the pair query-sets into the output's
         // query-set column, the carried columns are gathered here from the
         // surviving pairs — and a leaf routes the tile and takes it back
         // out. Nothing in here may take a lock. An inner output that holds
@@ -1149,13 +1049,6 @@ fn exec_probe(
         rec.record_probe_batch(vec.len() as u64);
         let (view_keys, chain_keys) = scratch.stage.probe.path_key_counts();
         rec.record_probe_keys(view_keys, chain_keys);
-        if stem.is_some_and(|s| s.n_shards() > 1) {
-            for (s, &keys) in scratch.stage.probe.shard_key_counts().iter().enumerate() {
-                if keys > 0 {
-                    rec.record_shard_probe(s, keys as u64);
-                }
-            }
-        }
     }
 
     if let Some(e) = log.entry_mut(entry) {
@@ -1168,7 +1061,7 @@ fn exec_probe(
 
 /// Hands the first `rows` rows of an inner probe's output to the
 /// operators below it (DESIGN.md §10): runs `p.main` over them on the next
-/// level's staging — the probe's own holds its paused walk — with no shard
+/// level's staging — the probe's own holds its paused walk — with no STeM
 /// latch held, folds the entries they log into those of the probe's
 /// earlier hand-offs (the probe's own entry is `entry`), and drops them
 /// from `out`. Returns the time spent, which those operators booked to

@@ -46,7 +46,6 @@ pub use router::{route, EpisodeSink, RouteScratch};
 pub use scratch::EpisodeScratch;
 pub use spaces::{JoinSpace, SelectionSpace};
 pub use stem::{
-    shard_for_key, MatchTile, ProbeScratch, Stem, StemReader, Walk, WalkCursor, MAX_STEM_SHARDS,
-    PROBE_TILE, VERSION_ALL,
+    MatchTile, ProbeScratch, Stem, StemReader, Walk, WalkCursor, PROBE_TILE, VERSION_ALL,
 };
 pub use vector::DataVector;

@@ -19,8 +19,8 @@
 //! (`locality_router = false`) projects and hashes tuple by tuple from the
 //! same inputs; it is the differential oracle for the above.
 //!
-//! Nothing here takes a lock: a leaf probe calls [`route`] under a STeM
-//! shard's read latch, and the sink is worker-local until the episode's
+//! Nothing here takes a lock: a leaf probe calls [`route`] under a STeM's
+//! read latch, and the sink is worker-local until the episode's
 //! commit point.
 
 use crate::fault::LiveSet;

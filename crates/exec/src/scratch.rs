@@ -36,10 +36,6 @@ pub struct EpisodeScratch {
     /// Per-index insert key columns (outer Vec tracks the widest STeM
     /// seen; inner buffers are reused by `Column::gather`).
     pub(crate) insert_keys: Vec<Vec<i64>>,
-    /// Owning shard of each insert row (sharded-STeM build phase).
-    pub(crate) shard_ids: Vec<u8>,
-    /// Per-index key columns of the sub-chunk being built for one shard.
-    pub(crate) shard_keys: Vec<Vec<i64>>,
     /// The running probe's staging (and the pruning semi-joins').
     pub(crate) stage: ProbeStaging,
     /// The router's buffers (counts, CSR partition, gathered column, row
@@ -67,8 +63,8 @@ pub struct EpisodeScratch {
 /// router's buffers and the sink are shared by all levels.
 #[derive(Debug, Default)]
 pub(crate) struct ProbeStaging {
-    /// Tiled probe staging (hashes + bucket heads + shard partition + the
-    /// fixed-capacity match-pair tile).
+    /// Tiled probe staging (hashes + bucket heads + the fixed-capacity
+    /// match-pair tile).
     pub(crate) probe: ProbeScratch,
     /// Per-row query-set masks: the main-branch intersections of the
     /// active probe rows, or the `allowed` sets of a pruning semi-join.

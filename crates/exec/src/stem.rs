@@ -21,28 +21,10 @@
 //! is two atomic acquisitions per episode per STeM — the same granularity
 //! the paper's wait-free scheme achieves.
 //!
-//! ## Sharding (DESIGN.md §15)
-//!
-//! A STeM may be split into `S` shards by join-key hash
-//! ([`EngineConfig::stem_shards`](roulette_core::EngineConfig::stem_shards)),
-//! each an independent `(entries, versions, query-sets, indices)` block
-//! behind its own latch. The *routing index* is index 0 — the first key
-//! column the STeM was constructed with; [`shard_for_key`] decides the
-//! owning shard. Inserts touch only the shards their rows route to, each
-//! insert critical section drawing its own version from the **global**
-//! counter, so the strictly-older-version argument above holds pairwise
-//! per shard: a probe's read latch on shard `t` still orders against every
-//! insert critical section on shard `t`, and version comparisons remain
-//! globally meaningful because the counter is shared. Probes on the
-//! routing index visit exactly one shard per key; probes on secondary
-//! indices and semi-joins visit all shards, one latch at a time. A STeM
-//! constructed without key columns has no routing index: everything lives
-//! in shard 0 and probes scan all shards (only shard 0 is nonempty).
-//!
 //! ## Pausing a probe
 //!
 //! A tiled probe may pause between tiles ([`Walk::Yield`]): the walker
-//! drops the shard latch and returns a [`WalkCursor`], and a later call
+//! drops the latch and returns a [`WalkCursor`], and a later call
 //! resumes exactly where it paused, inserts made in between notwithstanding
 //! (DESIGN.md §12). The engine pauses an inner probe to hand its output to
 //! the next operator with no latch held.
@@ -51,10 +33,10 @@
 //!
 //! §5.2 scans the largest relation last, so most probing happens against
 //! STeMs that will take no more inserts. A tiled walk whose version hides
-//! nothing in a shard reads each index through a read-only *view* instead
+//! nothing in the STeM reads each index through a read-only *view* instead
 //! of its chains: the entries grouped by key over the key span, so a
 //! probe is two adjacent loads per key. The first [`VERSION_ALL`] walk of
-//! an index builds it under the shard's read latch, the next insert drops
+//! an index builds it under the read latch, the next insert drops
 //! it under the write latch, and indices whose keys are sparse keep no
 //! view. The chained index stays the only build structure and the
 //! reference (DESIGN.md §14).
@@ -74,11 +56,6 @@ use std::sync::OnceLock;
 /// can hold. Sessions are per-batch, so the counter resets naturally.
 pub const VERSION_ALL: u32 = u32::MAX;
 
-/// Hard cap on shards per STeM; mirrors
-/// `EngineConfig::with_stem_shards`'s validation and bounds the fixed-size
-/// per-probe partition buffers.
-pub const MAX_STEM_SHARDS: usize = 64;
-
 /// Capacity of the probe's match-pair tile: the chain walk hands pairs to
 /// the AND and gather passes this many at a time, so the staging of one
 /// probe is 32 KB of pairs whatever the fan-out (DESIGN.md §10).
@@ -91,15 +68,6 @@ fn hash_key(key: i64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-/// The shard owning `key` in a STeM routed across `n_shards` shards: a
-/// pure, total function of the key and the shard count. Every key maps to
-/// exactly one shard, and re-sharding a relation only ever *moves* keys
-/// between shards — the union over shards is invariant.
-#[inline]
-pub fn shard_for_key(key: i64, n_shards: usize) -> usize {
-    if n_shards <= 1 { 0 } else { (hash_key(key) % n_shards as u64) as usize }
 }
 
 /// One hash index of a STeM (per join-key column).
@@ -119,7 +87,7 @@ struct StemIndex {
     /// memory, and every probe of it finds an empty chain.
     initial_buckets: usize,
     /// The read-only dense-key view of the entries (DESIGN.md §14): built
-    /// under the shard read latch by the first walk that sees every entry,
+    /// under the read latch by the first walk that sees every entry,
     /// reset by the next insert under the write latch. `Some(None)` caches
     /// that the keys are too sparse for one.
     view: OnceLock<Option<DenseView>>,
@@ -313,8 +281,8 @@ struct StemInner {
 }
 
 impl StemInner {
-    /// Per-key probe of this shard: `f(entry_qset_words, entry_vid)` for
-    /// every match of `key` with version strictly older than `version`.
+    /// Per-key probe: `f(entry_qset_words, entry_vid)` for every match of
+    /// `key` with version strictly older than `version`.
     #[inline]
     fn probe(&self, index_id: usize, key: i64, version: u32, f: &mut impl FnMut(&[u64], u32)) {
         let Some(index) = self.indices.get(index_id) else {
@@ -330,74 +298,24 @@ impl StemInner {
     }
 }
 
-/// Resident bytes of one shard's entry block + indices.
-fn inner_memory_bytes(inner: &StemInner) -> usize {
-    let entries = inner.vids.capacity() * std::mem::size_of::<u32>()
-        + inner.versions.capacity() * std::mem::size_of::<u32>()
-        + inner.qsets.capacity_words() * std::mem::size_of::<u64>();
-    let indices: usize = inner
-        .indices
-        .iter()
-        .map(|i| {
-            i.keys.capacity() * std::mem::size_of::<i64>()
-                + (i.buckets.capacity() + i.next.capacity()) * std::mem::size_of::<u32>()
-        })
-        .sum();
-    entries + indices
-}
-
-/// Upper bound on one shard's growth if `n` more tuples landed in it.
-///
-/// Models `Vec`'s amortized doubling (`reserve` grows to
-/// `max(2·cap, len + n)`) for the entry block and index columns, and
-/// bucket-table doubling past the 3/4 load factor.
-fn inner_projected_insert_bytes(inner: &StemInner, n: usize) -> usize {
-    fn vec_growth(len: usize, cap: usize, n: usize, elem: usize) -> usize {
-        if len + n <= cap { 0 } else { ((cap * 2).max(len + n) - cap) * elem }
-    }
-    let len = inner.vids.len();
-    let wps = inner.qsets.words_per_set();
-    let mut bytes = vec_growth(len, inner.vids.capacity(), n, 4)
-        + vec_growth(len, inner.versions.capacity(), n, 4)
-        // The qset block is reserved once per insert (see
-        // `insert_shard`), so single-step growth models it exactly —
-        // in words, since that is the column's allocation unit.
-        + vec_growth(len * wps, inner.qsets.capacity_words(), n * wps, 8);
-    for idx in &inner.indices {
-        bytes += vec_growth(idx.keys.len(), idx.keys.capacity(), n, 8)
-            + vec_growth(idx.next.len(), idx.next.capacity(), n, 4);
-        let mut buckets = idx.buckets.len().max(idx.initial_buckets);
-        while idx.keys.len() + n > buckets - buckets / 4 {
-            buckets *= 2;
-        }
-        bytes += buckets.saturating_sub(idx.buckets.capacity()) * 4;
-    }
-    bytes
-}
-
-/// A shared, versioned, multi-index state module for one relation,
-/// optionally hash-partitioned into shards (module docs).
+/// A shared, versioned, multi-index state module for one relation (module
+/// docs): one entry block and its indices behind one latch.
 #[derive(Debug)]
 pub struct Stem {
     rel: RelId,
     key_cols: Vec<ColId>,
-    /// Whether index 0 routes: fixed at construction. A STeM born without
-    /// key columns keeps all entries in shard 0 forever, even if
-    /// `ensure_index` later adds indices — routing by a late index would
-    /// strand already-stored entries in the wrong shard.
-    routed: bool,
     /// Whether walks that see every entry may build dense-key views
     /// ([`with_views`](Self::with_views)).
     views: bool,
-    shards: Box<[RwLock<StemInner>]>,
+    inner: RwLock<StemInner>,
 }
 
 impl Stem {
-    /// Creates an unsharded STeM for `rel` with one hash index per key
-    /// column. `words_per_set` fixes the query-set width. Indices start at
-    /// the minimum bucket-table size; pass the relation's expected
-    /// cardinality via [`with_capacity_hint`](Self::with_capacity_hint) to
-    /// avoid build-time rehashing.
+    /// Creates a STeM for `rel` with one hash index per key column.
+    /// `words_per_set` fixes the query-set width. Indices start at the
+    /// minimum bucket-table size; pass the relation's expected cardinality
+    /// via [`with_capacity_hint`](Self::with_capacity_hint) to avoid
+    /// build-time rehashing.
     pub fn new(rel: RelId, key_cols: Vec<ColId>, words_per_set: usize) -> Self {
         Self::with_capacity_hint(rel, key_cols, words_per_set, 0)
     }
@@ -413,33 +331,13 @@ impl Stem {
         words_per_set: usize,
         hint: usize,
     ) -> Self {
-        Self::with_shards(rel, key_cols, words_per_set, hint, 1)
-    }
-
-    /// Like [`with_capacity_hint`](Self::with_capacity_hint), but splits
-    /// the STeM into `n_shards` hash shards (clamped to
-    /// `1..=`[`MAX_STEM_SHARDS`]); `hint` is the *total* expected
-    /// cardinality, divided evenly across shards.
-    pub fn with_shards(
-        rel: RelId,
-        key_cols: Vec<ColId>,
-        words_per_set: usize,
-        hint: usize,
-        n_shards: usize,
-    ) -> Self {
-        let n_shards = n_shards.clamp(1, MAX_STEM_SHARDS);
-        let shard_hint = if n_shards > 1 { hint / n_shards } else { hint };
-        let shards: Box<[RwLock<StemInner>]> = (0..n_shards)
-            .map(|_| {
-                RwLock::new(StemInner {
-                    vids: Vec::new(),
-                    versions: Vec::new(),
-                    qsets: QuerySetColumn::new(words_per_set),
-                    indices: key_cols.iter().map(|_| StemIndex::with_capacity(shard_hint)).collect(),
-                })
-            })
-            .collect();
-        Stem { rel, routed: n_shards > 1 && !key_cols.is_empty(), views: true, key_cols, shards }
+        let inner = RwLock::new(StemInner {
+            vids: Vec::new(),
+            versions: Vec::new(),
+            qsets: QuerySetColumn::new(words_per_set),
+            indices: key_cols.iter().map(|_| StemIndex::with_capacity(hint)).collect(),
+        });
+        Stem { rel, key_cols, views: true, inner }
     }
 
     /// Whether walks may build dense-key views of complete indices (on by
@@ -468,37 +366,12 @@ impl Stem {
         self.key_cols.iter().position(|&c| c == col)
     }
 
-    /// Number of hash shards.
-    #[inline]
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Whether index 0 routes keys to shards (false for unsharded STeMs
-    /// and STeMs constructed without key columns).
-    #[inline]
-    pub fn is_routed(&self) -> bool {
-        self.routed
-    }
-
-    /// The shard that tuples with routing key `key` (index 0) belong to.
-    #[inline]
-    pub fn shard_of_key(&self, key: i64) -> usize {
-        if self.routed { shard_for_key(key, self.shards.len()) } else { 0 }
-    }
-
-    /// Inserts a sub-vector of tuples that all route to `shard`, assigning
-    /// it a fresh global version under that shard's write latch (module
-    /// docs). `keys[k][i]` is tuple `i`'s key for index `k`. Returns the
-    /// assigned version.
-    ///
-    /// This is the sharded hot path: concurrent workers inserting into
-    /// different shards never contend. The caller partitions rows with
-    /// [`shard_of_key`](Self::shard_of_key) and must probe each sub-vector
-    /// with *its own* returned version for the exactly-once guarantee.
-    pub fn insert_shard(
+    /// Inserts a vector of tuples in one critical section under the write
+    /// latch, assigning it one fresh version from `global_version` (module
+    /// docs), which it returns. `keys[k][i]` is tuple `i`'s key for index
+    /// `k`.
+    pub fn insert_vector(
         &self,
-        shard: usize,
         vids: &[u32],
         qsets: &QuerySetColumn,
         keys: &[Vec<i64>],
@@ -506,21 +379,7 @@ impl Stem {
     ) -> u32 {
         debug_assert_eq!(keys.len(), self.key_cols.len());
         debug_assert_eq!(qsets.len(), vids.len());
-        #[cfg(debug_assertions)]
-        if self.routed {
-            for &k in keys.first().map(Vec::as_slice).unwrap_or(&[]) {
-                debug_assert_eq!(self.shard_of_key(k), shard, "misrouted key {k}");
-            }
-        } else {
-            debug_assert_eq!(shard, 0, "unrouted STeM stores everything in shard 0");
-        }
-        let Some(lock) = self.shards.get(shard) else {
-            // A shard id out of range is a caller bug (`shard_of_key` is a
-            // modulus); drop the insert rather than panic mid-episode.
-            debug_assert!(false, "shard {shard} out of range");
-            return 0;
-        };
-        let mut inner = lock.write();
+        let mut inner = self.inner.write();
         let version = global_version.fetch_add(1, Ordering::Relaxed);
         inner.vids.extend_from_slice(vids);
         let new_len = inner.versions.len() + vids.len();
@@ -545,61 +404,6 @@ impl Stem {
         version
     }
 
-    /// Inserts a vector of tuples, assigning versions under the write
-    /// latch (see module docs). `keys[k][i]` is tuple `i`'s key for index
-    /// `k`.
-    ///
-    /// On an unsharded STeM this is one critical section with one version,
-    /// which it returns. On a sharded STeM the rows are partitioned by
-    /// routing key and inserted per shard via
-    /// [`insert_shard`](Self::insert_shard) — each sub-vector gets its own
-    /// version and the *last* one is returned, which is only safe to probe
-    /// with when no concurrent inserter exists (single-threaded loaders,
-    /// benchmarks). The engine's episode path calls `insert_shard`
-    /// directly and keeps the per-shard versions.
-    pub fn insert_vector(
-        &self,
-        vids: &[u32],
-        qsets: &QuerySetColumn,
-        keys: &[Vec<i64>],
-        global_version: &AtomicU32,
-    ) -> u32 {
-        if !self.routed {
-            return self.insert_shard(0, vids, qsets, keys, global_version);
-        }
-        let n_shards = self.shards.len();
-        let mut version = 0;
-        let Some(keys0) = keys.first() else {
-            return version;
-        };
-        // Cold-path partition (bench/test convenience): per-shard gather
-        // of vids, key columns, and query-set rows.
-        let mut sub_vids: Vec<u32> = Vec::new();
-        let mut sub_keys: Vec<Vec<i64>> = vec![Vec::new(); keys.len()];
-        for shard in 0..n_shards {
-            sub_vids.clear();
-            for sk in &mut sub_keys {
-                sk.clear();
-            }
-            let mut sub_qsets = QuerySetColumn::new(qsets.words_per_set());
-            for (i, &k0) in keys0.iter().enumerate() {
-                if shard_for_key(k0, n_shards) != shard {
-                    continue;
-                }
-                sub_vids.extend(vids.get(i).copied());
-                for (sk, kc) in sub_keys.iter_mut().zip(keys.iter()) {
-                    sk.extend(kc.get(i).copied());
-                }
-                sub_qsets.push_row_from(qsets, i);
-            }
-            if sub_vids.is_empty() {
-                continue;
-            }
-            version = self.insert_shard(shard, &sub_vids, &sub_qsets, &sub_keys, global_version);
-        }
-        version
-    }
-
     /// Adds a hash index on `col` if absent, retroactively indexing stored
     /// entries by gathering their keys from the base column (dynamic query
     /// admission can introduce new join keys mid-run).
@@ -607,46 +411,30 @@ impl Stem {
         if let Some(i) = self.index_of(col) {
             return i;
         }
-        for shard in self.shards.iter_mut() {
-            let inner = shard.get_mut();
-            let mut idx = StemIndex::with_capacity(inner.vids.len());
-            for &vid in &inner.vids {
-                idx.insert(column.value(vid as usize));
-            }
-            inner.indices.push(idx);
+        let inner = self.inner.get_mut();
+        let mut idx = StemIndex::with_capacity(inner.vids.len());
+        for &vid in &inner.vids {
+            idx.insert(column.value(vid as usize));
         }
+        inner.indices.push(idx);
         self.key_cols.push(col);
         self.key_cols.len() - 1
     }
 
-    /// Acquires the probe-side read latch on every shard (ascending shard
-    /// order) for the duration of one probe vector. The engine's episode
-    /// path uses the shard-at-a-time [`probe_tiles`](Self::probe_tiles)
-    /// instead; a reader pins a consistent snapshot across shards for
-    /// loaders, benchmarks, and tests.
+    /// Acquires the probe-side read latch for the duration of one probe
+    /// vector. The engine's episode path uses
+    /// [`probe_tiles`](Self::probe_tiles) instead; a reader pins a
+    /// consistent snapshot for loaders, benchmarks, and tests.
     pub fn read(&self) -> StemReader<'_> {
-        let mut guards = Vec::with_capacity(self.shards.len());
-        for shard in self.shards.iter() {
-            guards.push(shard.read()); // lint:allow(lock-order) — same-class shard latches are always acquired in ascending shard order
-        }
-        StemReader { guards }
+        StemReader { inner: self.inner.read() }
     }
 
     /// Calls `f(entry_qset_words, entry_vid)` for every match of `key` in
     /// index `index_id` with version strictly older than `version` (pass
-    /// [`VERSION_ALL`] to see everything), taking one shard read latch at
-    /// a time. The routing index visits only the key's shard.
+    /// [`VERSION_ALL`] to see everything), under the read latch.
     #[inline]
     pub fn probe(&self, index_id: usize, key: i64, version: u32, mut f: impl FnMut(&[u64], u32)) {
-        if self.routed && index_id == 0 {
-            if let Some(shard) = self.shards.get(self.shard_of_key(key)) {
-                shard.read().probe(index_id, key, version, &mut f);
-            }
-        } else {
-            for shard in self.shards.iter() {
-                shard.read().probe(index_id, key, version, &mut f);
-            }
-        }
+        self.inner.read().probe(index_id, key, version, &mut f);
     }
 
     /// The one batched walker behind [`probe_tiles`](Self::probe_tiles)
@@ -654,47 +442,39 @@ impl Stem {
     /// `keys` (one per probe row) it emits a `(probe_row, entry)` pair per
     /// match with version strictly older than `version` into the
     /// fixed-capacity pair tile of `scratch`, and hands the tile to
-    /// `on_tile(rows, entries, shard)` whenever it fills and when a shard's
-    /// walk ends (entry indices are shard-local, and the shard's read latch
-    /// is held across the call). A hot key's fan-out therefore never grows
-    /// a buffer. `on_tile` says whether to continue, stop, or yield.
+    /// `on_tile(rows, entries, inner)` whenever it fills and when the walk
+    /// ends (the read latch is held across the call). A hot key's fan-out
+    /// therefore never grows a buffer. `on_tile` says whether to continue,
+    /// stop, or yield. Pairs come in probe-row order, then chain order.
     ///
-    /// Per shard the walk takes one of two paths that emit the same pairs
-    /// in the same order (DESIGN.md §14). When `version` hides no entry of
-    /// the shard — [`VERSION_ALL`], or a version above the shard's last
-    /// insert — and the index has a dense-key view, each row's matches are
-    /// one run of the view. A `VERSION_ALL` walk builds that view if the
-    /// index has none yet (unless the STeM was built
-    /// [`with_views(false)`](Self::with_views)); the next insert into the
-    /// shard drops it. Otherwise the walk follows the hash chains: phase
-    /// one fetches every bucket head of the shard's rows in a tight loop
-    /// over the bucket table (independent loads the hardware can overlap
-    /// and prefetch), phase two walks the dependent chain links. Key
-    /// hashes are computed once per probe, when a routed probe partitions
-    /// its rows or a shard first walks its chains.
+    /// The walk takes one of two paths that emit the same pairs in the same
+    /// order (DESIGN.md §14). When `version` hides no entry — [`VERSION_ALL`],
+    /// or a version above the last insert — and the index has a dense-key
+    /// view, each row's matches are one run of the view. A `VERSION_ALL`
+    /// walk builds that view if the index has none yet (unless the STeM was
+    /// built [`with_views(false)`](Self::with_views)); the next insert drops
+    /// it. Otherwise the walk follows the hash chains: phase one fetches
+    /// every row's bucket head in a tight loop over the bucket table
+    /// (independent loads the hardware can overlap and prefetch), phase two
+    /// walks the dependent chain links. Key hashes are computed once per
+    /// probe, when it first walks the chains.
     ///
     /// On [`Walk::Yield`] the walker returns a [`WalkCursor`] — the tile was
     /// drained by the call that asked to yield — and drops the latch; a
     /// later call with `from = Some(cursor)` and the same `keys`, `version`
-    /// and `scratch` re-takes that shard's latch and continues after the
-    /// last emitted entry, on whichever path the shard offers now: a view
-    /// may have been built or dropped in between. A view resume skips the
-    /// row's run up to that entry; a chain resume continues at its link,
-    /// with the bucket heads kept in `scratch` — re-fetched only if the
-    /// bucket table grew or the shard was last walked through its view.
-    /// Resuming is exact (DESIGN.md §12): entries are append-only, a key's
-    /// entries share one bucket chain in descending index order before and
-    /// after any bucket-table growth, and whatever was inserted while the
-    /// latch was dropped drew its version after the probe's own, so the
-    /// version filter hides it (a `VERSION_ALL` probe of a complete
-    /// relation can only meet entries of queries admitted later, which its
-    /// query-set AND drops).
-    ///
-    /// Unsharded, pairs come in probe-row order then chain order. Sharded,
-    /// rows are counting-sorted by owning shard (routing index) or
-    /// re-probed per shard (secondary indices), so the order is
-    /// shard-grouped — a permutation of the unsharded matches. Only one
-    /// shard's read latch is held at a time.
+    /// and `scratch` re-takes the latch and continues after the last
+    /// emitted entry, on whichever path the STeM offers now: a view may
+    /// have been built or dropped in between. A view resume skips the row's
+    /// run up to that entry; a chain resume continues at its link, with the
+    /// bucket heads kept in `scratch` — re-fetched only if the bucket table
+    /// grew or the walk last went through the view. Resuming is exact
+    /// (DESIGN.md §12): entries are append-only, a key's entries share one
+    /// bucket chain in descending index order before and after any
+    /// bucket-table growth, and whatever was inserted while the latch was
+    /// dropped drew its version after the probe's own, so the version
+    /// filter hides it (a `VERSION_ALL` probe of a complete relation can
+    /// only meet entries of queries admitted later, which its query-set AND
+    /// drops).
     // lint: hot-loop
     fn walk_tiles(
         &self,
@@ -705,30 +485,20 @@ impl Stem {
         from: Option<WalkCursor>,
         mut on_tile: impl FnMut(&mut [u32], &mut [u32], &StemInner) -> Walk,
     ) -> Option<WalkCursor> {
-        let ProbeScratch {
-            hashes,
-            heads,
-            shard_of,
-            order,
-            counts,
-            offs,
-            tile_rows,
-            tile_entries,
-            path_keys,
-        } = scratch;
-        let routed = self.routed && index_id == 0;
-        if from.is_none() {
-            hashes.clear();
-            if routed {
-                hashes.extend(keys.iter().map(|&k| hash_key(k)));
-                partition_probe_rows(self.shards.len(), hashes, shard_of, order, counts, offs);
-            } else {
-                // Full scan: every shard sees the whole batch in row order.
-                order.clear();
-                order.extend(0..keys.len() as u32);
-                counts.clear();
+        let ProbeScratch { hashes, heads, tile_rows, tile_entries, path_keys } = scratch;
+        // Resuming, the yielded row's walk goes on after its last emitted
+        // entry; a walk that yielded as it ended has nothing left.
+        let resumed = match from {
+            None => {
+                hashes.clear();
+                *path_keys = [0, 0];
+                None
             }
-            *path_keys = [0, 0];
+            Some(WalkCursor { last: None, .. }) => return None,
+            Some(cursor) => Some(cursor),
+        };
+        if keys.is_empty() {
+            return None;
         }
         // The tile is a pair of fixed `PROBE_TILE`-slot arrays with a
         // cursor: a match is written to the cursor's slot unconditionally
@@ -737,166 +507,132 @@ impl Stem {
         tile_rows.resize(PROBE_TILE, 0);
         tile_entries.resize(PROBE_TILE, 0);
         let mut pending = 0usize;
-        let from = from.unwrap_or(WalkCursor::entering(0));
-        for (s, shard) in self.shards.iter().enumerate().skip(from.shard) {
-            let rows = if routed {
-                let (Some(&start), Some(&end)) = (offs.get(s), offs.get(s + 1)) else {
-                    break;
-                };
-                order.get(start as usize..end as usize).unwrap_or(&[])
-            } else {
-                order.as_slice()
-            };
-            if rows.is_empty() {
-                continue;
+        let inner = self.inner.read();
+        let index = inner.indices.get(index_id)?;
+        let start = resumed.map_or(0, |c| c.pos);
+        let resumed_at = resumed.and_then(|c| c.last);
+        let view = self.view_of(&inner, index, version);
+        if resumed.is_none() {
+            if let Some(n) = path_keys.get_mut(usize::from(view.is_none())) {
+                *n += keys.len() as u64;
             }
-            let inner = shard.read();
-            let Some(index) = inner.indices.get(index_id) else {
-                continue;
-            };
-            // Resuming inside the shard, the yielded row's walk goes on
-            // after its last emitted entry.
-            let resumed = from.last.filter(|_| from.shard == s);
-            let start = if resumed.is_some() { from.pos } else { 0 };
-            if resumed.is_none() && !routed {
-                counts.push(keys.len() as u32);
-            }
-            let view = self.view_of(&inner, index, version);
-            if resumed.is_none() {
-                if let Some(n) = path_keys.get_mut(usize::from(view.is_none())) {
-                    *n += rows.len() as u64;
+        }
+        if let Some(view) = view {
+            for (pos, &key) in keys.iter().enumerate().skip(start) {
+                let i = pos as u32;
+                let mut run = view.run_of(key);
+                if let Some(e) = resumed_at.filter(|_| pos == start) {
+                    run = run.get(run.partition_point(|&x| x >= e)..).unwrap_or(&[]);
                 }
-            }
-            if let Some(view) = view {
-                for (pos, &i) in rows.iter().enumerate().skip(start) {
-                    let Some(&key) = keys.get(i as usize) else {
-                        continue;
-                    };
-                    let mut run = view.run_of(key);
-                    if let Some(e) = resumed.filter(|_| pos == start) {
-                        run = run.get(run.partition_point(|&x| x >= e)..).unwrap_or(&[]);
-                    }
-                    // A dimension's key has one entry: while the tile has
-                    // room after it, it takes no run copy.
-                    if let [e] = run {
-                        if pending + 1 < PROBE_TILE {
-                            if let (Some(r), Some(x)) =
-                                (tile_rows.get_mut(pending), tile_entries.get_mut(pending))
-                            {
-                                (*r, *x) = (i, *e);
-                            }
-                            pending += 1;
-                            continue;
-                        }
-                    }
-                    // A run is copied into the tile as whole as it fits.
-                    while !run.is_empty() {
-                        let n = run.len().min(PROBE_TILE - pending);
-                        let (now, rest) = run.split_at(n);
-                        let end = pending + n;
-                        if let (Some(r), Some(x)) =
-                            (tile_rows.get_mut(pending..end), tile_entries.get_mut(pending..end))
-                        {
-                            for ((r, x), &e) in r.iter_mut().zip(x.iter_mut()).zip(now) {
-                                (*r, *x) = (i, e);
-                            }
-                        }
-                        run = rest;
-                        pending = end;
-                        if pending < PROBE_TILE {
-                            break;
-                        }
-                        pending = 0;
-                        let step = on_tile(tile_rows, tile_entries, &inner);
-                        if step != Walk::Continue {
-                            // No bucket table has 0 slots once walked: a
-                            // chain resume fetches its heads.
-                            return (step == Walk::Yield).then_some(WalkCursor {
-                                shard: s,
-                                pos,
-                                last: now.last().copied(),
-                                table_len: 0,
-                            });
-                        }
-                    }
-                }
-            } else {
-                if hashes.len() != keys.len() {
-                    hashes.clear();
-                    hashes.extend(keys.iter().map(|&k| hash_key(k)));
-                }
-                let head_of = |i: u32| hashes.get(i as usize).map_or(0, |&h| index.head_of_hash(h));
-                // Entering the shard, fetch the bucket heads of its rows.
-                // Resuming, the kept heads still reach every entry they did
-                // unless the bucket table grew — a head names its bucket's
-                // newest entry, which may hold another key and move chain on
-                // a growth — or the shard was walked through its view and
-                // fetched none (its cursor holds a table of 0 slots).
-                if resumed.is_none() {
-                    heads.clear();
-                    heads.extend(rows.iter().map(|&i| head_of(i)));
-                } else if index.table_len() != from.table_len {
-                    heads.resize(rows.len(), 0);
-                    for (head, &i) in heads.iter_mut().zip(rows.iter()).skip(start) {
-                        *head = head_of(i);
-                    }
-                }
-                // The yielded row's walk goes on at the link after its last
-                // emitted entry: that link becomes the row's head.
-                if let (Some(e), Some(head)) = (resumed, heads.get_mut(start)) {
-                    *head = index.next_of(e);
-                }
-                let (mut step, mut last) = (Walk::Continue, 0);
-                for (pos, (&i, &head)) in rows.iter().zip(heads.iter()).enumerate().skip(start) {
-                    let Some(&key) = keys.get(i as usize) else {
-                        continue;
-                    };
-                    let go = index.walk_chain(head, key, |e| {
+                // A dimension's key has one entry: while the tile has room
+                // after it, it takes no run copy.
+                if let [e] = run {
+                    if pending + 1 < PROBE_TILE {
                         if let (Some(r), Some(x)) =
                             (tile_rows.get_mut(pending), tile_entries.get_mut(pending))
                         {
-                            *r = i;
-                            *x = e;
+                            (*r, *x) = (i, *e);
                         }
-                        // `VERSION_ALL` sees everything: skip the version load.
-                        let visible = version == VERSION_ALL
-                            || inner.versions.get(e as usize).is_some_and(|&v| v < version);
-                        pending += usize::from(visible);
-                        if pending < PROBE_TILE {
-                            return true;
+                        pending += 1;
+                        continue;
+                    }
+                }
+                // A run is copied into the tile as whole as it fits.
+                while !run.is_empty() {
+                    let n = run.len().min(PROBE_TILE - pending);
+                    let (now, rest) = run.split_at(n);
+                    let end = pending + n;
+                    if let (Some(r), Some(x)) =
+                        (tile_rows.get_mut(pending..end), tile_entries.get_mut(pending..end))
+                    {
+                        for ((r, x), &e) in r.iter_mut().zip(x.iter_mut()).zip(now) {
+                            (*r, *x) = (i, e);
                         }
-                        pending = 0;
-                        (step, last) = (on_tile(tile_rows, tile_entries, &inner), e);
-                        step == Walk::Continue
-                    });
-                    if !go {
-                        let table_len = index.table_len();
-                        return (step == Walk::Yield)
-                            .then_some(WalkCursor { shard: s, pos, last: Some(last), table_len });
+                    }
+                    run = rest;
+                    pending = end;
+                    if pending < PROBE_TILE {
+                        break;
+                    }
+                    pending = 0;
+                    let step = on_tile(tile_rows, tile_entries, &inner);
+                    if step != Walk::Continue {
+                        // No bucket table has 0 slots once walked: a chain
+                        // resume fetches its heads.
+                        return (step == Walk::Yield).then_some(WalkCursor {
+                            pos,
+                            last: now.last().copied(),
+                            table_len: 0,
+                        });
                     }
                 }
             }
-            // Entry indices are shard-local: drain before the latch drops.
-            if pending > 0 {
-                let (rows, entries) = (tile_rows.get_mut(..pending), tile_entries.get_mut(..pending));
-                pending = 0;
-                if let (Some(rows), Some(entries)) = (rows, entries) {
-                    match on_tile(rows, entries, &inner) {
-                        Walk::Continue => {}
-                        Walk::Stop => return None,
-                        Walk::Yield => return Some(WalkCursor::entering(s + 1)),
-                    }
+        } else {
+            if hashes.len() != keys.len() {
+                hashes.clear();
+                hashes.extend(keys.iter().map(|&k| hash_key(k)));
+            }
+            // Starting, fetch every row's bucket head. Resuming, the kept
+            // heads still reach every entry they did unless the bucket
+            // table grew — a head names its bucket's newest entry, which may
+            // hold another key and move chain on a growth — or the walk went
+            // through the view and fetched none (its cursor holds a table of
+            // 0 slots).
+            if resumed.is_none() {
+                heads.clear();
+                heads.extend(hashes.iter().map(|&h| index.head_of_hash(h)));
+            } else if resumed.is_some_and(|c| c.table_len != index.table_len()) {
+                heads.resize(keys.len(), 0);
+                for (head, &h) in heads.iter_mut().zip(hashes.iter()).skip(start) {
+                    *head = index.head_of_hash(h);
                 }
             }
+            // The yielded row's walk goes on at the link after its last
+            // emitted entry: that link becomes the row's head.
+            if let (Some(e), Some(head)) = (resumed_at, heads.get_mut(start)) {
+                *head = index.next_of(e);
+            }
+            let (mut step, mut last) = (Walk::Continue, 0);
+            for (pos, (&key, &head)) in keys.iter().zip(heads.iter()).enumerate().skip(start) {
+                let i = pos as u32;
+                let go = index.walk_chain(head, key, |e| {
+                    if let (Some(r), Some(x)) =
+                        (tile_rows.get_mut(pending), tile_entries.get_mut(pending))
+                    {
+                        *r = i;
+                        *x = e;
+                    }
+                    // `VERSION_ALL` sees everything: skip the version load.
+                    let visible = version == VERSION_ALL
+                        || inner.versions.get(e as usize).is_some_and(|&v| v < version);
+                    pending += usize::from(visible);
+                    if pending < PROBE_TILE {
+                        return true;
+                    }
+                    pending = 0;
+                    (step, last) = (on_tile(tile_rows, tile_entries, &inner), e);
+                    step == Walk::Continue
+                });
+                if !go {
+                    let table_len = index.table_len();
+                    return (step == Walk::Yield)
+                        .then_some(WalkCursor { pos, last: Some(last), table_len });
+                }
+            }
+        }
+        // The rest of the tile, before the latch drops.
+        let (rows, entries) = (tile_rows.get_mut(..pending)?, tile_entries.get_mut(..pending)?);
+        if pending > 0 && on_tile(rows, entries, &inner) == Walk::Yield {
+            return Some(WalkCursor { pos: keys.len(), last: None, table_len: 0 });
         }
         None
     }
 
     /// The dense-key view a walk at `version` may take through `index` of
-    /// the shard `inner`: only if `version` hides none of the shard's
-    /// entries, built here by a [`VERSION_ALL`] walk if there is none yet.
-    /// The build runs under the shard's read latch; a concurrent walk of the
-    /// same index waits for it and takes no lock of its own meanwhile.
+    /// `inner`: only if `version` hides none of the entries, built here by a
+    /// [`VERSION_ALL`] walk if there is none yet. The build runs under the
+    /// read latch; a concurrent walk of the same index waits for it and
+    /// takes no lock of its own meanwhile.
     #[inline]
     fn view_of<'a>(
         &self,
@@ -929,7 +665,7 @@ impl Stem {
     /// (a fused leaf routes them) keeps the output tile-local. `on_tile`
     /// returns whether to continue, to stop — so a watchdog can stop an
     /// exploding probe within one tile — or to yield. It runs under the
-    /// shard's read latch and must not take a lock.
+    /// read latch and must not take a lock.
     ///
     /// A yield returns a [`WalkCursor`] with no latch held; passing it back
     /// as `from` (with the same keys, version, row masks and scratch)
@@ -938,11 +674,8 @@ impl Stem {
     /// probe hands its output to the next operator mid-walk. A walk that
     /// ends or stops returns `None`; `from = None` starts a probe.
     ///
-    /// Unsharded, output order is probe-row order then chain order —
-    /// byte-identical to calling [`probe`](Self::probe) per key; sharded it
-    /// is the shard-grouped permutation of that. After the call,
-    /// [`ProbeScratch::shard_key_counts`] exposes how many keys each
-    /// visited shard saw.
+    /// Output order is probe-row order then chain order — byte-identical
+    /// to calling [`probe`](Self::probe) per key.
     #[allow(clippy::too_many_arguments)]
     pub fn probe_tiles(
         &self,
@@ -986,41 +719,37 @@ impl Stem {
         });
     }
 
-    /// Number of stored entries across all shards.
+    /// Number of stored entries.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().vids.len()).sum()
+        self.inner.read().vids.len()
     }
 
-    /// Entries stored per shard, in shard order.
-    pub fn shard_lens(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.read().vids.len()).collect()
-    }
-
-    /// Approximate resident bytes (entry blocks + indices, summed over
-    /// shards). STeM footprint bounds the dataset size RouLette can
-    /// process (§3), so the engine surfaces it in its statistics.
+    /// Approximate resident bytes (entry block + indices). STeM footprint
+    /// bounds the dataset size RouLette can process (§3), so the engine
+    /// surfaces it in its statistics.
     pub fn memory_bytes(&self) -> usize {
-        self.shards.iter().map(|s| inner_memory_bytes(&s.read())).sum()
-    }
-
-    /// Per-shard resident bytes, in shard order; sums to
-    /// [`memory_bytes`](Self::memory_bytes).
-    pub fn shard_memory_bytes(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| inner_memory_bytes(&s.read())).collect()
+        let inner = self.inner.read();
+        let entries = inner.vids.capacity() * std::mem::size_of::<u32>()
+            + inner.versions.capacity() * std::mem::size_of::<u32>()
+            + inner.qsets.capacity_words() * std::mem::size_of::<u64>();
+        let indices: usize = inner
+            .indices
+            .iter()
+            .map(|i| {
+                i.keys.capacity() * std::mem::size_of::<i64>()
+                    + (i.buckets.capacity() + i.next.capacity()) * std::mem::size_of::<u32>()
+            })
+            .sum();
+        entries + indices
     }
 
     /// Resident bytes of the dense-key views currently built, summed over
-    /// shards and indices. Not part of [`memory_bytes`](Self::memory_bytes):
-    /// a view is a read-only copy that the next insert drops.
+    /// indices. Not part of [`memory_bytes`](Self::memory_bytes): a view is
+    /// a read-only copy that the next insert drops.
     pub fn view_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                let inner = s.read();
-                let views = inner.indices.iter().filter_map(|i| i.view.get()?.as_ref());
-                views.map(DenseView::memory_bytes).sum::<usize>()
-            })
-            .sum()
+        let inner = self.inner.read();
+        let views = inner.indices.iter().filter_map(|i| i.view.get()?.as_ref());
+        views.map(DenseView::memory_bytes).sum()
     }
 
     /// Whether no entries are stored.
@@ -1029,89 +758,34 @@ impl Stem {
     }
 
     /// Upper bound on how much [`memory_bytes`](Self::memory_bytes) would
-    /// grow if `n` more tuples were inserted now, with no knowledge of
-    /// where they route. Unsharded this is exact to the growth model;
-    /// sharded it charges every shard for the full `n` (any distribution
-    /// of the rows grows each shard by at most its `n`-row projection), so
-    /// callers that know the routing keys should use
-    /// [`projected_insert_bytes_routed`](Self::projected_insert_bytes_routed)
-    /// for a tight per-shard sum.
+    /// grow if `n` more tuples were inserted now.
+    ///
+    /// Models `Vec`'s amortized doubling (`reserve` grows to
+    /// `max(2·cap, len + n)`) for the entry block and index columns, and
+    /// bucket-table doubling past the 3/4 load factor.
     pub fn projected_insert_bytes(&self, n: usize) -> usize {
-        self.shards.iter().map(|s| inner_projected_insert_bytes(&s.read(), n)).sum()
-    }
-
-    /// Projected growth of an `n`-row insert whose routing keys (index 0)
-    /// are `keys0`: counts the rows landing in each shard and sums the
-    /// per-shard growth projections, so the memory governor's eviction
-    /// ladder gates on what the sharded insert will actually allocate —
-    /// a single oversized shard is fully charged. Unrouted STeMs charge
-    /// shard 0 for all `n` rows (and ignore `keys0`).
-    pub fn projected_insert_bytes_routed(&self, n: usize, keys0: &[i64]) -> usize {
-        if !self.routed {
-            return self
-                .shards
-                .first()
-                .map(|s| inner_projected_insert_bytes(&s.read(), n))
-                .unwrap_or(0);
+        fn vec_growth(len: usize, cap: usize, n: usize, elem: usize) -> usize {
+            if len + n <= cap { 0 } else { ((cap * 2).max(len + n) - cap) * elem }
         }
-        debug_assert_eq!(keys0.len(), n);
-        let n_shards = self.shards.len();
-        let mut per_shard = [0usize; MAX_STEM_SHARDS];
-        for &k in keys0 {
-            if let Some(rows) = per_shard.get_mut(shard_for_key(k, n_shards)) {
-                *rows += 1;
+        let inner = self.inner.read();
+        let len = inner.vids.len();
+        let wps = inner.qsets.words_per_set();
+        let mut bytes = vec_growth(len, inner.vids.capacity(), n, 4)
+            + vec_growth(len, inner.versions.capacity(), n, 4)
+            // The qset block is reserved once per insert (see
+            // `insert_vector`), so single-step growth models it exactly —
+            // in words, since that is the column's allocation unit.
+            + vec_growth(len * wps, inner.qsets.capacity_words(), n * wps, 8);
+        for idx in &inner.indices {
+            bytes += vec_growth(idx.keys.len(), idx.keys.capacity(), n, 8)
+                + vec_growth(idx.next.len(), idx.next.capacity(), n, 4);
+            let mut buckets = idx.buckets.len().max(idx.initial_buckets);
+            while idx.keys.len() + n > buckets - buckets / 4 {
+                buckets *= 2;
             }
-        }
-        let mut bytes = 0;
-        for (shard, &rows) in self.shards.iter().zip(per_shard.iter()) {
-            if rows > 0 {
-                bytes += inner_projected_insert_bytes(&shard.read(), rows);
-            }
+            bytes += buckets.saturating_sub(idx.buckets.capacity()) * 4;
         }
         bytes
-    }
-}
-
-/// Counting-sorts probe rows by owning shard: fills `shard_of` (row →
-/// shard), `order` (row indices grouped by shard), `counts` (keys per
-/// shard) and `offs` (the `n_shards + 1` per-shard offsets into `order`).
-fn partition_probe_rows(
-    n_shards: usize,
-    hashes: &[u64],
-    shard_of: &mut Vec<u8>,
-    order: &mut Vec<u32>,
-    counts: &mut Vec<u32>,
-    offs: &mut Vec<u32>,
-) {
-    shard_of.clear();
-    shard_of.extend(hashes.iter().map(|&h| (h % n_shards as u64) as u8));
-    counts.clear();
-    counts.resize(n_shards, 0);
-    for &s in shard_of.iter() {
-        if let Some(c) = counts.get_mut(s as usize) {
-            *c += 1;
-        }
-    }
-    offs.clear();
-    offs.push(0);
-    let mut acc = 0u32;
-    for &c in counts.iter() {
-        acc += c;
-        offs.push(acc);
-    }
-    order.clear();
-    order.resize(hashes.len(), 0);
-    let mut cursor = [0u32; MAX_STEM_SHARDS];
-    for (c, &o) in cursor.iter_mut().zip(offs.iter()) {
-        *c = o;
-    }
-    for (i, &s) in shard_of.iter().enumerate() {
-        if let Some(c) = cursor.get_mut(s as usize) {
-            if let Some(slot) = order.get_mut(*c as usize) {
-                *slot = i as u32;
-            }
-            *c += 1;
-        }
     }
 }
 
@@ -1122,35 +796,25 @@ pub enum Walk {
     Continue,
     /// End the probe here (a tripped watchdog).
     Stop,
-    /// Pause: drop the shard latch and return a [`WalkCursor`] to resume
-    /// from.
+    /// Pause: drop the latch and return a [`WalkCursor`] to resume from.
     Yield,
 }
 
-/// Where a yielded [`Stem::probe_tiles`] walk resumes: the shard, the
-/// position in that shard's row order, the last entry emitted for that row
-/// (`None`: start the shard afresh — the walk yielded as the previous shard
-/// ended), and the size of the walked index's bucket table at the yield (0
-/// if the shard was walked through its dense-key view).
-/// Only meaningful together with the [`ProbeScratch`] that walked it, which
-/// keeps the probe's hashes, shard partition and bucket heads.
+/// Where a yielded [`Stem::probe_tiles`] walk resumes: the probe row, the
+/// last entry emitted for that row (`None`: the walk yielded as it ended,
+/// and a resume finds nothing left), and the size of the walked index's
+/// bucket table at the yield (0 if the walk went through the dense-key
+/// view). Only meaningful together with the [`ProbeScratch`] that walked
+/// it, which keeps the probe's hashes and bucket heads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalkCursor {
-    shard: usize,
     pos: usize,
     last: Option<u32>,
     table_len: usize,
 }
 
-impl WalkCursor {
-    /// The start of `shard`'s walk.
-    fn entering(shard: usize) -> Self {
-        WalkCursor { shard, pos: 0, last: None, table_len: 0 }
-    }
-}
-
 /// One tile of surviving match pairs, handed to the consumer of
-/// [`Stem::probe_tiles`] while the owning shard's read latch is held.
+/// [`Stem::probe_tiles`] while the STeM's read latch is held.
 pub struct MatchTile<'a> {
     rows: &'a [u32],
     entries: &'a [u32],
@@ -1184,26 +848,21 @@ impl MatchTile<'_> {
 }
 
 /// Reusable working state for [`Stem::probe_tiles`] and
-/// [`Stem::semijoin_batch`]: the batched hash, bucket-head and
-/// shard-partition slices, the per-path key counts, and the fixed-capacity match-pair tile. Owned
-/// by the episode scratch arena so steady-state probing never allocates;
+/// [`Stem::semijoin_batch`]: the batched hash and bucket-head slices, the
+/// per-path key counts, and the fixed-capacity match-pair tile. Owned by
+/// the episode scratch arena so steady-state probing never allocates;
 /// between a yield and its resume it holds the paused probe's state.
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
     hashes: Vec<u64>,
-    /// Bucket heads of the current shard's rows, fetched on entering it.
+    /// Bucket head of each probe row, fetched when the walk starts.
     heads: Vec<u32>,
-    shard_of: Vec<u8>,
-    order: Vec<u32>,
-    counts: Vec<u32>,
-    /// Per-shard offsets into `order` (routed probes only).
-    offs: Vec<u32>,
     /// Probe row of each pending match pair (at most [`PROBE_TILE`]).
     tile_rows: Vec<u32>,
-    /// Shard-local entry index of each pending match pair.
+    /// Entry index of each pending match pair.
     tile_entries: Vec<u32>,
     /// Keys the current probe walked through a view (`[0]`) and along
-    /// chains (`[1]`), counted per visited shard.
+    /// chains (`[1]`).
     path_keys: [u64; 2],
 }
 
@@ -1213,44 +872,32 @@ impl ProbeScratch {
         Self::default()
     }
 
-    /// Keys-per-shard of the most recent tiled probe/semi-join through
-    /// this scratch: one entry per visited shard (telemetry hook). Routed
-    /// probes report the partition histogram; full scans report the whole
-    /// batch size once per shard.
-    pub fn shard_key_counts(&self) -> &[u32] {
-        &self.counts
-    }
-
     /// `(view, chain)`: how many keys of the most recent tiled probe or
-    /// semi-join through this scratch a shard matched through its
-    /// dense-key view and how many along its hash chains, counted once per
-    /// visited shard as it was entered (telemetry hook).
+    /// semi-join through this scratch were matched through the dense-key
+    /// view and how many along the hash chains (telemetry hook).
     pub fn path_key_counts(&self) -> (u64, u64) {
         let [view, chain] = self.path_keys;
         (view, chain)
     }
 }
 
-/// Read access to a STeM — all shards — for the duration of one probe
-/// vector.
+/// Read access to a STeM for the duration of one probe vector.
 pub struct StemReader<'a> {
-    guards: Vec<RwLockReadGuard<'a, StemInner>>,
+    inner: RwLockReadGuard<'a, StemInner>,
 }
 
 impl StemReader<'_> {
     /// Calls `f(entry_qset_words, entry_vid)` for every match of `key` in
     /// index `index_id` with version strictly older than `version` (pass
-    /// [`VERSION_ALL`] to see everything), in shard order.
+    /// [`VERSION_ALL`] to see everything).
     #[inline]
     pub fn probe(&self, index_id: usize, key: i64, version: u32, mut f: impl FnMut(&[u64], u32)) {
-        for inner in &self.guards {
-            inner.probe(index_id, key, version, &mut f);
-        }
+        self.inner.probe(index_id, key, version, &mut f);
     }
 
     /// Number of entries visible to this reader.
     pub fn len(&self) -> usize {
-        self.guards.iter().map(|g| g.vids.len()).sum()
+        self.inner.vids.len()
     }
 
     /// Whether the STeM is empty.
@@ -1420,7 +1067,7 @@ mod tests {
         let vids: Vec<u32> = (0..100).collect();
         let keys: Vec<i64> = (0..100).collect();
         stem.insert_vector(&vids, &qc, &[keys], &global);
-        let inner = stem.shards[0].read();
+        let inner = stem.inner.read();
         let cap_bytes = inner.qsets.capacity_words() * 8;
         let len_bytes = inner.qsets.raw().len() * 8;
         assert!(cap_bytes >= len_bytes);
@@ -1457,13 +1104,13 @@ mod tests {
         one.push(q.words());
         // Unhinted (tiny) indices start at the minimum table...
         tiny.insert_vector(&[0], &one, &[vec![1], vec![2]], &global);
-        for idx in &tiny.shards[0].read().indices {
+        for idx in &tiny.inner.read().indices {
             assert_eq!(idx.buckets.len(), StemIndex::MIN_BUCKETS);
         }
         // ...a hinted index is sized to hold the hint at ≤3/4 load...
         let projected = hinted.projected_insert_bytes(1);
         hinted.insert_vector(&[0], &one, &[vec![0]], &global);
-        let buckets = hinted.shards[0].read().indices[0].buckets.len();
+        let buckets = hinted.inner.read().indices[0].buckets.len();
         assert!(buckets.is_power_of_two());
         assert!(6000 <= buckets - buckets / 4, "{buckets} buckets under-sized");
         assert!(buckets <= 16384, "{buckets} buckets over-sized");
@@ -1481,7 +1128,7 @@ mod tests {
         let keys: Vec<i64> = (1..=n as i64).collect();
         hinted.insert_vector(&vids, &qc, &[keys], &global);
         assert_eq!(hinted.len(), 6000);
-        assert_eq!(hinted.shards[0].read().indices[0].buckets.len(), buckets);
+        assert_eq!(hinted.inner.read().indices[0].buckets.len(), buckets);
     }
 
     /// Drives `probe_tiles` with full row masks and collects `(probe_row,
@@ -1603,77 +1250,56 @@ mod tests {
 
     #[test]
     fn yielded_probe_resumes_exactly_across_inserts_and_growth() {
-        // Probe rows alternate hot keys (50 entries each, several tiles per
-        // shard even at 8 shards) with single-entry keys, and hit and miss
-        // the secondary index's keys too.
+        // Probe rows alternate hot keys (50 entries each, several tiles)
+        // with single-entry keys, and hit and miss the secondary index's
+        // keys too.
         let probe_keys: Vec<i64> = (0..1500).map(|i| key0(i * 7 % 3000)).collect();
         let mut masks = QuerySetColumn::new(1);
         masks.push_repeat(&[0b011], probe_keys.len());
-        for shards in [1usize, 2, 8] {
-            for index_id in [0usize, 1] {
-                // `version`: drawn after the stored entries and before the
-                // inserts made while the walk is paused, which reuse the
-                // probed keys (any bits: the version hides them).
-                // `VERSION_ALL`: the paused inserts carry only a query bit
-                // the probe rows do not hold, as a later admission's would.
-                for all in [false, true] {
-                    let stem = Stem::with_shards(RelId(0), vec![ColId(0), ColId(1)], 1, 0, shards);
-                    let global = AtomicU32::new(0);
-                    insert_entries(&stem, &global, 0, 3000, 0b001);
-                    insert_entries(&stem, &global, 3000, 300, 0b010);
-                    let version =
-                        if all { VERSION_ALL } else { global.fetch_add(1, Ordering::Relaxed) };
-                    let late = if all { 0b100 } else { 0b011 };
-                    let (want, _) =
-                        tiled_yielding(&stem, index_id, &probe_keys, version, &masks, |_| {});
-                    let mut next = 3300;
-                    let (got, pauses) =
-                        tiled_yielding(&stem, index_id, &probe_keys, version, &masks, |pause| {
-                            // The first pause grows every shard's bucket
-                            // tables; later ones add a few same-key entries.
-                            let n = if pause == 0 { 3000 } else { 40 };
-                            insert_entries(&stem, &global, next, n, late);
-                            next += n;
-                        });
-                    let tag = format!("shards {shards} index {index_id} all {all}");
-                    assert!(pauses >= 4, "{tag}: only {pauses} pauses");
-                    assert!(want.len() > 4 * PROBE_TILE, "{tag}: {} rows", want.len());
-                    assert_eq!(got, want, "{tag}: a resumed walk diverged from a whole one");
-                    // And the uninterrupted walk agrees with per-key probing.
-                    let mut single = Vec::new();
-                    for (i, &k) in probe_keys.iter().enumerate() {
-                        stem.probe(index_id, k, version, |qs, vid| {
-                            if qs[0] & 0b011 != 0 {
-                                single.push((i as u32, qs[0] & 0b011, vid));
-                            }
-                        });
-                    }
-                    let mut sorted = want.clone();
-                    sorted.sort_unstable();
-                    single.sort_unstable();
-                    assert_eq!(sorted, single, "{tag}");
+        for index_id in [0usize, 1] {
+            // `version`: drawn after the stored entries and before the
+            // inserts made while the walk is paused, which reuse the probed
+            // keys (any bits: the version hides them). `VERSION_ALL`: the
+            // paused inserts carry only a query bit the probe rows do not
+            // hold, as a later admission's would.
+            for all in [false, true] {
+                let stem = Stem::new(RelId(0), vec![ColId(0), ColId(1)], 1);
+                let global = AtomicU32::new(0);
+                insert_entries(&stem, &global, 0, 3000, 0b001);
+                insert_entries(&stem, &global, 3000, 300, 0b010);
+                let version =
+                    if all { VERSION_ALL } else { global.fetch_add(1, Ordering::Relaxed) };
+                let late = if all { 0b100 } else { 0b011 };
+                let (want, _) =
+                    tiled_yielding(&stem, index_id, &probe_keys, version, &masks, |_| {});
+                let mut next = 3300;
+                let (got, pauses) =
+                    tiled_yielding(&stem, index_id, &probe_keys, version, &masks, |pause| {
+                        // The first pause grows every bucket table; later
+                        // ones add a few same-key entries.
+                        let n = if pause == 0 { 3000 } else { 40 };
+                        insert_entries(&stem, &global, next, n, late);
+                        next += n;
+                    });
+                let tag = format!("index {index_id} all {all}");
+                assert!(pauses >= 4, "{tag}: only {pauses} pauses");
+                assert!(want.len() > 4 * PROBE_TILE, "{tag}: {} rows", want.len());
+                assert_eq!(got, want, "{tag}: a resumed walk diverged from a whole one");
+                // And the uninterrupted walk agrees with per-key probing.
+                let mut single = Vec::new();
+                for (i, &k) in probe_keys.iter().enumerate() {
+                    stem.probe(index_id, k, version, |qs, vid| {
+                        if qs[0] & 0b011 != 0 {
+                            single.push((i as u32, qs[0] & 0b011, vid));
+                        }
+                    });
                 }
+                let mut sorted = want.clone();
+                sorted.sort_unstable();
+                single.sort_unstable();
+                assert_eq!(sorted, single, "{tag}");
             }
         }
-    }
-
-    #[test]
-    fn yield_at_a_shard_end_resumes_at_the_next_shard() {
-        // Few pairs per shard: every tile is a shard's end-of-walk drain, so
-        // every pause resumes at the start of the next nonempty shard.
-        let stem = Stem::with_shards(RelId(0), vec![ColId(0), ColId(1)], 1, 0, 8);
-        let global = AtomicU32::new(0);
-        insert_entries(&stem, &global, 0, 200, 0b001);
-        let keys: Vec<i64> = (0..40).collect();
-        let mut masks = QuerySetColumn::new(1);
-        masks.push_repeat(&[0b001], keys.len());
-        let (want, none) = tiled_yielding(&stem, 0, &keys, VERSION_ALL, &masks, |_| {});
-        let (got, pauses) = tiled_yielding(&stem, 0, &keys, VERSION_ALL, &masks, |_| {
-            insert_entries(&stem, &global, 200, 1, 0b100);
-        });
-        assert_eq!(none, pauses);
-        assert!(pauses >= 7, "{pauses} pauses over 8 shards");
-        assert_eq!(got, want);
     }
 
     #[test]
@@ -1685,7 +1311,7 @@ mod tests {
         qc.push_repeat(&[1], keys.len());
         let vids: Vec<u32> = (0..keys.len() as u32).collect();
         stem.insert_vector(&vids, &qc, std::slice::from_ref(&keys), &global);
-        let inner = stem.shards[0].read();
+        let inner = stem.inner.read();
         let index = &inner.indices[0];
         let view = DenseView::build(&index.keys).expect("500 keys over 3000 entries are dense");
         assert_eq!(view.lo, -250);
@@ -1733,7 +1359,7 @@ mod tests {
         }
         let (got, pauses) = tiled_yielding(&stem, 0, &probe_keys, VERSION_ALL, &masks, |_| {});
         assert!(stem.view_bytes() > 0);
-        // Three full tiles, then the shard's end drains the last 7 pairs.
+        // Three full tiles, then the walk's end drains the last 7 pairs.
         assert_eq!(pauses, 4);
         assert_eq!(got, want);
     }
@@ -1796,171 +1422,35 @@ mod tests {
     fn concurrent_insert_probe_exactly_once() {
         // Two threads symmetric-join R and S: each inserts its vector then
         // probes the other side. Every (r, s) match must be found exactly
-        // once across both threads — at every shard count.
+        // once across both threads.
         use std::sync::Arc;
-        for shards in [1usize, 2, 8] {
-            let stem_r = Arc::new(Stem::with_shards(RelId(0), vec![ColId(0)], 1, 0, shards));
-            let stem_s = Arc::new(Stem::with_shards(RelId(1), vec![ColId(0)], 1, 0, shards));
-            let global = Arc::new(AtomicU32::new(0));
-            let q = QuerySet::full(1);
+        let stem_r = Arc::new(Stem::new(RelId(0), vec![ColId(0)], 1));
+        let stem_s = Arc::new(Stem::new(RelId(1), vec![ColId(0)], 1));
+        let global = Arc::new(AtomicU32::new(0));
+        let q = QuerySet::full(1);
 
-            for trial in 0..50 {
-                let found = Arc::new(std::sync::Mutex::new(Vec::new()));
-                let mk = |own: Arc<Stem>, other: Arc<Stem>, vid: u32| {
-                    let global = Arc::clone(&global);
-                    let q = q.clone();
-                    let found = Arc::clone(&found);
-                    move || {
-                        let key = 1000 + trial;
-                        let mut qc = QuerySetColumn::new(1);
-                        qc.push(q.words());
-                        let shard = own.shard_of_key(key);
-                        let v = own.insert_shard(shard, &[vid], &qc, &[vec![key]], &global);
-                        other.probe(0, key, v, |_, other_vid| {
-                            found.lock().unwrap().push((vid, other_vid));
-                        });
-                    }
-                };
-                let t1 =
-                    std::thread::spawn(mk(Arc::clone(&stem_r), Arc::clone(&stem_s), trial as u32));
-                let t2 =
-                    std::thread::spawn(mk(Arc::clone(&stem_s), Arc::clone(&stem_r), trial as u32));
-                t1.join().unwrap();
-                t2.join().unwrap();
-                let matches = found.lock().unwrap();
-                assert_eq!(matches.len(), 1, "shards {shards} trial {trial}: {:?}", *matches);
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_insert_routes_and_probes_find_everything() {
-        let global = AtomicU32::new(0);
-        let q = QuerySet::full(4);
-        let n = 4000u32;
-        let vids: Vec<u32> = (0..n).collect();
-        let keys0: Vec<i64> = (0..n as i64).map(|i| i * 13 % 509).collect();
-        let keys1: Vec<i64> = (0..n as i64).map(|i| i % 17).collect();
-        let mut qc = QuerySetColumn::new(q.width());
-        for _ in 0..n {
-            qc.push(q.words());
-        }
-        let flat = Stem::new(RelId(0), vec![ColId(0), ColId(1)], q.width());
-        flat.insert_vector(&vids, &qc, &[keys0.clone(), keys1.clone()], &global);
-        for shards in [2usize, 8, 64] {
-            let sharded =
-                Stem::with_shards(RelId(0), vec![ColId(0), ColId(1)], q.width(), n as usize, shards);
-            sharded.insert_vector(&vids, &qc, &[keys0.clone(), keys1.clone()], &global);
-            assert_eq!(sharded.len(), flat.len());
-            assert_eq!(sharded.shard_lens().iter().sum::<usize>(), flat.len());
-            // Every entry landed in the shard its routing key owns.
-            for (s, lock) in sharded.shards.iter().enumerate() {
-                let inner = lock.read();
-                for &k in &inner.indices[0].keys {
-                    assert_eq!(sharded.shard_of_key(k), s);
+        for trial in 0..50 {
+            let found = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let mk = |own: Arc<Stem>, other: Arc<Stem>, vid: u32| {
+                let global = Arc::clone(&global);
+                let q = q.clone();
+                let found = Arc::clone(&found);
+                move || {
+                    let key = 1000 + trial;
+                    let mut qc = QuerySetColumn::new(1);
+                    qc.push(q.words());
+                    let v = own.insert_vector(&[vid], &qc, &[vec![key]], &global);
+                    other.probe(0, key, v, |_, other_vid| {
+                        found.lock().unwrap().push((vid, other_vid));
+                    });
                 }
-            }
-            // Routed (index 0) and full-scan (index 1) probes both find
-            // exactly the unsharded match multiset.
-            for index_id in [0usize, 1] {
-                let probe_keys: Vec<i64> =
-                    (0..777).map(|i| if index_id == 0 { i * 7 % 520 } else { i % 20 }).collect();
-                let (mut expect, _) = tiled(&flat, index_id, &probe_keys, VERSION_ALL, q.width());
-                let (mut got, mut scratch) =
-                    tiled(&sharded, index_id, &probe_keys, VERSION_ALL, q.width());
-                expect.sort_unstable();
-                got.sort_unstable();
-                assert_eq!(got, expect, "shards {shards} index {index_id}");
-                if index_id == 0 {
-                    let total: u32 = scratch.shard_key_counts().iter().sum();
-                    assert_eq!(total as usize, probe_keys.len());
-                }
-                // Semi-join agreement too, against the per-key reference.
-                let mut flat_acc = QuerySetColumn::new(q.width());
-                flat_acc.push_repeat(QuerySet::empty(4).words(), probe_keys.len());
-                let mut shard_acc = flat_acc.clone();
-                let mut per_key = flat_acc.clone();
-                flat.semijoin_batch(index_id, &probe_keys, &mut scratch, &mut flat_acc);
-                sharded.semijoin_batch(index_id, &probe_keys, &mut scratch, &mut shard_acc);
-                for (i, &k) in probe_keys.iter().enumerate() {
-                    sharded.probe(index_id, k, VERSION_ALL, |qs, _| per_key.row_mut(i)[0] |= qs[0]);
-                }
-                assert_eq!(flat_acc.raw(), per_key.raw(), "shards {shards} index {index_id}");
-                assert_eq!(shard_acc.raw(), per_key.raw(), "shards {shards} index {index_id}");
-            }
-        }
-    }
-
-    #[test]
-    fn shard_memory_sums_to_total_and_routed_projection_delegates() {
-        let global = AtomicU32::new(0);
-        let q = QuerySet::full(8);
-        let n = 2048u32;
-        let vids: Vec<u32> = (0..n).collect();
-        let keys: Vec<i64> = (0..n as i64).map(|i| i * 31 % 1009).collect();
-        let mut qc = QuerySetColumn::new(q.width());
-        for _ in 0..n {
-            qc.push(q.words());
-        }
-        for shards in [1usize, 2, 8] {
-            let stem = Stem::with_shards(RelId(0), vec![ColId(0)], q.width(), 0, shards);
-            stem.insert_vector(&vids, &qc, std::slice::from_ref(&keys), &global);
-            let per_shard = stem.shard_memory_bytes();
-            assert_eq!(per_shard.len(), shards);
-            assert_eq!(per_shard.iter().sum::<usize>(), stem.memory_bytes());
-            // The routed projection with real keys never exceeds the
-            // keys-unknown upper bound, and unsharded they coincide.
-            let next: Vec<i64> = (0..512i64).map(|i| i * 77 % 1013).collect();
-            let routed = stem.projected_insert_bytes_routed(next.len(), &next);
-            let blind = stem.projected_insert_bytes(next.len());
-            assert!(routed <= blind, "shards {shards}: routed {routed} > blind {blind}");
-            if shards == 1 {
-                assert_eq!(routed, blind);
-            }
-        }
-    }
-
-    #[test]
-    fn oversized_single_shard_is_fully_charged() {
-        // Skew every row onto one key → one shard absorbs the whole
-        // insert. The routed projection must charge that shard for all n
-        // rows, not n/S.
-        let stem = Stem::with_shards(RelId(0), vec![ColId(0)], 2, 0, 8);
-        // One stored row per shard first: bucket tables are allocated by a
-        // shard's first insert, and the comparison below is about growth,
-        // not about who still owes its first table.
-        let global = AtomicU32::new(0);
-        let q = QuerySet::full(70);
-        let mut seeded = [false; 8];
-        for k in 0i64.. {
-            let s = stem.shard_of_key(k);
-            if !std::mem::replace(&mut seeded[s], true) {
-                stem.insert_shard(s, &[k as u32], &qcol(&[&q]), &[vec![k]], &global);
-            }
-            if seeded.iter().all(|&b| b) {
-                break;
-            }
-        }
-        let n = 4096usize;
-        let hot = vec![77i64; n];
-        let shard = stem.shard_of_key(77);
-        let routed = stem.projected_insert_bytes_routed(n, &hot);
-        let single = inner_projected_insert_bytes(&stem.shards[shard].read(), n);
-        assert_eq!(routed, single);
-        // And that is far more than an even-split estimate.
-        let even: usize =
-            stem.shards.iter().map(|s| inner_projected_insert_bytes(&s.read(), n / 8)).sum();
-        assert!(routed > even, "skewed projection {routed} ≤ even-split {even}");
-    }
-
-    #[test]
-    fn shard_routing_is_total_and_stable() {
-        for &n_shards in &[1usize, 2, 3, 8, 64] {
-            for k in -500i64..500 {
-                let s = shard_for_key(k, n_shards);
-                assert!(s < n_shards);
-                assert_eq!(s, shard_for_key(k, n_shards), "routing must be deterministic");
-            }
+            };
+            let t1 = std::thread::spawn(mk(Arc::clone(&stem_r), Arc::clone(&stem_s), trial as u32));
+            let t2 = std::thread::spawn(mk(Arc::clone(&stem_s), Arc::clone(&stem_r), trial as u32));
+            t1.join().unwrap();
+            t2.join().unwrap();
+            let matches = found.lock().unwrap();
+            assert_eq!(matches.len(), 1, "trial {trial}: {:?}", *matches);
         }
     }
 }

@@ -126,8 +126,8 @@ pub const HOT_PATHS: &[&str] = &[
     "crates/exec/src/stem.rs",
     "crates/exec/src/engine.rs",
     "crates/exec/src/output.rs",
-    // The router runs per tile of every leaf probe, under a STeM shard's
-    // read latch.
+    // The router runs per tile of every leaf probe, under a STeM's read
+    // latch.
     "crates/exec/src/router.rs",
     // The scratch arena and the pooled vector both live inside the episode
     // loop: every buffer they hand out is on the per-vector path.

@@ -81,7 +81,7 @@ pub trait Recorder: Send + Sync {
 
     /// Called once per STeM probe batch or semi-join with how many of its
     /// keys were matched through a dense-key view of a complete index and
-    /// how many along hash chains (summed over the shards visited).
+    /// how many along hash chains.
     fn record_probe_keys(&self, view_keys: u64, chain_keys: u64) {
         let _ = (view_keys, chain_keys);
     }
@@ -90,21 +90,6 @@ pub trait Recorder: Send + Sync {
     /// dense-key views (outside the governed STeM footprint).
     fn record_view_bytes(&self, bytes: u64) {
         let _ = bytes;
-    }
-
-    /// Called once per sharded-STeM sub-chunk insert with the owning shard
-    /// and the number of tuples it received (never called on unsharded
-    /// STeMs, keeping the legacy path instrumentation-free).
-    fn record_shard_insert(&self, shard: usize, tuples: u64) {
-        let _ = (shard, tuples);
-    }
-
-    /// Called after a batched probe of a sharded STeM with the number of
-    /// probe keys each visited shard saw (routed probes report the
-    /// partition histogram; secondary-index scans report the full batch
-    /// per shard).
-    fn record_shard_probe(&self, shard: usize, keys: u64) {
-        let _ = (shard, keys);
     }
 
     /// Called when a worker steals queued episode tasks from a sibling's
@@ -156,8 +141,6 @@ mod tests {
         r.record_probe_batch(64);
         r.record_probe_keys(48, 16);
         r.record_view_bytes(4096);
-        r.record_shard_insert(3, 128);
-        r.record_shard_probe(3, 64);
         r.record_steal(1);
         r.record_scratch(12, 3);
         r.record_event(1, EventKind::Admission { query: 0 });

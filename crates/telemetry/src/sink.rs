@@ -21,11 +21,6 @@ use crate::registry::MetricsRegistry;
 /// Default capacity of the structured event ring.
 pub const DEFAULT_EVENT_CAPACITY: usize = 1024;
 
-/// Per-shard STeM counters are pre-registered for this many shards (so
-/// recording never touches the registry latch); higher shard indices fold
-/// into the last slot.
-pub const TRACKED_SHARDS: usize = 8;
-
 /// A full telemetry pipeline: metrics registry + event ring + exporters.
 #[derive(Debug)]
 pub struct Telemetry {
@@ -43,8 +38,6 @@ pub struct Telemetry {
     probe_view_keys: Arc<ShardedCounter>,
     probe_chain_keys: Arc<ShardedCounter>,
     view_bytes: Arc<Gauge>,
-    shard_insert_tuples: Vec<Arc<ShardedCounter>>,
-    shard_probe_keys: Vec<Arc<ShardedCounter>>,
     steals: Arc<ShardedCounter>,
     vector_fill_permille: Arc<Histogram>,
     selection_survivors_permille: Arc<Histogram>,
@@ -116,22 +109,6 @@ impl Telemetry {
             "roulette_stem_view_bytes",
             "Resident bytes of STeM dense-key views (not part of the governed STeM footprint)",
         );
-        let shard_insert_tuples = (0..TRACKED_SHARDS)
-            .map(|s| {
-                registry.counter(
-                    &format!("roulette_stem_shard_insert_tuples_s{s}_total"),
-                    "Tuples inserted into this STeM shard (the last slot aggregates higher shard indices)",
-                )
-            })
-            .collect();
-        let shard_probe_keys = (0..TRACKED_SHARDS)
-            .map(|s| {
-                registry.counter(
-                    &format!("roulette_stem_shard_probe_keys_s{s}_total"),
-                    "Probe keys visiting this STeM shard (the last slot aggregates higher shard indices)",
-                )
-            })
-            .collect();
         let steals = registry.counter(
             "roulette_worker_steals_total",
             "Episode tasks stolen from a sibling worker's morsel queue",
@@ -221,8 +198,6 @@ impl Telemetry {
             probe_view_keys,
             probe_chain_keys,
             view_bytes,
-            shard_insert_tuples,
-            shard_probe_keys,
             steals,
             vector_fill_permille,
             selection_survivors_permille,
@@ -343,18 +318,6 @@ impl Recorder for Telemetry {
         self.view_bytes.set(bytes);
     }
 
-    fn record_shard_insert(&self, shard: usize, tuples: u64) {
-        if let Some(counter) = self.shard_insert_tuples.get(shard.min(TRACKED_SHARDS - 1)) {
-            counter.add(tuples);
-        }
-    }
-
-    fn record_shard_probe(&self, shard: usize, keys: u64) {
-        if let Some(counter) = self.shard_probe_keys.get(shard.min(TRACKED_SHARDS - 1)) {
-            counter.add(keys);
-        }
-    }
-
     fn record_steal(&self, tasks: u64) {
         self.steals.add(tasks);
     }
@@ -455,20 +418,11 @@ mod tests {
     }
 
     #[test]
-    fn shard_and_steal_counters_accumulate() {
+    fn steal_counter_accumulates() {
         let t = Telemetry::default();
-        t.record_shard_insert(0, 100);
-        t.record_shard_insert(3, 28);
-        // Shards past the tracked range fold into the last slot.
-        t.record_shard_insert(63, 5);
-        t.record_shard_probe(3, 64);
         t.record_steal(1);
         t.record_steal(2);
         let text = prom(&t);
-        assert!(text.contains("roulette_stem_shard_insert_tuples_s0_total 100"));
-        assert!(text.contains("roulette_stem_shard_insert_tuples_s3_total 28"));
-        assert!(text.contains("roulette_stem_shard_insert_tuples_s7_total 5"));
-        assert!(text.contains("roulette_stem_shard_probe_keys_s3_total 64"));
         assert!(text.contains("roulette_worker_steals_total 3"));
     }
 

@@ -3,11 +3,15 @@
 //! same results as if run alone, regardless of admission timing, because
 //! circular scans produce every (row, query) pair exactly once.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use roulette::baselines::{ExecMode, QatEngine};
 use roulette::core::{EngineConfig, QueryId};
-use roulette::exec::{EngineStats, RouletteEngine, Session};
-use roulette::query::generator::{tpcds_pool, SensitivityParams};
+use roulette::exec::{EngineStats, QueryResult, RouletteEngine, Session};
+use roulette::query::generator::{sample_batch, tpcds_pool, SchemaMode, SensitivityParams};
+use roulette::query::SpjQuery;
 use roulette::storage::datagen::tpcds;
+use roulette::storage::Catalog;
 
 #[test]
 fn staggered_admissions_match_isolated_execution() {
@@ -177,6 +181,101 @@ fn views_of_complete_stems_thaw_on_readmission_and_rebuild() {
         let out = session.finish();
         assert_eq!(out.per_query, expected, "{workers} workers");
     }
+}
+
+#[test]
+fn elided_builds_match_the_build_everything_oracle() {
+    // With pruning off the engine sets no scan ranks, scans round-robin and
+    // inserts every selected tuple: the plain symmetric join. With pruning
+    // on, `store_sales` is ranked last and scanned once every dimension is
+    // complete, so its builds are elided — same results, byte for byte, and
+    // every selected tuple accounted for exactly once. (At this scale
+    // `store_sales` is larger than every dimension; below 0.1 `date_dim` is
+    // and the fact table is built.)
+    let ds = tpcds::generate(0.2, 47);
+    for (tag, schema) in
+        [("star", SchemaMode::StoreDirect), ("snowflake", SchemaMode::SnowflakeStore)]
+    {
+        let params = SensitivityParams { schema, ..Default::default() };
+        let pool = tpcds_pool(&ds, params, 12, 51).expect("workload");
+        let queries = sample_batch(&pool, 6, &mut StdRng::seed_from_u64(53));
+        for workers in [1usize, 4] {
+            let tag = format!("{tag}, {workers} workers");
+            let cfg =
+                EngineConfig::default().with_vector_size(64).unwrap().with_workers(workers).unwrap();
+            let mut oracle_cfg = cfg.clone();
+            oracle_cfg.pruning = false;
+            let fact_rel = "store_sales";
+            let (ref_res, ref_rows, ref_stats, ref_fact) =
+                run_with_stats(&ds.catalog, &queries, &oracle_cfg, fact_rel, |_| {});
+            assert!(ref_res.iter().any(|r| r.rows > 0), "{tag}: degenerate workload");
+            assert_eq!((ref_stats.elided_tuples, ref_stats.pruned_tuples), (0, 0), "{tag}");
+            assert!(ref_fact > 0, "{tag}: the oracle must build the fact table");
+
+            // Two ways into the fact scan. Started cold, several workers race
+            // the dimensions' last episodes against the first fact vectors: a
+            // fact vector that starts while a dimension episode is still
+            // pending is built, one that starts later is elided — possibly
+            // none, if a worker is descheduled holding a queued dimension
+            // vector for the whole (short) fact scan. Stepped to the first
+            // elision, every dimension has retired before the workers start,
+            // so all of them elide, concurrently.
+            for stepped in [false, true] {
+                let tag = format!("{tag}, {}", if stepped { "stepped" } else { "cold" });
+                let (res, rows, stats, fact) =
+                    run_with_stats(&ds.catalog, &queries, &cfg, fact_rel, |s| {
+                        while stepped && s.stats().elided_tuples == 0 {
+                            assert!(s.step(), "{tag}: the batch ended before any elision");
+                        }
+                    });
+                assert_eq!(res, ref_res, "{tag}: results diverged from the oracle");
+                assert_eq!(rows, ref_rows, "{tag}: collected rows diverged from the oracle");
+                assert_eq!(
+                    stats.inserted_tuples + stats.elided_tuples + stats.pruned_tuples,
+                    ref_stats.inserted_tuples,
+                    "{tag}: a selected tuple was lost or counted twice"
+                );
+                if workers == 1 || stepped {
+                    // Every dimension episode retired before the first fact
+                    // vector ran, so no fact tuple is ever built.
+                    assert!(stats.elided_tuples > 0, "{tag}: nothing was elided");
+                    assert_eq!(fact, 0, "{tag}: the last-ranked STeM was built");
+                }
+            }
+        }
+    }
+}
+
+/// Runs `queries` through one session collecting rows; returns per-query
+/// results, each query's sorted collected rows (worker interleavings
+/// permute row order), the engine statistics and how many entries the STeM
+/// of relation `stem_of` held at the end. `warm_up` gets the session after
+/// admission and before the workers start.
+fn run_with_stats(
+    c: &Catalog,
+    queries: &[SpjQuery],
+    cfg: &EngineConfig,
+    stem_of: &str,
+    warm_up: impl FnOnce(&mut Session<'_>),
+) -> (Vec<QueryResult>, Vec<Vec<Vec<i64>>>, EngineStats, usize) {
+    let engine = RouletteEngine::new(c, cfg.clone());
+    let mut session = engine.session(queries.len());
+    session.collect_rows().unwrap();
+    for q in queries {
+        session.admit(q.clone()).unwrap();
+    }
+    warm_up(&mut session);
+    session.run();
+    let rows = (0..queries.len())
+        .map(|i| {
+            let mut r = session.take_collected(QueryId(i as u32));
+            r.sort_unstable();
+            r
+        })
+        .collect();
+    let stats = session.stats();
+    let stem_len = session.stem_len(c.relation_id(stem_of).expect("relation"));
+    (session.finish().per_query, rows, stats, stem_len)
 }
 
 /// Runs `session` one episode at a time, on the calling thread, until its

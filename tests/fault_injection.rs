@@ -279,33 +279,26 @@ fn watchdog_trips_and_preserves_results() {
     // only productive probes here are `fact` vectors probing the complete
     // `dim` — vectors whose own build is elided, so the trip, the discarded
     // outputs and the fallback replan all run on the insert-free path (no
-    // version drawn, `VERSION_ALL` probes), routed and unrouted.
-    for shards in [1usize, 8] {
-        let tight = cfg
-            .clone()
-            .with_episode_budget(Some(1), None)
-            .unwrap()
-            .with_stem_shards(shards)
-            .unwrap();
-        let engine = RouletteEngine::new(&c, tight);
-        let mut session = engine.session(3);
-        for q in workload(&c) {
-            session.admit(q).unwrap();
-        }
-        session.run();
-        let stats = session.stats();
-        assert!(stats.watchdog_trips > 0, "tight budget never tripped the watchdog");
-        assert_eq!(stats.inserted_tuples, 4, "S={shards}: only `dim` is ever built");
-        assert!(stats.elided_tuples > 0, "S={shards}: the tripped vectors were not elided");
-        let results = session.finish().per_query;
-        for (i, (r, cl)) in results.iter().zip(&clean).enumerate() {
-            assert!(r.is_complete(), "watchdog must not quarantine query {i}");
-            assert_eq!(
-                (r.rows, r.checksum),
-                (cl.rows, cl.checksum),
-                "S={shards} query {i}: fallback replan changed results"
-            );
-        }
+    // version drawn, `VERSION_ALL` probes).
+    let tight = cfg.clone().with_episode_budget(Some(1), None).unwrap();
+    let engine = RouletteEngine::new(&c, tight);
+    let mut session = engine.session(3);
+    for q in workload(&c) {
+        session.admit(q).unwrap();
+    }
+    session.run();
+    let stats = session.stats();
+    assert!(stats.watchdog_trips > 0, "tight budget never tripped the watchdog");
+    assert_eq!(stats.inserted_tuples, 4, "only `dim` is ever built");
+    assert!(stats.elided_tuples > 0, "the tripped vectors were not elided");
+    let results = session.finish().per_query;
+    for (i, (r, cl)) in results.iter().zip(&clean).enumerate() {
+        assert!(r.is_complete(), "watchdog must not quarantine query {i}");
+        assert_eq!(
+            (r.rows, r.checksum),
+            (cl.rows, cl.checksum),
+            "query {i}: fallback replan changed results"
+        );
     }
 }
 
@@ -348,6 +341,63 @@ fn memory_budget_is_never_exceeded() {
     assert!(stats.quarantined > 0, "budget this tight must evict someone");
     let results = session.finish().per_query;
     assert!(results.iter().any(|r| !r.is_complete()));
+}
+
+#[test]
+fn memory_budget_holds_when_every_insert_key_is_identical() {
+    // Every fact key is identical, so all of the build side lands on one
+    // bucket chain. `dim` is the larger relation, so `fact` is scanned
+    // first and all of it has to be built (a smaller `dim` would complete
+    // first and elide every fact insert, leaving the budget nothing to
+    // govern). The governor must charge the whole insert and engage the
+    // ladder before resident bytes pass the budget.
+    let n = 6000usize;
+    let mut c = Catalog::new();
+    let mut f = RelationBuilder::new("fact");
+    f.int64("fk", vec![7; n]);
+    f.int64("v", (0..n as i64).collect());
+    c.add(f.build()).unwrap();
+    let mut d = RelationBuilder::new("dim");
+    d.int64("pk", (0..=n as i64).collect());
+    d.int64("w", (100..=100 + n as i64).collect());
+    c.add(d.build()).unwrap();
+    let queries: Vec<SpjQuery> = (0..3)
+        .map(|i| {
+            SpjQuery::builder(&c)
+                .relation("fact")
+                .relation("dim")
+                .join(("fact", "fk"), ("dim", "pk"))
+                .range("fact", "v", i, n as i64)
+                .project("fact", "v")
+                .build()
+                .unwrap()
+        })
+        .collect();
+    let budget = 96 * 1024;
+    let cfg = EngineConfig::default()
+        .with_vector_size(64)
+        .unwrap()
+        .with_memory_budget(budget)
+        .unwrap();
+    let engine = RouletteEngine::new(&c, cfg);
+    let mut session = engine.session(queries.len());
+    for q in queries {
+        session.admit(q).unwrap();
+    }
+    let mut max_pressure = 0u8;
+    while session.step() {
+        let stats = session.stats();
+        max_pressure = max_pressure.max(stats.memory_pressure);
+        assert!(
+            stats.stem_bytes <= budget as u64,
+            "one hot key blew past the budget: {} > {budget}",
+            stats.stem_bytes
+        );
+    }
+    let stats = session.stats();
+    assert!(stats.stem_bytes <= budget as u64);
+    assert!(max_pressure >= 1, "one hot key never engaged the pressure ladder");
+    assert!(stats.quarantined > 0, "budget this tight must evict someone");
 }
 
 #[test]

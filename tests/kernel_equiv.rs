@@ -13,7 +13,7 @@
 //! row-for-row at one and four workers, including under deterministic
 //! fault injection, and the fused column-at-a-time router must match the
 //! per-row direct router (`locality_router = false`) for every leaf shape,
-//! query-set width, shard and worker count, collecting or not.
+//! query-set width and worker count, collecting or not.
 
 use roulette::core::queryset::and_into;
 use roulette::core::{ColId, EngineConfig, QueryId, QuerySet, QuerySetColumn, RelId, RowMask};
@@ -367,9 +367,9 @@ type ProbeRow = (u32, u32, Vec<u64>);
 /// A STeM over `keys` (entry `i` has vID `i` and a pseudo-random
 /// query-set), inserted in three vectors so there are three versions.
 /// Returns the STeM and the versions of the first and second vector.
-fn build_stem(keys: &[i64], capacity: usize, shards: usize) -> (Stem, u32, u32) {
+fn build_stem(keys: &[i64], capacity: usize) -> (Stem, u32, u32) {
     let width = QuerySet::full(capacity).width();
-    let stem = Stem::with_shards(RelId(0), vec![ColId(0)], width, keys.len(), shards);
+    let stem = Stem::with_capacity_hint(RelId(0), vec![ColId(0)], width, keys.len());
     let global = AtomicU32::new(0);
     let qsets = make_qsets(capacity, keys.len(), 53);
     let third = keys.len().div_ceil(3).max(1);
@@ -381,9 +381,6 @@ fn build_stem(keys: &[i64], capacity: usize, shards: usize) -> (Stem, u32, u32) 
         for i in start..start + chunk.len() {
             q.push_row_from(&qsets, i);
         }
-        // Per-vector inserts on a sharded STeM return the last shard's
-        // version; every version of this vector is ≤ it and > the
-        // previous vector's, which is all the version sweep needs.
         versions.push(stem.insert_vector(&vids, &q, &[chunk.to_vec()], &global));
     }
     let v0 = versions.first().copied().unwrap_or(0);
@@ -470,24 +467,17 @@ fn assert_probe_equivalent(
     div: Option<&QuerySet>,
 ) {
     let probe_qsets = make_qsets(capacity, probe_keys.len(), 59);
-    for shards in [1usize, 2, 8] {
-        let (stem, v0, v_mid) = build_stem(entry_keys, capacity, shards);
-        for version in [v0, v_mid, VERSION_ALL] {
-            let div_words = div.map(|d| d.words());
-            let (mut want, want_div) =
-                reference_probe(&stem, &probe_qsets, probe_keys, version, main.words(), div_words);
-            let (mut got, got_div) =
-                tiled_probe(&stem, &probe_qsets, probe_keys, version, main.words(), div_words);
-            if shards > 1 {
-                // Sharded probes visit shard-grouped: same multiset.
-                want.sort_unstable();
-                got.sort_unstable();
-            }
-            let tag = format!("{tag} cap={capacity} shards={shards} version={version}");
-            assert_eq!(want.len(), got.len(), "{tag}: match count diverged");
-            assert_eq!(want, got, "{tag}: main branch diverged from per-key probing");
-            assert_eq!(want_div, got_div, "{tag}: divergence branch diverged");
-        }
+    let (stem, v0, v_mid) = build_stem(entry_keys, capacity);
+    for version in [v0, v_mid, VERSION_ALL] {
+        let div_words = div.map(|d| d.words());
+        let (want, want_div) =
+            reference_probe(&stem, &probe_qsets, probe_keys, version, main.words(), div_words);
+        let (got, got_div) =
+            tiled_probe(&stem, &probe_qsets, probe_keys, version, main.words(), div_words);
+        let tag = format!("{tag} cap={capacity} version={version}");
+        assert_eq!(want.len(), got.len(), "{tag}: match count diverged");
+        assert_eq!(want, got, "{tag}: main branch diverged from per-key probing");
+        assert_eq!(want_div, got_div, "{tag}: divergence branch diverged");
     }
 }
 
@@ -562,7 +552,7 @@ fn tiled_probe_tile_edges() {
 fn tiled_probe_stops_when_the_consumer_says_so() {
     let capacity = 64;
     let hot: Vec<i64> = vec![5; 3 * PROBE_TILE];
-    let (stem, _, _) = build_stem(&hot, capacity, 1);
+    let (stem, _, _) = build_stem(&hot, capacity);
     let mut masks = QuerySetColumn::new(1);
     masks.push_repeat(&[u64::MAX], 4);
     let mut scratch = ProbeScratch::new();
@@ -613,10 +603,9 @@ fn walk_resumably(
 
 #[test]
 fn tiled_probe_resumed_after_every_tile_matches_an_uninterrupted_probe() {
-    // Index 0 (the routing index when sharded): even entries share 30 hot
-    // keys, odd ones have a key each, so a bucket's newest entry often
-    // holds another key than the probe row's. Index 1 (secondary, walked
-    // shard by shard): 23 keys.
+    // Index 0: even entries share 30 hot keys, odd ones have a key each, so
+    // a bucket's newest entry often holds another key than the probe row's.
+    // Index 1 (secondary): 23 keys.
     let key0 = |i: i64| if i % 2 == 0 { (i / 2) % 30 } else { 1000 + i };
     let insert = |stem: &Stem, global: &AtomicU32, base: usize, qsets: &QuerySetColumn| {
         let vids: Vec<u32> = (base..base + qsets.len()).map(|i| i as u32).collect();
@@ -635,57 +624,53 @@ fn tiled_probe_resumed_after_every_tile_matches_an_uninterrupted_probe() {
             and_into(&mut row, probe_q.row(i), main.words());
             masks.push(&row);
         }
-        for shards in [1usize, 2, 8] {
-            for index_id in [0usize, 1] {
-                // Inserted between a yield and its resume, reusing the
-                // probed keys: at a version drawn before them (any
-                // query-sets: the version hides them), and at `VERSION_ALL`
-                // carrying only query 1 (a later admission's bits).
-                for late_admission in [false, true] {
-                    let tag = format!(
-                        "cap={capacity} shards={shards} index={index_id} all={late_admission}"
-                    );
-                    let stem = Stem::with_shards(RelId(0), vec![ColId(0), ColId(1)], w, 0, shards);
-                    let global = AtomicU32::new(0);
-                    let stored = make_qsets(capacity, 3000, 53);
-                    for (c, chunk) in stored.raw().chunks(1000 * w).enumerate() {
-                        let mut q = QuerySetColumn::new(w);
-                        q.push_rows(chunk);
-                        insert(&stem, &global, c * 1000, &q);
-                    }
-                    let version = if late_admission {
-                        VERSION_ALL
-                    } else {
-                        global.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-                    };
-                    let (want, _) =
-                        walk_resumably(&stem, index_id, &probe_keys, version, &masks, None);
-                    let mut next = 3000;
-                    let mut between = |pause: usize| {
-                        // The first pause grows every shard's bucket tables.
-                        let n = if pause == 0 { 3000 } else { 40 };
-                        let late = if late_admission {
-                            let mut q = QuerySetColumn::new(w);
-                            q.push_repeat(QuerySet::singleton(QueryId(1), capacity).words(), n);
-                            q
-                        } else {
-                            make_qsets(capacity, n, 67 + pause as i64)
-                        };
-                        insert(&stem, &global, next, &late);
-                        next += n;
-                    };
-                    let (got, pauses) = walk_resumably(
-                        &stem,
-                        index_id,
-                        &probe_keys,
-                        version,
-                        &masks,
-                        Some(&mut between),
-                    );
-                    assert!(pauses >= 4, "{tag}: {pauses} pauses");
-                    assert_eq!(got.len(), want.len(), "{tag}: match count diverged");
-                    assert_eq!(got, want, "{tag}: a resumed probe diverged");
+        for index_id in [0usize, 1] {
+            // Inserted between a yield and its resume, reusing the
+            // probed keys: at a version drawn before them (any
+            // query-sets: the version hides them), and at `VERSION_ALL`
+            // carrying only query 1 (a later admission's bits).
+            for late_admission in [false, true] {
+                let tag = format!("cap={capacity} index={index_id} all={late_admission}");
+                let stem = Stem::new(RelId(0), vec![ColId(0), ColId(1)], w);
+                let global = AtomicU32::new(0);
+                let stored = make_qsets(capacity, 3000, 53);
+                for (c, chunk) in stored.raw().chunks(1000 * w).enumerate() {
+                    let mut q = QuerySetColumn::new(w);
+                    q.push_rows(chunk);
+                    insert(&stem, &global, c * 1000, &q);
                 }
+                let version = if late_admission {
+                    VERSION_ALL
+                } else {
+                    global.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+                };
+                let (want, _) =
+                    walk_resumably(&stem, index_id, &probe_keys, version, &masks, None);
+                let mut next = 3000;
+                let mut between = |pause: usize| {
+                    // The first pause grows every bucket table.
+                    let n = if pause == 0 { 3000 } else { 40 };
+                    let late = if late_admission {
+                        let mut q = QuerySetColumn::new(w);
+                        q.push_repeat(QuerySet::singleton(QueryId(1), capacity).words(), n);
+                        q
+                    } else {
+                        make_qsets(capacity, n, 67 + pause as i64)
+                    };
+                    insert(&stem, &global, next, &late);
+                    next += n;
+                };
+                let (got, pauses) = walk_resumably(
+                    &stem,
+                    index_id,
+                    &probe_keys,
+                    version,
+                    &masks,
+                    Some(&mut between),
+                );
+                assert!(pauses >= 4, "{tag}: {pauses} pauses");
+                assert_eq!(got.len(), want.len(), "{tag}: match count diverged");
+                assert_eq!(got, want, "{tag}: a resumed probe diverged");
             }
         }
     }
@@ -717,8 +702,8 @@ fn view_walks_match_chain_walks_across_freezes_and_thaws() {
     // Two identically built STeMs. `viewed` is walked at `VERSION_ALL` and
     // semi-joined, which builds dense-key views; its twin is only ever
     // walked at real versions and probed per key, which build none, so it
-    // walks its chains: the oracle. Index 0 (routing when sharded) has 500
-    // keys, index 1 has 23; both are dense in every shard.
+    // walks its chains: the oracle. Index 0 has 500 keys, index 1 has 23;
+    // both are dense.
     let insert = |stem: &Stem, global: &AtomicU32, base: usize, qsets: &QuerySetColumn| {
         let vids: Vec<u32> = (base..base + qsets.len()).map(|i| i as u32).collect();
         let keys0 = vids.iter().map(|&i| i as i64 % 500).collect();
@@ -750,119 +735,117 @@ fn view_walks_match_chain_walks_across_freezes_and_thaws() {
             stem.semijoin_batch(index_id, &probe_keys, &mut ProbeScratch::new(), &mut acc);
             acc
         };
-        for shards in [1usize, 2, 8] {
-            for index_id in [0usize, 1] {
-                let tag = format!("cap={capacity} shards={shards} index={index_id}");
-                let build = || {
-                    let stem = Stem::with_shards(RelId(0), vec![ColId(0), ColId(1)], w, 0, shards);
-                    let global = AtomicU32::new(0);
-                    let stored = make_qsets(capacity, 3000, 53);
-                    let mut last = 0;
-                    for (c, chunk) in stored.raw().chunks(1000 * w).enumerate() {
-                        let mut q = QuerySetColumn::new(w);
-                        q.push_rows(chunk);
-                        last = insert(&stem, &global, c * 1000, &q);
-                    }
-                    (stem, global, last)
-                };
-                let (viewed, global, last) = build();
-                let (chained, chained_global, _) = build();
-                // Both sides' versions run in step: one above everything
-                // stored, and the last insert's own, which hides its vector.
-                let (above, chained_above) = (draw(&global), draw(&chained_global));
-                assert_eq!(above, chained_above);
-                let oracle = walk_whole(&chained, index_id, &probe_keys, above, &masks);
-
-                // Uninterrupted, tile boundaries included: a version above
-                // the last insert finds no view yet, `VERSION_ALL` builds
-                // it, then both take it.
-                for version in [above, VERSION_ALL, above] {
-                    assert_eq!(
-                        walk_whole(&viewed, index_id, &probe_keys, version, &masks),
-                        oracle,
-                        "{tag} version={version}: the view diverged from the chains"
-                    );
+        for index_id in [0usize, 1] {
+            let tag = format!("cap={capacity} index={index_id}");
+            let build = || {
+                let stem = Stem::new(RelId(0), vec![ColId(0), ColId(1)], w);
+                let global = AtomicU32::new(0);
+                let stored = make_qsets(capacity, 3000, 53);
+                let mut last = 0;
+                for (c, chunk) in stored.raw().chunks(1000 * w).enumerate() {
+                    let mut q = QuerySetColumn::new(w);
+                    q.push_rows(chunk);
+                    last = insert(&stem, &global, c * 1000, &q);
                 }
-                assert!(viewed.view_bytes() > 0, "{tag}");
+                (stem, global, last)
+            };
+            let (viewed, global, last) = build();
+            let (chained, chained_global, _) = build();
+            // Both sides' versions run in step: one above everything
+            // stored, and the last insert's own, which hides its vector.
+            let (above, chained_above) = (draw(&global), draw(&chained_global));
+            assert_eq!(above, chained_above);
+            let oracle = walk_whole(&chained, index_id, &probe_keys, above, &masks);
+
+            // Uninterrupted, tile boundaries included: a version above
+            // the last insert finds no view yet, `VERSION_ALL` builds
+            // it, then both take it.
+            for version in [above, VERSION_ALL, above] {
                 assert_eq!(
-                    walk_whole(&viewed, index_id, &probe_keys, last, &masks),
-                    walk_whole(&chained, index_id, &probe_keys, last, &masks),
-                    "{tag}: a walk hiding the last insert diverged"
+                    walk_whole(&viewed, index_id, &probe_keys, version, &masks),
+                    oracle,
+                    "{tag} version={version}: the view diverged from the chains"
                 );
-                let mut per_key = QuerySetColumn::new(w);
-                per_key.push_repeat(&vec![0; w], probe_keys.len());
-                for (i, &k) in probe_keys.iter().enumerate() {
-                    chained.probe(index_id, k, VERSION_ALL, |qs, _| {
-                        for (acc, &word) in per_key.row_mut(i).iter_mut().zip(qs) {
-                            *acc |= word;
-                        }
-                    });
-                }
-                assert_eq!(semijoin(&viewed, index_id).raw(), per_key.raw(), "{tag}: semi-join");
-
-                // Yield after every tile, at versions above the stored
-                // entries. First walk: it starts on the chains (an insert of
-                // late bits dropped the view), the first pause freezes (a
-                // semi-join builds the view, which the resume takes), the
-                // second thaws (an insert, hidden by the version, drops it:
-                // the resume walks the chains), and so on. Second walk: it
-                // enters every shard through a view and every pause thaws,
-                // so its chain resumes fetch bucket heads it never had.
-                let (oracle, _) = oracle;
-                let mut next = 3000;
-                for freeze_first in [true, false] {
-                    insert(&viewed, &global, next, &late(1));
-                    next += 1;
-                    if !freeze_first {
-                        semijoin(&viewed, index_id);
+            }
+            assert!(viewed.view_bytes() > 0, "{tag}");
+            assert_eq!(
+                walk_whole(&viewed, index_id, &probe_keys, last, &masks),
+                walk_whole(&chained, index_id, &probe_keys, last, &masks),
+                "{tag}: a walk hiding the last insert diverged"
+            );
+            let mut per_key = QuerySetColumn::new(w);
+            per_key.push_repeat(&vec![0; w], probe_keys.len());
+            for (i, &k) in probe_keys.iter().enumerate() {
+                chained.probe(index_id, k, VERSION_ALL, |qs, _| {
+                    for (acc, &word) in per_key.row_mut(i).iter_mut().zip(qs) {
+                        *acc |= word;
                     }
-                    let version = draw(&global);
-                    let mut freeze_thaw = |pause: usize| {
-                        if freeze_first && pause.is_multiple_of(2) {
-                            semijoin(&viewed, index_id);
-                            assert!(viewed.view_bytes() > 0);
-                        } else {
-                            insert(&viewed, &global, next, &late(40));
-                            next += 40;
-                        }
-                    };
-                    let (got, pauses) = walk_resumably(
-                        &viewed,
-                        index_id,
-                        &probe_keys,
-                        version,
-                        &masks,
-                        Some(&mut freeze_thaw),
-                    );
-                    assert!(pauses >= 4, "{tag}: {pauses} pauses");
-                    assert_eq!(
-                        got, oracle,
-                        "{tag} freeze_first={freeze_first}: a versioned walk diverged \
-                         across a freeze or thaw"
-                    );
-                }
+                });
+            }
+            assert_eq!(semijoin(&viewed, index_id).raw(), per_key.raw(), "{tag}: semi-join");
 
-                // At `VERSION_ALL` every resume rebuilds the view a thaw
-                // dropped; what the thaws insert carries only late bits.
-                let mut thaw = |pause: usize| {
-                    if pause.is_multiple_of(2) {
+            // Yield after every tile, at versions above the stored
+            // entries. First walk: it starts on the chains (an insert of
+            // late bits dropped the view), the first pause freezes (a
+            // semi-join builds the view, which the resume takes), the
+            // second thaws (an insert, hidden by the version, drops it:
+            // the resume walks the chains), and so on. Second walk: it
+            // enters through a view and every pause thaws, so its chain
+            // resumes fetch bucket heads it never had.
+            let (oracle, _) = oracle;
+            let mut next = 3000;
+            for freeze_first in [true, false] {
+                insert(&viewed, &global, next, &late(1));
+                next += 1;
+                if !freeze_first {
+                    semijoin(&viewed, index_id);
+                }
+                let version = draw(&global);
+                let mut freeze_thaw = |pause: usize| {
+                    if freeze_first && pause.is_multiple_of(2) {
+                        semijoin(&viewed, index_id);
+                        assert!(viewed.view_bytes() > 0);
+                    } else {
                         insert(&viewed, &global, next, &late(40));
                         next += 40;
-                        assert_eq!(viewed.view_bytes(), 0);
                     }
                 };
                 let (got, pauses) = walk_resumably(
                     &viewed,
                     index_id,
                     &probe_keys,
-                    VERSION_ALL,
+                    version,
                     &masks,
-                    Some(&mut thaw),
+                    Some(&mut freeze_thaw),
                 );
                 assert!(pauses >= 4, "{tag}: {pauses} pauses");
-                assert_eq!(got, oracle, "{tag}: a VERSION_ALL walk diverged across a thaw");
-                assert_eq!(chained.view_bytes(), 0, "{tag}: the oracle built a view");
+                assert_eq!(
+                    got, oracle,
+                    "{tag} freeze_first={freeze_first}: a versioned walk diverged \
+                     across a freeze or thaw"
+                );
             }
+
+            // At `VERSION_ALL` every resume rebuilds the view a thaw
+            // dropped; what the thaws insert carries only late bits.
+            let mut thaw = |pause: usize| {
+                if pause.is_multiple_of(2) {
+                    insert(&viewed, &global, next, &late(40));
+                    next += 40;
+                    assert_eq!(viewed.view_bytes(), 0);
+                }
+            };
+            let (got, pauses) = walk_resumably(
+                &viewed,
+                index_id,
+                &probe_keys,
+                VERSION_ALL,
+                &masks,
+                Some(&mut thaw),
+            );
+            assert!(pauses >= 4, "{tag}: {pauses} pauses");
+            assert_eq!(got, oracle, "{tag}: a VERSION_ALL walk diverged across a thaw");
+            assert_eq!(chained.view_bytes(), 0, "{tag}: the oracle built a view");
         }
     }
 }
@@ -1040,7 +1023,7 @@ fn run_routed(
 /// Runs `queries` under the per-row oracle (`locality_router = false`,
 /// collecting) and checks the column-at-a-time router — and the oracle
 /// itself in every other configuration — against it: collecting on and
-/// off, shards 1/2/8, workers 1/4, adaptive projections on and off.
+/// off, workers 1/4, adaptive projections on and off.
 fn assert_routers_equivalent(
     tag: &str,
     c: &Catalog,
@@ -1060,28 +1043,21 @@ fn assert_routers_equivalent(
     }
     for locality in [true, false] {
         for adaptive in [true, false] {
-            for shards in [1usize, 2, 8] {
-                for workers in [1usize, 4] {
-                    for collect in [true, false] {
-                        let mut cfg = base
-                            .clone()
-                            .with_stem_shards(shards)
-                            .unwrap()
-                            .with_workers(workers)
-                            .unwrap();
-                        cfg.locality_router = locality;
-                        cfg.adaptive_projections = adaptive;
-                        let (got, got_rows) = run_routed(c, queries, capacity, &cfg, collect);
-                        let tag = format!(
-                            "{tag}: locality={locality} adaptive={adaptive} shards={shards} \
-                             workers={workers} collect={collect}"
-                        );
-                        assert_eq!(got, want, "{tag}: diverged from the per-row oracle");
-                        if collect {
-                            assert_eq!(got_rows, want_rows, "{tag}: collected rows diverged");
-                        } else {
-                            assert!(got_rows.iter().all(|r| r.is_empty()));
-                        }
+            for workers in [1usize, 4] {
+                for collect in [true, false] {
+                    let mut cfg = base.clone().with_workers(workers).unwrap();
+                    cfg.locality_router = locality;
+                    cfg.adaptive_projections = adaptive;
+                    let (got, got_rows) = run_routed(c, queries, capacity, &cfg, collect);
+                    let tag = format!(
+                        "{tag}: locality={locality} adaptive={adaptive} workers={workers} \
+                         collect={collect}"
+                    );
+                    assert_eq!(got, want, "{tag}: diverged from the per-row oracle");
+                    if collect {
+                        assert_eq!(got_rows, want_rows, "{tag}: collected rows diverged");
+                    } else {
+                        assert!(got_rows.iter().all(|r| r.is_empty()));
                     }
                 }
             }

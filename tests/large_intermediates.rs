@@ -105,52 +105,47 @@ fn handed_off_inner_outputs_match_reference_under_concurrent_inserts() {
     assert_eq!(expected[0].rows, 3000 * 64);
 
     for workers in [1usize, 4] {
-        for shards in [1usize, 8] {
-            let cfg = EngineConfig::default()
-                .with_vector_size(4096)
-                .unwrap()
-                .with_workers(workers)
-                .unwrap()
-                .with_stem_shards(shards)
-                .unwrap();
-            let tag = format!("workers {workers} shards {shards}");
-            let engine = RouletteEngine::new(&c, cfg);
-            let mut session = engine.session(2);
-            session.admit(queries[0].clone()).unwrap();
-            // One relation in; the second query re-opens every relation, so
-            // its scans insert into the STeMs the first query's expanding
-            // episodes are walking while they hand off.
-            assert!(session.step(), "{tag}");
-            session.admit(queries[1].clone()).unwrap();
-            // One observation per plan node per join phase however many
-            // hand-offs a node's output took: three probes (the queries
-            // share every edge, so plans never diverge) and the second
-            // query's selection on `r0`. A routed insert runs one join
-            // phase per shard its vector lands in. One worker is checked
-            // episode by episode, four over the run.
-            let per_episode = 4 * shards as u64;
-            let observations = |s: &roulette::exec::Session<'_>| {
-                s.with_policy(|p| p.probe()).expect("learned policy").observations
-            };
-            let mut seen = observations(&session);
-            if workers == 1 {
-                while session.step() {
-                    let now = observations(&session);
-                    assert!(
-                        now - seen <= per_episode,
-                        "{tag}: one episode made {} observations: hand-off entries reached the \
-                         policy unfolded",
-                        now - seen
-                    );
-                    seen = now;
-                }
-            } else {
-                session.run();
-                seen = observations(&session);
+        let cfg = EngineConfig::default()
+            .with_vector_size(4096)
+            .unwrap()
+            .with_workers(workers)
+            .unwrap();
+        let tag = format!("workers {workers}");
+        let engine = RouletteEngine::new(&c, cfg);
+        let mut session = engine.session(2);
+        session.admit(queries[0].clone()).unwrap();
+        // One relation in; the second query re-opens every relation, so
+        // its scans insert into the STeMs the first query's expanding
+        // episodes are walking while they hand off.
+        assert!(session.step(), "{tag}");
+        session.admit(queries[1].clone()).unwrap();
+        // One observation per plan node per join phase however many
+        // hand-offs a node's output took: three probes (the queries
+        // share every edge, so plans never diverge) and the second
+        // query's selection on `r0`. One worker is checked episode by
+        // episode, four over the run.
+        let per_episode = 4;
+        let observations = |s: &roulette::exec::Session<'_>| {
+            s.with_policy(|p| p.probe()).expect("learned policy").observations
+        };
+        let mut seen = observations(&session);
+        if workers == 1 {
+            while session.step() {
+                let now = observations(&session);
+                assert!(
+                    now - seen <= per_episode,
+                    "{tag}: one episode made {} observations: hand-off entries reached the \
+                     policy unfolded",
+                    now - seen
+                );
+                seen = now;
             }
-            let out = session.finish();
-            assert_eq!(out.per_query, expected, "{tag}");
-            assert!(seen <= per_episode * out.stats.episodes, "{tag}: {seen} observations");
+        } else {
+            session.run();
+            seen = observations(&session);
         }
+        let out = session.finish();
+        assert_eq!(out.per_query, expected, "{tag}");
+        assert!(seen <= per_episode * out.stats.episodes, "{tag}: {seen} observations");
     }
 }

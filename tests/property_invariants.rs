@@ -2,10 +2,9 @@
 //! operators, checked against straightforward set-based models.
 
 use proptest::prelude::*;
-use roulette::core::{ColId, QueryId, QuerySet, QuerySetColumn, RelId, RelSet};
-use roulette::exec::{shard_for_key, GroupedFilter, PlainFilter, Stem, VERSION_ALL};
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::AtomicU32;
+use roulette::core::{QueryId, QuerySet, RelId, RelSet};
+use roulette::exec::{GroupedFilter, PlainFilter};
+use std::collections::BTreeSet;
 
 fn qs_from(ids: &BTreeSet<u32>, capacity: usize) -> QuerySet {
     let mut s = QuerySet::empty(capacity);
@@ -123,82 +122,6 @@ proptest! {
         let sql = to_sql(&c, &q);
         let q2 = parse(&c, &sql).unwrap();
         prop_assert_eq!(q, q2);
-    }
-}
-
-/// Builds a STeM with `shards` shards, one routing index on `ColId(0)`,
-/// holding one entry per key (all owned by query 0).
-fn build_stem(keys: &[i64], shards: usize) -> Stem {
-    let q = QuerySet::full(1);
-    let mut qc = QuerySetColumn::new(q.width());
-    for _ in keys {
-        qc.push(q.words());
-    }
-    let vids: Vec<u32> = (0..keys.len() as u32).collect();
-    let stem = Stem::with_shards(RelId(0), vec![ColId(0)], q.width(), keys.len(), shards);
-    let version = AtomicU32::new(1);
-    stem.insert_vector(&vids, &qc, &[keys.to_vec()], &version);
-    stem
-}
-
-proptest! {
-    /// Shard routing is total — every key maps to a valid shard for every
-    /// legal shard count — and stable: a pure function of (key, count).
-    #[test]
-    fn shard_routing_is_total_and_stable(
-        keys in prop::collection::vec(any::<i64>(), 1..100),
-        shards in 1usize..=64,
-    ) {
-        for &k in &keys {
-            let s = shard_for_key(k, shards);
-            prop_assert!(s < shards, "key {k} routed to shard {s} of {shards}");
-            prop_assert_eq!(s, shard_for_key(k, shards), "routing is not stable for {k}");
-        }
-    }
-
-    /// Re-partitioning the same rows under a different shard count keeps
-    /// every tuple reachable through the routing index: no key's matches
-    /// are dropped or duplicated, and the shard lengths always partition
-    /// the total.
-    #[test]
-    fn resharding_preserves_every_tuple(
-        keys in prop::collection::vec(-500i64..500, 1..80),
-        s1 in 1usize..=8,
-        s2 in 1usize..=64,
-    ) {
-        let mut expected: BTreeMap<i64, usize> = BTreeMap::new();
-        for &k in &keys {
-            *expected.entry(k).or_default() += 1;
-        }
-        for &shards in &[s1, s2] {
-            let stem = build_stem(&keys, shards);
-            prop_assert_eq!(stem.len(), keys.len(), "S={} lost tuples", shards);
-            prop_assert_eq!(
-                stem.shard_lens().iter().sum::<usize>(),
-                keys.len(),
-                "S={} shard lengths do not partition the total", shards
-            );
-            for (&k, &n) in &expected {
-                let mut found = 0usize;
-                stem.probe(0, k, VERSION_ALL, |_, _| found += 1);
-                prop_assert_eq!(found, n, "S={} key {} match count diverged", shards, k);
-            }
-        }
-    }
-
-    /// Per-shard memory accounting partitions the STeM's total exactly,
-    /// so the engine's budget governor can gate on per-shard sums.
-    #[test]
-    fn shard_memory_partitions_total(
-        keys in prop::collection::vec(-500i64..500, 0..80),
-        shards in 1usize..=16,
-    ) {
-        let stem = build_stem(&keys, shards);
-        prop_assert_eq!(
-            stem.shard_memory_bytes().iter().sum::<usize>(),
-            stem.memory_bytes(),
-            "per-shard bytes do not sum to the total"
-        );
     }
 }
 

@@ -11,7 +11,7 @@
 //! * every admitted query reaches **exactly one** terminal outcome
 //!   (`Complete` or `Quarantined` with an attributed error) — a stolen
 //!   vector must neither lose its episode nor run it twice;
-//! * a wire `DRAIN` over a sharded multi-worker engine accounts every
+//! * a wire `DRAIN` over a multi-worker stealing engine accounts every
 //!   admitted query (`leaked == 0`, `admitted == terminal`).
 
 use roulette::core::{EngineConfig, Error, QueryId};
@@ -78,7 +78,7 @@ fn workload(c: &Catalog, n: usize) -> Vec<SpjQuery> {
         .collect()
 }
 
-/// Runs a sharded 4-worker session while racing threads quarantine random
+/// Runs a 4-worker session while racing threads quarantine random
 /// queries mid-flight; a tight memory budget additionally fires the
 /// engine's own eviction ladder. Afterwards every query must hold exactly
 /// one coherent terminal outcome.
@@ -90,8 +90,6 @@ fn steal_race(seed: u64, budget: Option<usize>) {
         .with_vector_size(16)
         .unwrap()
         .with_workers(4)
-        .unwrap()
-        .with_stem_shards(8)
         .unwrap()
         .with_seed(seed);
     if let Some(b) = budget {
@@ -201,7 +199,7 @@ fn run_query(addr: std::net::SocketAddr, sql: &str) -> bool {
 
 #[test]
 fn drain_over_sharded_stealing_engine_leaks_nothing() {
-    // The admission_race drain contract, re-run over the sharded
+    // The admission_race drain contract, re-run over the multi-worker
     // work-stealing engine: a wire DRAIN racing a jittered client fleet
     // must account every admitted query.
     let seed = 67u64;
@@ -209,11 +207,7 @@ fn drain_over_sharded_stealing_engine_leaks_nothing() {
     let ds = demo_dataset(11);
     let config = ServerConfig {
         batch_max: 4,
-        engine: EngineConfig::default()
-            .with_workers(4)
-            .expect("workers")
-            .with_stem_shards(8)
-            .expect("shards"),
+        engine: EngineConfig::default().with_workers(4).expect("workers"),
         ..ServerConfig::default()
     };
     let server =

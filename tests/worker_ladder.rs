@@ -1,7 +1,7 @@
-//! Worker-ladder scaling guard for the sharded, work-stealing engine.
+//! Worker-ladder scaling guard for the work-stealing engine.
 //!
 //! The fig19 harness plots the speedup curve; this test pins its shape:
-//! with sharded STeMs (S = 8) and morsel work stealing, adding workers
+//! with morsel work stealing, adding workers
 //! must never *degrade* batch throughput. On a many-core machine the
 //! ladder climbs; on a starved single-core CI box the best we can demand
 //! is that extra workers cost no more than scheduling overhead — so each
@@ -19,8 +19,7 @@ use std::time::{Duration, Instant};
 
 /// A rung must keep at least this fraction of the best smaller-rung
 /// throughput. 0.5 absorbs scheduler noise on loaded or single-core CI
-/// hosts while still catching a real collapse (the pre-sharding engine
-/// lost far more than 2x past the first rung on contended inserts).
+/// hosts while still catching a real collapse.
 const FLOOR: f64 = 0.5;
 
 fn workload() -> (Catalog, Vec<SpjQuery>) {
@@ -35,13 +34,9 @@ fn workload() -> (Catalog, Vec<SpjQuery>) {
     (ds.catalog, queries)
 }
 
-/// Best-of-3 wall time for one batch at `workers` workers, sharding on.
+/// Best-of-3 wall time for one batch at `workers` workers.
 fn best_time(c: &Catalog, queries: &[SpjQuery], workers: usize) -> Duration {
-    let cfg = EngineConfig::default()
-        .with_workers(workers)
-        .unwrap()
-        .with_stem_shards(8)
-        .unwrap();
+    let cfg = EngineConfig::default().with_workers(workers).unwrap();
     let engine = RouletteEngine::new(c, cfg);
     let mut best = Duration::MAX;
     for _ in 0..3 {
