@@ -6,8 +6,9 @@
 //! view in and out of cache, and along the hash chains), windowed-relation expiry (the
 //! streaming layer's reclamation path), three data-parallel kernels (filter
 //! masking, bulk query-set intersection, survivor compaction — DESIGN.md
-//! §14) and the router in its count-only and projected shapes. Emits `BENCH_perf.json` so
-//! successive PRs accumulate a performance trajectory.
+//! §14), the router in its count-only and projected shapes, and the
+//! control plane: admitting a 256-query batch and Q-table lookups. Emits
+//! `BENCH_perf.json` so successive PRs accumulate a performance trajectory.
 //!
 //! Usage:
 //!
@@ -29,8 +30,10 @@ use roulette_exec::{
     route, EpisodeSink, GroupedFilter, Kernels, LiveSet, MatchTile, Outputs, ProbeScratch,
     RouletteEngine, RouteScratch, Stem, Walk, VERSION_ALL,
 };
-use roulette_query::generator::chains_queries;
+use roulette_policy::{QTable, Scope};
+use roulette_query::generator::{chains_queries, tpcds_pool, SensitivityParams};
 use roulette_storage::datagen::chains::{self, ChainsParams};
+use roulette_storage::datagen::tpcds;
 use std::sync::atomic::AtomicU32;
 use std::time::{Duration, Instant};
 
@@ -382,6 +385,56 @@ fn bench_compaction(quick: bool, runs: usize) -> BenchResult {
     })
 }
 
+/// Admission alone: a 256-query batch of `batch-selective`'s shape (4-join
+/// TPC-DS-like queries at 0.1% selectivity) admitted into fresh sessions,
+/// with no episode run. Selection filters are built by the first episode
+/// that uses them (DESIGN.md §6), so they are not in this number.
+fn bench_admit_batch(quick: bool, runs: usize) -> BenchResult {
+    let ds = tpcds::generate(0.05, 5);
+    let params = SensitivityParams { selectivity: 0.001, ..SensitivityParams::default() };
+    let queries = tpcds_pool(&ds, params, 256, 17).expect("tpcds query generation");
+    let sessions = if quick { 4 } else { 16 };
+    let engine = RouletteEngine::new(&ds.catalog, EngineConfig::default());
+    bench("admit_batch_256", "queries", runs, || {
+        for _ in 0..sessions {
+            let mut session = engine.session(queries.len());
+            for q in &queries {
+                session.admit(q.clone()).expect("admission");
+            }
+            std::hint::black_box(session.n_queries());
+        }
+        (sessions * queries.len()) as u64
+    })
+}
+
+/// Q-table lookups: a table of 8 192 entries keyed by 4-word (256-query)
+/// query-sets — about the size `batch-selective` learns — probed by a fixed
+/// stream of half hits, half misses.
+fn bench_qtable_lookup(quick: bool, runs: usize) -> BenchResult {
+    let n: usize = if quick { 1 << 18 } else { 1 << 21 };
+    let mut v = 7i64;
+    let mut key = || {
+        let scope = if lcg(&mut v) % 4 == 0 { Scope(lcg(&mut v) as u32 % 8) } else { Scope::JOIN };
+        let lineage = lcg(&mut v) as u64 & 0xff;
+        let op = (lcg(&mut v) % 16) as u16;
+        let words = [lcg(&mut v) as u64, lcg(&mut v) as u64, lcg(&mut v) as u64, 1];
+        (scope, lineage, op, words)
+    };
+    let keys: Vec<_> = (0..2 * 8192).map(|_| key()).collect();
+    let mut table = QTable::new();
+    for (i, &(scope, lineage, op, words)) in keys.iter().enumerate().step_by(2) {
+        table.update(scope, lineage, op, &words, |_| -(i as f64));
+    }
+    bench("qtable_lookup", "lookups", runs, || {
+        let mut acc = 0.0;
+        for &(scope, lineage, op, words) in keys.iter().cycle().take(n) {
+            acc += table.get(scope, lineage, op, &words);
+        }
+        std::hint::black_box(acc);
+        n as u64
+    })
+}
+
 /// The engine's router ([`roulette_exec::route`], the body leaf probes and
 /// direct vectors both run) over 1024-row vectors carrying three vID
 /// columns, routed into an [`EpisodeSink`] that is flushed once at the
@@ -582,6 +635,8 @@ fn main() {
         bench_compaction(quick, runs),
         bench_routing("routing_count_only", 0, quick, runs),
         bench_routing("routing_projected", 1, quick, runs),
+        bench_admit_batch(quick, runs),
+        bench_qtable_lookup(quick, runs),
     ];
 
     let mut baseline_eps = None;

@@ -7,12 +7,12 @@
 //! workloads), sharing the circular scans and STeM state of ongoing
 //! queries.
 
-use crate::episode::{run_episode, EngineShared, FilterPair, SharedStats, TraceEntry};
+use crate::episode::{run_episode, EngineShared, SharedStats, TraceEntry};
 use crate::fault::{FaultInjector, LiveSet};
-use crate::filter::{group_queries, GroupedFilter, PlainFilter};
+use crate::filter::SelectionFilter;
 use crate::kernels::Kernels;
 use crate::output::{Outputs, QueryResult};
-use crate::profile::Profile;
+use crate::profile::{Category, Profile};
 use crate::pruning::rank_relations;
 use crate::scratch::EpisodeScratch;
 use crate::stem::Stem;
@@ -27,7 +27,7 @@ use roulette_telemetry::{EventKind, Recorder};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Vectors a worker prefetches from the shared ingestion state per refill
 /// of its morsel queue. Batching amortizes the ingestion latch (one
@@ -62,6 +62,10 @@ pub struct EngineStats {
     pub probe_ns: u64,
     /// Nanoseconds in output routing.
     pub route_ns: u64,
+    /// Nanoseconds in the policy: selection and join planning, projection
+    /// assignment and learning, latch waits included. Outside the paper's
+    /// four categories above.
+    pub plan_ns: u64,
     /// Approximate resident STeM bytes (the in-memory state that bounds
     /// the processable dataset size, §3).
     pub stem_bytes: u64,
@@ -223,7 +227,6 @@ impl<'a> RouletteEngine<'a> {
             scan_done: (0..self.catalog.len()).map(|_| AtomicBool::new(false)).collect(),
             scan_epoch: AtomicU64::new(0),
             filters: Vec::new(),
-            filter_pred_counts: Vec::new(),
             sel_owners: Vec::new(),
             full_set: QuerySet::full(capacity),
             proj_rels: Vec::new(),
@@ -277,8 +280,13 @@ pub struct Session<'a> {
     /// of that scan remains, so no insert carrying an executing vector's
     /// query bits can still arrive).
     scan_epoch: AtomicU64,
-    filters: Vec<FilterPair>,
-    filter_pred_counts: Vec<usize>,
+    /// Per-selection-group filters, aligned with
+    /// `batch.selection_groups()`. [`admit`](Self::admit) empties the slots
+    /// of the groups a query extends; an episode builds an empty slot on
+    /// first use, so a group is built once per admission wave however many
+    /// queries joined it (DESIGN.md §6).
+    filters: Vec<OnceLock<SelectionFilter>>,
+    /// Per-selection-group predicate owners (the groups' `Q_o`).
     sel_owners: Vec<QuerySet>,
     full_set: QuerySet,
     proj_rels: Vec<RelSet>,
@@ -415,8 +423,9 @@ impl<'a> Session<'a> {
     }
 
     /// Admits a query: schedules its circular scans, extends the global
-    /// join/predicate structures, and (re)builds the affected filters and
-    /// STeM indices. Processing may already be under way.
+    /// join/predicate structures and STeM indices, and marks the selection
+    /// filters it extends for rebuilding at their next use. Processing may
+    /// already be under way.
     pub fn admit(&mut self, q: SpjQuery) -> Result<QueryId> {
         if self.closed {
             return Err(Error::Capacity("session is closed to new admissions".into()));
@@ -433,6 +442,7 @@ impl<'a> Session<'a> {
             }
         }
         q.validate(self.catalog)?;
+        let ranked = (self.batch.scanned_relations(), self.batch.edges().len());
         let id = self.batch.add(q)?;
         self.live.activate(id);
         if let Some(rec) = &self.recorder {
@@ -485,32 +495,25 @@ impl<'a> Session<'a> {
             }
         }
 
-        // (Re)build filters for new or extended selection groups.
+        // Empty the filter slots of new or extended selection groups; the
+        // next episode that evaluates one builds it.
         let capacity = self.batch.capacity();
-        for (gid, group) in self.batch.selection_groups().iter().enumerate() {
-            let n_preds = group.preds.len();
-            if self.filter_pred_counts.get(gid) == Some(&n_preds) {
-                continue;
-            }
-            let pair = FilterPair {
-                grouped: GroupedFilter::build(&group.preds, capacity),
-                plain: PlainFilter::new(&group.preds, capacity),
-            };
-            let owners = group_queries(&group.preds, capacity);
-            if gid >= self.filters.len() {
-                self.filters.push(pair);
-                self.filter_pred_counts.push(n_preds);
-                self.sel_owners.push(owners);
-                continue;
-            }
-            let (Some(filter), Some(count), Some(owner)) = (
-                self.filters.get_mut(gid),
-                self.filter_pred_counts.get_mut(gid),
-                self.sel_owners.get_mut(gid),
+        let n_groups = self.batch.selection_groups().len();
+        self.filters.resize_with(n_groups, OnceLock::new);
+        self.sel_owners.resize_with(n_groups, || QuerySet::empty(capacity));
+        for p in &query.predicates {
+            let gid = self.batch.selections_of(p.rel).iter().map(|&g| g as usize).find(|&g| {
+                self.batch.selection_groups().get(g).is_some_and(|grp| grp.col == p.col)
+            });
+            let (Some(slot), Some(owners)) = (
+                gid.and_then(|g| self.filters.get_mut(g)),
+                gid.and_then(|g| self.sel_owners.get_mut(g)),
             ) else {
-                return Err(Error::Internal(format!("selection group {gid} has no filter")));
+                let defect = format!("predicate on {} has no selection group", p.rel);
+                return Err(Error::Internal(defect));
             };
-            (*filter, *count, *owner) = (pair, n_preds, owners);
+            slot.take();
+            owners.insert(id);
         }
 
         // Projection metadata.
@@ -529,7 +532,10 @@ impl<'a> Session<'a> {
             // instead of observing a half-applied admission.
             self.scan_epoch.fetch_add(1, Ordering::SeqCst);
             ing.schedule(id, query.relations);
-            if self.config.pruning {
+            // Ranks depend only on the scanned relations, the edges and
+            // static row counts: an admission that adds neither keeps them.
+            let reranked = (self.batch.scanned_relations(), self.batch.edges().len()) != ranked;
+            if self.config.pruning && reranked {
                 ing.set_ranks(&rank_relations(&self.batch, self.catalog));
             }
             self.sync_scan_flags(&ing);
@@ -885,6 +891,7 @@ impl<'a> Session<'a> {
             build_ns,
             probe_ns,
             route_ns,
+            plan_ns: self.profile.get(Category::Plan),
             stem_bytes: self
                 .stems
                 .iter()

@@ -15,6 +15,7 @@
 //! policy.
 
 use crate::fault::{FaultInjector, FaultSite, LiveSet};
+use crate::filter::SelectionFilter;
 use crate::kernels::{pairs, Kernels};
 use crate::output::Outputs;
 use crate::planner::{
@@ -34,16 +35,8 @@ use roulette_query::QueryBatch;
 use roulette_storage::{Catalog, IngestVector};
 use roulette_telemetry::{EpisodeSample, EventKind, Recorder};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
-
-/// Grouped + plain evaluation strategies for one selection group.
-#[derive(Debug, Clone)]
-pub struct FilterPair {
-    /// Range-based lookup table (§5.1).
-    pub grouped: crate::filter::GroupedFilter,
-    /// Per-query fallback (ablation baseline).
-    pub plain: crate::filter::PlainFilter,
-}
 
 /// Engine-wide counters shared across workers.
 #[derive(Debug, Default)]
@@ -91,7 +84,10 @@ pub struct EngineShared<'a> {
     /// Per-relation STeMs (None for unscanned relations).
     pub stems: &'a [Option<Stem>],
     /// Per-selection-group filters (aligned with `batch.selection_groups`).
-    pub filters: &'a [FilterPair],
+    /// Admission empties the slots of the groups it extends; the first
+    /// episode that evaluates an empty slot builds its filter
+    /// (DESIGN.md §6).
+    pub filters: &'a [OnceLock<SelectionFilter>],
     /// Per-selection-group predicate owners.
     pub sel_owners: &'a [QuerySet],
     /// The capacity-wide full query-set.
@@ -319,6 +315,7 @@ pub fn run_episode(
     let sspace = SelectionSpace::new(batch, rel, shared.sel_owners, shared.full_set);
 
     // --- Planning (policy latch held across the episode's decisions) ----
+    let t_plan = Instant::now();
     let (sel_order, mut join_plan, estimate) = {
         let mut p = policy.lock();
         let sel_order = plan_selection_phase(&sspace, &mut **p, rel, &queries);
@@ -337,6 +334,7 @@ pub fn run_episode(
         shared.projections,
         shared.config.adaptive_projections,
     );
+    shared.profile.add(Category::Plan, t_plan.elapsed().as_nanos() as u64);
 
     let mut vec = scratch.take_vector(queries.width());
     let scan_col = scratch.take_col();
@@ -361,11 +359,16 @@ pub fn run_episode(
         }
         let gid = groups.get(op as usize).map(|&g| g as usize);
         let group = gid.and_then(|g| batch.selection_groups().get(g));
-        let (Some(group), Some(filter)) = (group, gid.and_then(|g| shared.filters.get(g))) else {
+        let (Some(group), Some(slot)) = (group, gid.and_then(|g| shared.filters.get(g))) else {
             let defect = format!("selection operator {op} of {rel} has no filter");
             abandon_vector(shared, &queries, &mut vec, &defect);
             break;
         };
+        // Built once per admission wave, by whichever episode needs it
+        // first; concurrent first users wait for that one build.
+        let filter = slot.get_or_init(|| {
+            SelectionFilter::build(&group.preds, batch.capacity(), shared.config.grouped_filters)
+        });
         let Some(vids) = vec.vids_of(rel) else {
             orphan_vector(shared, rel, &queries, &mut vec);
             break;
@@ -374,21 +377,17 @@ pub fn run_episode(
         let n_in = vec.len();
         // Whole-column kernel evaluation: segment lookup + qset AND + packed
         // survivor mask in one pass, then mask-driven compaction.
-        if shared.config.grouped_filters {
-            shared.kernels.filter_grouped(
-                &filter.grouped,
-                &scratch.values,
-                &mut vec.qsets,
-                &mut scratch.keep,
-            );
-        } else {
-            shared.kernels.filter_plain(
-                &filter.plain,
+        match filter {
+            SelectionFilter::Grouped(f) => {
+                shared.kernels.filter_grouped(f, &scratch.values, &mut vec.qsets, &mut scratch.keep)
+            }
+            SelectionFilter::Plain(f) => shared.kernels.filter_plain(
+                f,
                 &scratch.values,
                 &mut scratch.mask,
                 &mut vec.qsets,
                 &mut scratch.keep,
-            );
+            ),
         }
         vec.retain_mask(&scratch.keep, shared.kernels);
         log.push_reused(
@@ -539,6 +538,7 @@ pub fn run_episode(
                 }
                 sink.reset();
                 log.truncate(log_mark);
+                let t_replan = Instant::now();
                 let mut fb_plan = {
                     let mut fb = shared.fallback.lock();
                     plan_join_phase(batch, &jspace, &mut *fb, rel, &queries)
@@ -550,6 +550,7 @@ pub fn run_episode(
                     shared.projections,
                     shared.config.adaptive_projections,
                 );
+                shared.profile.add(Category::Plan, t_replan.elapsed().as_nanos() as u64);
                 let mut unbounded = JoinGuard::unbounded();
                 exec_join(shared, &fb_plan, &vec, version, log, &mut sink, &mut unbounded, scratch);
             }
@@ -570,6 +571,7 @@ pub fn run_episode(
         .map(|e| e.n_out)
         .sum();
     shared.stats.join_tuples.fetch_add(join_out, Ordering::Relaxed);
+    let t_learn = Instant::now();
     {
         let mut p = policy.lock();
         // Reverse order: children before parents, so bootstrapped values
@@ -596,6 +598,7 @@ pub fn run_episode(
             }
         }
     }
+    shared.profile.add(Category::Plan, t_learn.elapsed().as_nanos() as u64);
 
     // --- Telemetry ---------------------------------------------------------
     if let Some(rec) = shared.recorder {

@@ -8,9 +8,10 @@
 //! predicate boundaries, so evaluating a tuple is one binary search —
 //! logarithmic in the number of queries.
 //!
-//! [`PlainFilter`] is the per-query fallback used by the Fig. 18 ablation.
+//! [`PlainFilter`] is the per-query fallback used by the Fig. 18 ablation;
+//! [`SelectionFilter`] is whichever of the two a session evaluates.
 
-use roulette_core::{QueryId, QuerySet};
+use roulette_core::QueryId;
 
 /// Precomputed range → predicate-result-bitset lookup table for one
 /// `(relation, column)` selection group.
@@ -66,8 +67,74 @@ fn jump_buckets(n_boundaries: usize, span: u64) -> usize {
 impl GroupedFilter {
     /// Builds the table from per-query inclusive ranges; `capacity` is the
     /// batch's query-id capacity.
+    ///
+    /// Segment 0 is decided by one sample value below the first boundary.
+    /// Every later segment starts at a boundary, and a predicate changes
+    /// truth only where one of its own bounds (`lo`, `hi + 1`) is, so the
+    /// masks of segments ≥ 1 come from one sweep over those events with a
+    /// running bitset: O(k log k + segments × words) for k predicates,
+    /// instead of testing every predicate against every segment.
     pub fn build(preds: &[(QueryId, i64, i64)], capacity: usize) -> Self {
         let words = roulette_core::queryset::words_for(capacity.max(1));
+        let boundaries = Self::boundaries(preds);
+        let n_segments = boundaries.len() + 1;
+        let mut masks = Vec::with_capacity(n_segments * words);
+        masks.resize(words, u64::MAX);
+        // A representative value inside segment 0; segments never straddle
+        // a predicate boundary, so one sample decides.
+        let sample = boundaries.first().map_or(0, |&b| b.saturating_sub(1));
+        for &(q, lo, hi) in preds {
+            if sample < lo || sample > hi {
+                masks[q.index() / 64] &= !(1u64 << (q.index() % 64));
+            }
+        }
+
+        // The segment a boundary value opens (it is always present).
+        let seg_at = |v: i64| boundaries.partition_point(|&b| b < v) + 1;
+        // `(segment, query, becomes satisfied)`: a predicate holds from the
+        // segment its `lo` opens up to, but not including, the one its
+        // `hi + 1` opens.
+        let mut events: Vec<(usize, usize, bool)> = Vec::with_capacity(preds.len() * 2);
+        // `unmet[q]`: how many of query `q`'s predicates fail in the current
+        // segment. Its bit is set exactly when none does, so a query with
+        // several predicates in the group gets their conjunction, and the
+        // events of one segment may apply in any order. An empty range
+        // (`lo > hi`) meets its clear before its set, so it never holds.
+        let mut unmet = vec![0u32; words * 64];
+        let mut run = vec![u64::MAX; words];
+        for &(q, lo, hi) in preds {
+            let q = q.index();
+            unmet[q] += 1;
+            run[q / 64] &= !(1u64 << (q % 64));
+            events.push((seg_at(lo), q, true));
+            if hi < i64::MAX {
+                events.push((seg_at(hi + 1), q, false));
+            }
+        }
+        events.sort_unstable_by_key(|e| e.0);
+        let mut events = events.into_iter().peekable();
+        for seg in 1..n_segments {
+            while let Some((_, q, met)) = events.next_if(|e| e.0 == seg) {
+                if met {
+                    unmet[q] -= 1;
+                } else {
+                    unmet[q] += 1;
+                }
+                let bit = 1u64 << (q % 64);
+                if unmet[q] == 0 {
+                    run[q / 64] |= bit;
+                } else {
+                    run[q / 64] &= !bit;
+                }
+            }
+            masks.extend_from_slice(&run);
+        }
+        Self::from_table(boundaries, masks, words)
+    }
+
+    /// The sorted distinct cut points of `preds`: every `lo`, and every
+    /// `hi + 1` that does not overflow.
+    fn boundaries(preds: &[(QueryId, i64, i64)]) -> Vec<i64> {
         let mut boundaries: Vec<i64> = Vec::with_capacity(preds.len() * 2);
         for &(_, lo, hi) in preds {
             boundaries.push(lo);
@@ -77,12 +144,32 @@ impl GroupedFilter {
         }
         boundaries.sort_unstable();
         boundaries.dedup();
+        boundaries
+    }
 
+    /// Wraps a finished `(boundaries, masks)` table with its search
+    /// accelerator.
+    fn from_table(boundaries: Vec<i64>, masks: Vec<u64>, words: usize) -> Self {
+        let (jump, jump_umin, jump_span, jump_scale) = Self::build_jump(&boundaries);
+        let jump_bounds = if jump.is_empty() {
+            Vec::new()
+        } else {
+            let mut jb = boundaries.clone();
+            jb.extend([0i64; 4]);
+            jb
+        };
+        GroupedFilter { boundaries, masks, words, jump, jump_bounds, jump_umin, jump_span, jump_scale }
+    }
+
+    /// The construction the sweep replaces, kept as its test oracle: every
+    /// segment tests every predicate against the segment's sample value.
+    #[cfg(test)]
+    fn build_quadratic(preds: &[(QueryId, i64, i64)], capacity: usize) -> Self {
+        let words = roulette_core::queryset::words_for(capacity.max(1));
+        let boundaries = Self::boundaries(preds);
         let n_segments = boundaries.len() + 1;
         let mut masks = vec![u64::MAX; n_segments * words];
         for seg in 0..n_segments {
-            // A representative value inside the segment; segments never
-            // straddle a predicate boundary, so one sample decides.
             let sample = if seg == 0 {
                 boundaries.first().map_or(0, |&b| b.saturating_sub(1))
             } else {
@@ -95,15 +182,7 @@ impl GroupedFilter {
                 }
             }
         }
-        let (jump, jump_umin, jump_span, jump_scale) = Self::build_jump(&boundaries);
-        let jump_bounds = if jump.is_empty() {
-            Vec::new()
-        } else {
-            let mut jb = boundaries.clone();
-            jb.extend([0i64; 4]);
-            jb
-        };
-        GroupedFilter { boundaries, masks, words, jump, jump_bounds, jump_umin, jump_span, jump_scale }
+        Self::from_table(boundaries, masks, words)
     }
 
     /// Builds the bucket jump table: a histogram of boundary bucket
@@ -251,14 +330,26 @@ impl PlainFilter {
     }
 }
 
-/// Builds the set of queries that have a predicate in a group (callers
-/// combine with satisfied masks for bookkeeping/diagnostics).
-pub fn group_queries(preds: &[(QueryId, i64, i64)], capacity: usize) -> QuerySet {
-    let mut qs = QuerySet::empty(capacity);
-    for &(q, _, _) in preds {
-        qs.insert(q);
+/// One selection group's filter, in the one form the session evaluates:
+/// the grouped lookup table, or per-query evaluation when
+/// `EngineConfig::grouped_filters` is off (the Fig. 18 ablation).
+#[derive(Debug, Clone)]
+pub enum SelectionFilter {
+    /// Range-based lookup table (§5.1).
+    Grouped(GroupedFilter),
+    /// Per-query evaluation (ablation baseline).
+    Plain(PlainFilter),
+}
+
+impl SelectionFilter {
+    /// Builds the group's filter in the form `grouped` selects.
+    pub fn build(preds: &[(QueryId, i64, i64)], capacity: usize, grouped: bool) -> Self {
+        if grouped {
+            SelectionFilter::Grouped(GroupedFilter::build(preds, capacity))
+        } else {
+            SelectionFilter::Plain(PlainFilter::new(preds, capacity))
+        }
     }
-    qs
 }
 
 #[cfg(test)]
@@ -389,11 +480,38 @@ mod tests {
         }
     }
 
+    /// The sweep against the quadratic construction it replaced: byte-equal
+    /// boundaries and masks over random predicate sets with extreme and
+    /// empty ranges, repeated queries, empty groups, and capacities from one
+    /// word to several.
     #[test]
-    fn group_queries_collects_predicate_owners() {
-        let qs = group_queries(&fig8_preds(), 3);
-        assert!(qs.contains(QueryId(0)));
-        assert!(!qs.contains(QueryId(1)));
-        assert!(qs.contains(QueryId(2)));
+    fn sweep_build_matches_quadratic_oracle() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5eed_f117);
+        for case in 0..3000usize {
+            let capacity = rng.gen_range(1..=300usize);
+            let n_preds = if case % 10 == 0 { 0 } else { rng.gen_range(1..=capacity.min(80)) };
+            let span = [8i64, 1000, 1 << 40][case % 3];
+            let bound = |rng: &mut StdRng| match rng.gen_range(0..10) {
+                0 => i64::MIN,
+                1 => i64::MAX,
+                2 => i64::MIN + 1,
+                3 => i64::MAX - 1,
+                _ => rng.gen_range(-span..=span),
+            };
+            let preds: Vec<(QueryId, i64, i64)> = (0..n_preds)
+                .map(|_| {
+                    let q = QueryId(rng.gen_range(0..capacity) as u32);
+                    let (a, b) = (bound(&mut rng), bound(&mut rng));
+                    // Mostly ordered ranges; now and then an empty one.
+                    let (lo, hi) = if rng.gen_ratio(1, 8) { (a, b) } else { (a.min(b), a.max(b)) };
+                    (q, lo, hi)
+                })
+                .collect();
+            let sweep = GroupedFilter::build(&preds, capacity);
+            let oracle = GroupedFilter::build_quadratic(&preds, capacity);
+            assert_eq!(sweep.table(), oracle.table(), "case {case}: {preds:?}");
+        }
     }
 }

@@ -35,9 +35,9 @@ pub mod vector;
 pub use engine::{
     pressure_from_usage, BatchOutcome, EngineStats, PressureLevel, RouletteEngine, Session,
 };
-pub use episode::{EngineShared, FilterPair, SharedStats, TraceEntry};
+pub use episode::{EngineShared, SharedStats, TraceEntry};
 pub use fault::{FaultInjector, FaultKind, FaultSite, LiveSet};
-pub use filter::{GroupedFilter, PlainFilter};
+pub use filter::{GroupedFilter, PlainFilter, SelectionFilter};
 pub use kernels::{KernelMode, Kernels, Partition};
 pub use output::{row_hash, CompletionStatus, Outputs, QueryResult};
 pub use planner::{JoinNode, Leaf, ProbeNode};

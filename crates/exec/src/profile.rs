@@ -1,5 +1,6 @@
 //! Execution-time breakdown counters (Figs. 17–18's Filter/Build/Probe/
-//! Route profile).
+//! Route profile), plus the policy's own time ([`Category::Plan`]), which
+//! the paper's figures leave out.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -15,6 +16,11 @@ pub enum Category {
     Probe,
     /// Output routing.
     Route,
+    /// The policy's decisions and learning: selection and join planning,
+    /// projection assignment, and the fold of the episode's log into the
+    /// policy, each timed from before its policy-latch acquisition (so
+    /// latch waits count here too). Not one of the paper's four.
+    Plan,
 }
 
 /// Thread-safe accumulated nanoseconds per category.
@@ -24,6 +30,7 @@ pub struct Profile {
     build_ns: AtomicU64,
     probe_ns: AtomicU64,
     route_ns: AtomicU64,
+    plan_ns: AtomicU64,
 }
 
 impl Profile {
@@ -53,7 +60,8 @@ impl Profile {
         self.counter(cat).load(Ordering::Relaxed)
     }
 
-    /// `(filter, build, probe, route)` nanoseconds.
+    /// `(filter, build, probe, route)` nanoseconds: the paper's four
+    /// categories.
     pub fn breakdown(&self) -> (u64, u64, u64, u64) {
         (
             self.get(Category::Filter),
@@ -69,6 +77,7 @@ impl Profile {
             Category::Build => &self.build_ns,
             Category::Probe => &self.probe_ns,
             Category::Route => &self.route_ns,
+            Category::Plan => &self.plan_ns,
         }
     }
 }
@@ -83,7 +92,9 @@ mod tests {
         p.add(Category::Probe, 100);
         p.add(Category::Probe, 50);
         p.add(Category::Route, 7);
+        p.add(Category::Plan, 3);
         assert_eq!(p.get(Category::Probe), 150);
+        assert_eq!(p.get(Category::Plan), 3);
         assert_eq!(p.breakdown(), (0, 0, 150, 7));
     }
 

@@ -140,18 +140,22 @@ impl Policy for QLearningPolicy {
         _space: &dyn PlanSpace,
     ) -> OpId {
         debug_assert!(!candidates.is_empty());
+        // Callers only ask with candidates; with none, op 0 is as good an
+        // answer as any and draws nothing.
+        let Some(&first) = candidates.first() else { return 0 };
         self.introspection.decisions += 1;
         // Sporadic random decisions guarantee that all state-action pairs
         // keep being visited (Q-learning's convergence requirement).
         if self.rng.gen_bool(self.epsilon) {
             self.introspection.explorations += 1;
-            return candidates[self.rng.gen_range(0..candidates.len())];
+            let pick = self.rng.gen_range(0..candidates.len());
+            return candidates.get(pick).copied().unwrap_or(first);
         }
         // Argmax with uniform random tie-breaking: under optimistic
         // initialization many candidates share the maximal value 0, and a
         // deterministic tie-break would explore them in an arbitrary fixed
         // order.
-        let mut best = candidates[0];
+        let mut best = first;
         let mut best_v = f64::NEG_INFINITY;
         let mut ties = 0u32;
         for &op in candidates {

@@ -64,12 +64,13 @@ fn main() {
     let stats = session.stats();
     println!(
         "\nengine: {} episodes | {} join tuples | filter {:.1}ms, build {:.1}ms, \
-         probe {:.1}ms, route {:.1}ms",
+         probe {:.1}ms, route {:.1}ms | policy {:.1}ms",
         stats.episodes,
         stats.join_tuples,
         stats.filter_ns as f64 / 1e6,
         stats.build_ns as f64 / 1e6,
         stats.probe_ns as f64 / 1e6,
         stats.route_ns as f64 / 1e6,
+        stats.plan_ns as f64 / 1e6,
     );
 }

@@ -11,7 +11,7 @@ use roulette::exec::{EngineStats, QueryResult, RouletteEngine, Session};
 use roulette::query::generator::{sample_batch, tpcds_pool, SchemaMode, SensitivityParams};
 use roulette::query::SpjQuery;
 use roulette::storage::datagen::tpcds;
-use roulette::storage::Catalog;
+use roulette::storage::{Catalog, RelationBuilder};
 
 #[test]
 fn staggered_admissions_match_isolated_execution() {
@@ -283,5 +283,83 @@ fn run_with_stats(
 fn step_until(session: &mut Session<'_>, what: &str, done: impl Fn(&EngineStats) -> bool) {
     while !done(&session.stats()) {
         assert!(session.step(), "ran out of work before {what}");
+    }
+}
+
+#[test]
+fn admission_extending_a_built_filter_group_matches_isolated_execution() {
+    // Selection filters are built by the first episode that evaluates them
+    // and rebuilt after an admission extends their group. Here the late
+    // queries put predicates on `dim.w` and `fact.v`, whose filters the
+    // first query's episodes have already built: once mid-run and once
+    // after the session drained. Driven by `step()` and by `run_workers()`
+    // (the serving frontend's path, which never calls `run` or `step`), at
+    // 1 and 4 workers, for both filter forms.
+    let mut c = Catalog::new();
+    let mut d = RelationBuilder::new("dim");
+    d.int64("pk", (0..2_000).collect());
+    d.int64("w", (0..2_000).map(|i| i * 7 % 1_000).collect());
+    c.add(d.build()).unwrap();
+    let mut f = RelationBuilder::new("fact");
+    f.int64("fk", (0..20_000).map(|i| i % 2_500).collect());
+    f.int64("v", (0..20_000).map(|i| i * 13 % 997).collect());
+    c.add(f.build()).unwrap();
+    let query = |w: (i64, i64), v: (i64, i64), project: bool| {
+        let b = SpjQuery::builder(&c)
+            .relation("fact")
+            .relation("dim")
+            .join(("fact", "fk"), ("dim", "pk"))
+            .range("dim", "w", w.0, w.1)
+            .range("fact", "v", v.0, v.1);
+        let b = if project { b.project("fact", "v").project("dim", "w") } else { b };
+        b.build().unwrap()
+    };
+    let first = query((100, 600), (0, 500), false);
+    let mid_run = query((400, 900), (200, 900), true);
+    let after_drain = [query((0, 50), (450, 460), false), query((650, 650), (0, 996), true)];
+    let qat = QatEngine::new(&c, ExecMode::Vectorized, 1);
+    let mut expected = vec![qat.execute(&first), qat.execute(&mid_run)];
+    expected.extend(after_drain.iter().map(|q| qat.execute(q)));
+    assert!(expected.iter().all(|r| r.rows > 0), "degenerate workload: {expected:?}");
+
+    for grouped_filters in [true, false] {
+        for workers in [1usize, 4] {
+            for stepped in [true, false] {
+                let tag = format!(
+                    "grouped_filters={grouped_filters}, {workers} workers, {}",
+                    if stepped { "step()" } else { "run_workers()" }
+                );
+                let mut cfg = EngineConfig::default()
+                    .with_vector_size(128)
+                    .unwrap()
+                    .with_workers(workers)
+                    .unwrap();
+                cfg.grouped_filters = grouped_filters;
+                let engine = RouletteEngine::new(&c, cfg);
+                let mut session = engine.session(expected.len());
+                let drain = |s: &mut Session<'_>| {
+                    if stepped {
+                        while s.step() {}
+                    } else {
+                        s.run_workers();
+                    }
+                };
+                let a = session.admit(first.clone()).unwrap();
+                // `dim` is ranked first: 16 episodes scan it, the rest scan
+                // `fact`, so both groups' filters exist after these.
+                for _ in 0..24 {
+                    assert!(session.step(), "{tag}: ran out of work");
+                }
+                assert!(session.query_active(a), "{tag}: the first query already finished");
+                session.admit(mid_run.clone()).unwrap();
+                drain(&mut session);
+                for q in &after_drain {
+                    session.admit(q.clone()).unwrap();
+                }
+                drain(&mut session);
+                let out = session.finish();
+                assert_eq!(out.per_query, expected, "{tag}");
+            }
+        }
     }
 }

@@ -242,7 +242,8 @@ fn handed_off_time_is_booked_once() {
     // probe, so inner probes hand their output on mid-walk and the
     // hand-offs nest. Each level's filter / build / probe / route time is
     // booked by the level that spent it; booked twice, the categories of
-    // this probe-bound run would add up to more than its wall time.
+    // this probe-bound run would add up to more than its wall time. The
+    // policy's own time (`plan_ns`) is booked beside them, never inside.
     let mut c = Catalog::new();
     let links: [(&str, &[&str]); 4] =
         [("r0", &["a"]), ("r1", &["a", "b"]), ("r2", &["b", "c"]), ("r3", &["c"])];
@@ -269,7 +270,7 @@ fn handed_off_time_is_booked_once() {
     let wall_ns = t0.elapsed().as_nanos() as u64;
     assert_eq!(out.per_query[0].rows, 1024 * 8 * 8 * 8);
     let s = &out.stats;
-    let booked = s.filter_ns + s.build_ns + s.probe_ns + s.route_ns;
+    let booked = s.filter_ns + s.build_ns + s.probe_ns + s.route_ns + s.plan_ns;
     assert!(booked <= wall_ns, "{booked} ns booked in {wall_ns} ns of wall time");
-    assert!(s.probe_ns > 0 && s.route_ns > 0);
+    assert!(s.probe_ns > 0 && s.route_ns > 0 && s.plan_ns > 0);
 }
