@@ -7,8 +7,9 @@
 //! streaming layer's reclamation path), three data-parallel kernels (filter
 //! masking, bulk query-set intersection, survivor compaction — DESIGN.md
 //! §14), the router in its count-only and projected shapes, and the
-//! control plane: admitting a 256-query batch and Q-table lookups. Emits
-//! `BENCH_perf.json` so successive PRs accumulate a performance trajectory.
+//! control plane: admitting a 256-query batch, planning a 256-query join
+//! phase, and Q-table lookups. Emits `BENCH_perf.json` so successive PRs
+//! accumulate a performance trajectory.
 //!
 //! Usage:
 //!
@@ -26,12 +27,14 @@
 
 use roulette_core::{ColId, EngineConfig, QueryId, QuerySet, QuerySetColumn, RelId, RowMask};
 use roulette_bench::routing::{routing_fixture, SHAPES};
+use roulette_exec::planner::plan_join_phase;
 use roulette_exec::{
-    route, EpisodeSink, GroupedFilter, Kernels, LiveSet, MatchTile, Outputs, ProbeScratch,
-    RouletteEngine, RouteScratch, Stem, Walk, VERSION_ALL,
+    kernels, route, EpisodeSink, GroupedFilter, JoinSpace, LiveSet, MatchTile, Outputs,
+    ProbeScratch, RouletteEngine, RouteScratch, Stem, Walk, VERSION_ALL,
 };
-use roulette_policy::{QTable, Scope};
+use roulette_policy::{QTable, RandomPolicy, Scope};
 use roulette_query::generator::{chains_queries, tpcds_pool, SensitivityParams};
+use roulette_query::QueryBatch;
 use roulette_storage::datagen::chains::{self, ChainsParams};
 use roulette_storage::datagen::tpcds;
 use std::sync::atomic::AtomicU32;
@@ -301,7 +304,6 @@ fn bench_filter_mask(quick: bool, runs: usize) -> BenchResult {
         .collect();
     let filter = GroupedFilter::build(&preds, capacity);
     let full = QuerySet::full(capacity);
-    let kernels = Kernels::from_config(&EngineConfig::default());
     let mut v = 1i64;
     let values: Vec<i64> = (0..n).map(|_| lcg(&mut v) % 1200).collect();
     bench("filter_mask", "values", runs, || {
@@ -311,7 +313,7 @@ fn bench_filter_mask(quick: bool, runs: usize) -> BenchResult {
         for chunk in values.chunks(1024) {
             qsets.clear();
             qsets.push_repeat(full.words(), chunk.len());
-            kernels.filter_grouped(&filter, chunk, &mut qsets, &mut keep);
+            kernels::filter_grouped(&filter, chunk, &mut qsets, &mut keep);
             acc += keep.count() as u64;
         }
         std::hint::black_box(acc);
@@ -328,7 +330,6 @@ fn bench_qset_and(quick: bool, runs: usize) -> BenchResult {
     // Row template and per-row masks: dense-ish sets, ~half bits survive.
     let template: Vec<u64> = (0..1024 * wps).map(|_| lcg(&mut v) as u64 | 1).collect();
     let masks: Vec<u64> = (0..1024 * wps).map(|_| lcg(&mut v) as u64).collect();
-    let kernels = Kernels::from_config(&EngineConfig::default());
     bench("qset_and", "rows", runs, || {
         let mut qsets = QuerySetColumn::new(wps);
         let mut keep = RowMask::new();
@@ -336,7 +337,7 @@ fn bench_qset_and(quick: bool, runs: usize) -> BenchResult {
         for _ in 0..n / 1024 {
             qsets.clear();
             qsets.push_rows(&template);
-            kernels.qset_and(&mut qsets, &masks, &mut keep);
+            kernels::qset_and(&mut qsets, &masks, &mut keep);
             acc += keep.count() as u64;
         }
         std::hint::black_box(acc);
@@ -362,7 +363,6 @@ fn bench_compaction(quick: bool, runs: usize) -> BenchResult {
             keep.set(i);
         }
     }
-    let kernels = Kernels::from_config(&EngineConfig::default());
     bench("compaction", "rows", runs, || {
         let mut v0 = Vec::new();
         let mut v1 = Vec::new();
@@ -375,9 +375,9 @@ fn bench_compaction(quick: bool, runs: usize) -> BenchResult {
             v1.extend_from_slice(&tv1);
             qsets.clear();
             qsets.push_rows(&tq);
-            kernels.compact_u32(&mut v0, &keep);
-            kernels.compact_u32(&mut v1, &keep);
-            kernels.compact_qsets(&mut qsets, &keep);
+            kernels::compact_u32(&mut v0, &keep);
+            kernels::compact_u32(&mut v1, &keep);
+            kernels::compact_qsets(&mut qsets, &keep);
             acc += v0.len() as u64;
         }
         std::hint::black_box(acc);
@@ -404,6 +404,31 @@ fn bench_admit_batch(quick: bool, runs: usize) -> BenchResult {
             std::hint::black_box(session.n_queries());
         }
         (sessions * queries.len()) as u64
+    })
+}
+
+/// Join-phase planning alone: `plan_join_phase` (Algorithm 1) for the
+/// fact table of a 256-query TPC-DS-like batch carrying every query, with
+/// `RandomPolicy` making the decisions, so the number is the planner's
+/// own cost — plan-tree construction and query-set work — not a learner's.
+fn bench_plan_join(quick: bool, runs: usize) -> BenchResult {
+    let ds = tpcds::generate(0.05, 3);
+    let queries =
+        tpcds_pool(&ds, SensitivityParams::default(), 256, 5).expect("tpcds query generation");
+    let batch = QueryBatch::from_queries(ds.catalog.len(), &queries).expect("query batch");
+    let space = JoinSpace::new(&batch);
+    let root = ds.meta.store().fact;
+    let all = QuerySet::full(queries.len());
+    let plans = if quick { 64 } else { 512 };
+    bench("plan_join_256", "plans", runs, || {
+        // A fresh, fixed-seed policy per run: every run plans the same trees.
+        let mut policy = RandomPolicy::new(9);
+        let mut nodes = 0;
+        for _ in 0..plans {
+            nodes += plan_join_phase(&batch, &space, &mut policy, root, &all).probe_count();
+        }
+        std::hint::black_box(nodes);
+        plans
     })
 }
 
@@ -445,7 +470,6 @@ fn bench_routing(name: &'static str, shape: usize, quick: bool, runs: usize) -> 
     const ROWS: usize = 1024;
     let n: usize = if quick { 1 << 15 } else { 1 << 18 };
     let fx = routing_fixture(capacity, density, projected, ROWS);
-    let kernels = Kernels::from_config(&EngineConfig::default());
     let live = LiveSet::new(capacity);
     for q in fx.leaf.queries.iter() {
         live.activate(q);
@@ -456,7 +480,7 @@ fn bench_routing(name: &'static str, shape: usize, quick: bool, runs: usize) -> 
         let outputs = Outputs::new(capacity, false);
         for _ in 0..n / ROWS {
             let (leaf, qsets, cols) = (&fx.leaf, &fx.qsets, &fx.cols);
-            route(&fx.catalog, kernels, true, leaf, qsets, cols, &mut sink, &mut scratch);
+            route(&fx.catalog, true, leaf, qsets, cols, &mut sink, &mut scratch);
         }
         sink.flush(&outputs, &live);
         let emitted: u64 = outputs.results(capacity).iter().map(|r| r.rows).sum();
@@ -606,10 +630,7 @@ fn main() {
     let baseline = flag("--baseline").and_then(|p| read_baseline(&p));
     let runs = if quick { 3 } else { 5 };
 
-    println!(
-        "perfbench (quick={quick}, median of {runs}, kernels={})",
-        Kernels::from_config(&EngineConfig::default()).mode_name()
-    );
+    println!("perfbench (quick={quick}, median of {runs})");
     // The threaded bench runs first: the benches after it read the heap
     // state it and `episode_chains` leave, so a fixed order keeps their
     // numbers comparable across commits.
@@ -636,6 +657,7 @@ fn main() {
         bench_routing("routing_count_only", 0, quick, runs),
         bench_routing("routing_projected", 1, quick, runs),
         bench_admit_batch(quick, runs),
+        bench_plan_join(quick, runs),
         bench_qtable_lookup(quick, runs),
     ];
 

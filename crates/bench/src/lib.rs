@@ -1,8 +1,8 @@
 //! # roulette-bench
 //!
 //! The figure-reproduction harness: one function (and one binary) per
-//! table/figure of the paper's evaluation (§6), plus Criterion
-//! micro-benchmarks for the shared operators. Run everything via
+//! table/figure of the paper's evaluation (§6); the shared operators'
+//! micro-benchmarks are the `perfbench` binary. Run every figure via
 //! `cargo bench -p roulette-bench`, or individual figures via
 //! `cargo run --release -p roulette-bench --bin fig11a` etc. Scale with
 //! `ROULETTE_SCALE`.

@@ -1,6 +1,6 @@
-//! The router micro-benchmark fixture shared by `perfbench` and the
-//! Criterion `router` group: one routed vector in each of the two shapes
-//! the engine's router ([`roulette_exec::route`]) distinguishes.
+//! The router micro-benchmark fixture of `perfbench`: one routed vector
+//! in each of the two shapes the engine's router
+//! ([`roulette_exec::route`]) distinguishes.
 
 use roulette_core::{ColId, QuerySet, QuerySetColumn, RelId};
 use roulette_exec::Leaf;

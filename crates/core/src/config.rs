@@ -81,18 +81,6 @@ pub struct EngineConfig {
     pub episode_time_budget_ms: Option<u64>,
     /// Telemetry sampling knobs; inert unless a recorder is attached.
     pub telemetry: TelemetryConfig,
-    /// Reuse each worker's episode scratch arena across episodes (the
-    /// allocation-free steady state). Disabling it makes every episode
-    /// allocate fresh working buffers — the seed behaviour, kept as a
-    /// differential-testing reference and allocator-pressure ablation.
-    pub scratch_reuse: bool,
-    /// Run the vector hot loops (filter masking, bulk query-set
-    /// intersection, survivor compaction, routing partition) through the
-    /// unrolled data-parallel kernel layer (DESIGN.md §14). Disabling it
-    /// pins the scalar row-at-a-time reference path, which produces
-    /// byte-identical results — used by the kernel differential tests and
-    /// as an optimization ablation.
-    pub wide_kernels: bool,
 }
 
 impl Default for EngineConfig {
@@ -112,8 +100,6 @@ impl Default for EngineConfig {
             episode_tuple_budget: None,
             episode_time_budget_ms: None,
             telemetry: TelemetryConfig::default(),
-            scratch_reuse: true,
-            wide_kernels: true,
         }
     }
 }
@@ -188,21 +174,6 @@ impl EngineConfig {
     /// Builder-style override of the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Builder-style override of scratch-arena reuse (see
-    /// [`EngineConfig::scratch_reuse`]).
-    pub fn with_scratch_reuse(mut self, reuse: bool) -> Self {
-        self.scratch_reuse = reuse;
-        self
-    }
-
-    /// Builder-style override of the data-parallel kernel layer (see
-    /// [`EngineConfig::wide_kernels`]). `false` pins the scalar reference
-    /// path used by the `kernel_equiv` differential suite.
-    pub fn with_wide_kernels(mut self, wide: bool) -> Self {
-        self.wide_kernels = wide;
         self
     }
 

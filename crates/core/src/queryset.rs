@@ -563,8 +563,8 @@ impl QuerySetColumn {
         count_ones(&self.data)
     }
 
-    /// Mutable raw word storage (rows concatenated), for the kernel layer's
-    /// wide paths. Row boundaries every [`words_per_set`](Self::words_per_set)
+    /// Mutable raw word storage (rows concatenated), for the executor's
+    /// kernels. Row boundaries every [`words_per_set`](Self::words_per_set)
     /// words; callers must not change the total length.
     #[inline]
     pub fn raw_mut(&mut self) -> &mut [u64] {
@@ -573,8 +573,9 @@ impl QuerySetColumn {
 
     /// Bulk `row_i &= mask_i` over every row, with the per-row masks
     /// concatenated in `masks` (`len() * words_per_set()` words). Survivors
-    /// (rows left non-empty) are recorded in `keep`. Scalar reference for
-    /// the kernel layer's `qset_and`.
+    /// (rows left non-empty) are recorded in `keep`. Row-at-a-time
+    /// reference that `tests/kernel_equiv.rs` pins the executor's
+    /// `kernels::qset_and` to; the engine never calls it.
     pub fn and_rows(&mut self, masks: &[u64], keep: &mut RowMask) {
         let wps = self.words_per_set;
         debug_assert_eq!(masks.len(), self.data.len());
@@ -594,7 +595,7 @@ impl QuerySetColumn {
     }
 
     /// Bulk `row &= mask` with one shared mask over every row; survivors
-    /// are recorded in `keep`.
+    /// are recorded in `keep`. Test reference for `kernels::qset_and_broadcast`.
     pub fn and_rows_broadcast(&mut self, mask: &[u64], keep: &mut RowMask) {
         let wps = self.words_per_set;
         debug_assert_eq!(mask.len(), wps);
@@ -612,7 +613,8 @@ impl QuerySetColumn {
     }
 
     /// Bulk `row_i |= mask_i` with per-row masks concatenated in `masks`.
-    /// Union never empties a row, so no survivor mask is produced.
+    /// Union never empties a row, so no survivor mask is produced. Test
+    /// reference for `kernels::qset_or`.
     pub fn or_rows(&mut self, masks: &[u64]) {
         let wps = self.words_per_set;
         debug_assert_eq!(masks.len(), self.data.len());
@@ -624,7 +626,8 @@ impl QuerySetColumn {
     }
 
     /// Bulk `row &= !mask` with one shared mask (query scrub); survivors
-    /// are recorded in `keep`.
+    /// are recorded in `keep`. Test reference for
+    /// `kernels::qset_subtract_broadcast`.
     pub fn subtract_rows_broadcast(&mut self, mask: &[u64], keep: &mut RowMask) {
         let wps = self.words_per_set;
         debug_assert_eq!(mask.len(), wps);
@@ -641,8 +644,8 @@ impl QuerySetColumn {
         }
     }
 
-    /// Applies a packed survivor mask, compacting rows in place. Scalar
-    /// reference for the kernel layer's `compact_qsets`.
+    /// Applies a packed survivor mask, compacting rows in place. Row-at-a-
+    /// time test reference for the executor's `kernels::compact_qsets`.
     pub fn retain_mask(&mut self, keep: &RowMask) {
         debug_assert_eq!(keep.len(), self.len());
         let wps = self.words_per_set;

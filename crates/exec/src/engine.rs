@@ -10,7 +10,6 @@
 use crate::episode::{run_episode, EngineShared, SharedStats, TraceEntry};
 use crate::fault::{FaultInjector, LiveSet};
 use crate::filter::SelectionFilter;
-use crate::kernels::Kernels;
 use crate::output::{Outputs, QueryResult};
 use crate::profile::{Category, Profile};
 use crate::pruning::rank_relations;
@@ -571,7 +570,6 @@ impl<'a> Session<'a> {
             quarantine,
             pressure: &self.pressure,
             recorder: self.recorder.as_deref(),
-            kernels: Kernels::from_config(&self.config),
         }
     }
 
@@ -725,16 +723,6 @@ impl<'a> Session<'a> {
         log: &mut ExecutionLog,
         scratch: &mut EpisodeScratch,
     ) -> Option<TraceEntry> {
-        // The allocator-pressure ablation / differential-testing reference:
-        // with reuse off, every episode runs on a fresh arena, reproducing
-        // the seed's allocate-per-episode behaviour exactly.
-        let mut fresh;
-        let scratch = if self.config.scratch_reuse {
-            scratch
-        } else {
-            fresh = EpisodeScratch::new();
-            &mut fresh
-        };
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             run_episode(shared, iv, complete, &self.policy, log, scratch, self.trace)
         }));

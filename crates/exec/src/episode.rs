@@ -16,7 +16,7 @@
 
 use crate::fault::{FaultInjector, FaultSite, LiveSet};
 use crate::filter::SelectionFilter;
-use crate::kernels::{pairs, Kernels};
+use crate::kernels::{self, pairs};
 use crate::output::Outputs;
 use crate::planner::{
     assign_projections, plan_join_phase, plan_selection_phase, JoinNode, Leaf, ProbeNode,
@@ -124,9 +124,6 @@ pub struct EngineShared<'a> {
     /// Telemetry sink; `None` keeps every instrumentation site a single
     /// branch.
     pub recorder: Option<&'a dyn Recorder>,
-    /// Data-parallel kernel dispatcher for the vector hot loops
-    /// (DESIGN.md §14); mode resolved once from the config.
-    pub kernels: Kernels,
 }
 
 impl<'a> EngineShared<'a> {
@@ -188,7 +185,7 @@ impl JoinGuard {
 /// surviving queries. One broadcast-subtract kernel call plus a mask-driven
 /// compaction.
 // lint: hot-loop
-fn scrub_query(vec: &mut DataVector, q: QueryId, scratch: &mut EpisodeScratch, kernels: Kernels) {
+fn scrub_query(vec: &mut DataVector, q: QueryId, scratch: &mut EpisodeScratch) {
     let width = vec.qsets.words_per_set();
     let EpisodeScratch { mask, keep, .. } = scratch;
     mask.clear();
@@ -196,8 +193,8 @@ fn scrub_query(vec: &mut DataVector, q: QueryId, scratch: &mut EpisodeScratch, k
     if let Some(w) = mask.get_mut(q.index() / 64) {
         *w = 1u64 << (q.index() % 64);
     }
-    kernels.qset_subtract_broadcast(&mut vec.qsets, mask, keep);
-    vec.retain_mask(keep, kernels);
+    kernels::qset_subtract_broadcast(&mut vec.qsets, mask, keep);
+    vec.retain_mask(keep);
 }
 
 /// The memory governor's eviction choice: the candidate with the largest
@@ -347,7 +344,7 @@ pub fn run_episode(
         if let Some((q, e)) = inj.check(FaultSite::Filter, &queries) {
             (shared.quarantine)(q, e);
             queries.remove(q);
-            scrub_query(&mut vec, q, scratch, shared.kernels);
+            scrub_query(&mut vec, q, scratch);
         }
     }
     let mut lineage = 0u64;
@@ -379,9 +376,9 @@ pub fn run_episode(
         // survivor mask in one pass, then mask-driven compaction.
         match filter {
             SelectionFilter::Grouped(f) => {
-                shared.kernels.filter_grouped(f, &scratch.values, &mut vec.qsets, &mut scratch.keep)
+                kernels::filter_grouped(f, &scratch.values, &mut vec.qsets, &mut scratch.keep)
             }
-            SelectionFilter::Plain(f) => shared.kernels.filter_plain(
+            SelectionFilter::Plain(f) => kernels::filter_plain(
                 f,
                 &scratch.values,
                 &mut scratch.mask,
@@ -389,7 +386,7 @@ pub fn run_episode(
                 &mut scratch.keep,
             ),
         }
-        vec.retain_mask(&scratch.keep, shared.kernels);
+        vec.retain_mask(&scratch.keep);
         log.push_reused(
             Scope::selection(rel),
             lineage,
@@ -424,7 +421,7 @@ pub fn run_episode(
         if let Some((q, e)) = inj.check(FaultSite::StemInsert, &queries) {
             (shared.quarantine)(q, e);
             queries.remove(q);
-            scrub_query(&mut vec, q, scratch, shared.kernels);
+            scrub_query(&mut vec, q, scratch);
         }
     }
 
@@ -476,7 +473,7 @@ pub fn run_episode(
                     },
                 );
                 queries.remove(victim);
-                scrub_query(&mut vec, victim, scratch, shared.kernels);
+                scrub_query(&mut vec, victim, scratch);
             }
         }
     }
@@ -686,10 +683,10 @@ fn prune_vector(
         }
         // One bulk AND over the whole row range replaces the per-row
         // `and_row` loop; the survivor count falls out of the keep mask.
-        shared.kernels.qset_and(&mut vec.qsets, scratch.stage.row_masks.raw(), &mut scratch.keep);
+        kernels::qset_and(&mut vec.qsets, scratch.stage.row_masks.raw(), &mut scratch.keep);
         let dropped = (n_in - scratch.keep.count()) as u64;
         shared.stats.pruned_tuples.fetch_add(dropped, Ordering::Relaxed);
-        vec.retain_mask(&scratch.keep, shared.kernels);
+        vec.retain_mask(&scratch.keep);
     }
 }
 
@@ -829,7 +826,7 @@ fn route_leaf(
     scratch: &mut RouteScratch,
 ) {
     let locality = shared.config.locality_router;
-    route(shared.catalog, shared.kernels, locality, leaf, qsets, cols, sink, scratch);
+    route(shared.catalog, locality, leaf, qsets, cols, sink, scratch);
 }
 
 /// One probe step, column-at-a-time: a broadcast AND-select compacts the

@@ -12,8 +12,7 @@
 //! it for 1, 2, 3 and 4 words (the word loop unrolls) and leaves the same
 //! body as the fallback above that.
 //!
-//! There is one implementation, not one per [`KernelMode`](super::KernelMode):
-//! the differential reference for these kernels is the per-key
+//! The differential reference for these kernels is the per-key
 //! `Stem::probe` + `and_into` path (`tests/kernel_equiv.rs`).
 
 use roulette_core::queryset::reserve_pow2;

@@ -1,4 +1,5 @@
-//! Unrolled multi-lane `u64` kernels: the portable fast path.
+//! The kernel bodies: unrolled multi-lane `u64` loops, re-exported as
+//! [`crate::kernels`]' functions.
 //!
 //! Lane model (DESIGN.md §14): survivor bits are assembled 64 rows per
 //! `u64` word; grouped-filter lookups go through the filter's bucket jump
@@ -10,25 +11,30 @@
 //! counting/scatter pass driven by word-wise bit iteration (branch-free
 //! per-query sweeps when only a few queries are routed). Tail rows (and
 //! tail queries) fall through to scalar epilogues computing the exact same
-//! function, so results are byte-identical to the scalar reference.
+//! function, so results are byte-identical to the row-at-a-time references
+//! in `tests/kernel_equiv.rs`.
 
 use roulette_core::{QuerySet, QuerySetColumn, RowMask};
 
 use super::Partition;
-use crate::filter::GroupedFilter;
+use crate::filter::{GroupedFilter, PlainFilter};
 
-/// Grouped-filter evaluation over a whole value column: jump-table segment
-/// lookup (`GroupedFilter::seg_of` — one fixed-point multiply plus a 0–2
-/// entry refinement instead of a full binary search), with the qset AND
-/// and survivor bits batched 64 rows per keep word. Consecutive rows'
-/// lookups carry no data dependency, so they pipeline across iterations.
+/// Filter-mask kernel, grouped form: evaluates the range lookup table over
+/// the whole value column, intersects each row's query-set with its
+/// segment mask in place, and records survivors in `keep`. Segment lookup
+/// goes through the jump table (`GroupedFilter::seg_of` — one fixed-point
+/// multiply plus a 0–2 entry refinement instead of a full binary search),
+/// with the qset AND and survivor bits batched 64 rows per keep word.
+/// Consecutive rows' lookups carry no data dependency, so they pipeline
+/// across iterations.
 // lint: hot-loop
-pub(super) fn filter_grouped(
+pub fn filter_grouped(
     filter: &GroupedFilter,
     values: &[i64],
     qsets: &mut QuerySetColumn,
     keep: &mut RowMask,
 ) {
+    debug_assert_eq!(values.len(), qsets.len());
     let n = qsets.len();
     keep.clear_resize(n);
     let (_, masks, words) = filter.table();
@@ -37,10 +43,14 @@ pub(super) fn filter_grouped(
     if wps == 1 {
         filter_grouped_w1(filter, masks, values, qsets.raw_mut(), keep.words_mut());
     } else {
-        // Multi-word rows (>64 queries in the batch): the reference loop's
-        // `and_row` body is already the fastest shape here — block keep
-        // assembly only pays off when a whole row fits one word.
-        super::scalar::filter_grouped(filter, values, qsets, keep);
+        // Multi-word rows (>64 queries in the batch): a per-row `and_row`
+        // is already the fastest shape here — block keep assembly only pays
+        // off when a whole row fits one word.
+        for (i, &v) in values.iter().enumerate() {
+            if qsets.and_row(i, filter.mask_for(v)) {
+                keep.set(i);
+            }
+        }
     }
 }
 
@@ -68,9 +78,34 @@ fn filter_grouped_w1(
     }
 }
 
-/// Bulk per-row AND with survivor bits assembled 64 rows per keep word.
+/// Filter-mask kernel, plain (per-query ablation) form: every predicate is
+/// tested for every tuple, so evaluation stays per row; survivors are
+/// recorded in `keep`.
 // lint: hot-loop
-pub(super) fn qset_and(qsets: &mut QuerySetColumn, masks: &[u64], keep: &mut RowMask) {
+pub fn filter_plain(
+    filter: &PlainFilter,
+    values: &[i64],
+    mask_buf: &mut Vec<u64>,
+    qsets: &mut QuerySetColumn,
+    keep: &mut RowMask,
+) {
+    debug_assert_eq!(values.len(), qsets.len());
+    keep.clear_resize(qsets.len());
+    mask_buf.clear();
+    mask_buf.resize(filter.words(), 0);
+    for (i, &v) in values.iter().enumerate() {
+        filter.mask_into(v, mask_buf);
+        if qsets.and_row(i, mask_buf) {
+            keep.set(i);
+        }
+    }
+}
+
+/// Bulk query-set intersection: `row_i &= mask_i` for per-row masks
+/// concatenated in `masks`, survivors recorded in `keep`, whose bits are
+/// assembled 64 rows per word.
+// lint: hot-loop
+pub fn qset_and(qsets: &mut QuerySetColumn, masks: &[u64], keep: &mut RowMask) {
     let wps = qsets.words_per_set();
     let n = qsets.len();
     debug_assert_eq!(masks.len(), n * wps);
@@ -134,9 +169,10 @@ fn and_generic(data: &mut [u64], masks: &[u64], wps: usize, keep: &mut RowMask) 
     }
 }
 
-/// Broadcast AND (one shared mask); width-1 gets the 64-row block body.
+/// Bulk query-set intersection with one shared mask; survivors recorded
+/// in `keep`. Width 1 gets the 64-row block body.
 // lint: hot-loop
-pub(super) fn qset_and_broadcast(qsets: &mut QuerySetColumn, mask: &[u64], keep: &mut RowMask) {
+pub fn qset_and_broadcast(qsets: &mut QuerySetColumn, mask: &[u64], keep: &mut RowMask) {
     let wps = qsets.words_per_set();
     keep.clear_resize(qsets.len());
     let data = qsets.raw_mut();
@@ -164,13 +200,10 @@ pub(super) fn qset_and_broadcast(qsets: &mut QuerySetColumn, mask: &[u64], keep:
     }
 }
 
-/// Broadcast subtract (`row &= !mask`, the query scrub).
+/// Bulk query scrub: `row &= !mask` with one shared mask; survivors
+/// recorded in `keep`.
 // lint: hot-loop
-pub(super) fn qset_subtract_broadcast(
-    qsets: &mut QuerySetColumn,
-    mask: &[u64],
-    keep: &mut RowMask,
-) {
+pub fn qset_subtract_broadcast(qsets: &mut QuerySetColumn, mask: &[u64], keep: &mut RowMask) {
     let wps = qsets.words_per_set();
     keep.clear_resize(qsets.len());
     let data = qsets.raw_mut();
@@ -198,9 +231,10 @@ pub(super) fn qset_subtract_broadcast(
     }
 }
 
-/// Bulk per-row OR.
+/// Bulk query-set union with per-row masks (no survivor mask: union never
+/// empties a row).
 // lint: hot-loop
-pub(super) fn qset_or(qsets: &mut QuerySetColumn, masks: &[u64]) {
+pub fn qset_or(qsets: &mut QuerySetColumn, masks: &[u64]) {
     let wps = qsets.words_per_set();
     debug_assert_eq!(masks.len(), qsets.raw().len());
     for (row, mask) in qsets.raw_mut().chunks_exact_mut(wps).zip(masks.chunks_exact(wps)) {
@@ -210,11 +244,11 @@ pub(super) fn qset_or(qsets: &mut QuerySetColumn, masks: &[u64]) {
     }
 }
 
-/// Run-based `u32` compaction: surviving rows are moved in maximal
+/// Survivor compaction over one `u32` value column: surviving rows are moved in maximal
 /// contiguous runs found by `trailing_zeros`/`trailing_ones`, so dense
 /// keep masks cost one `copy_within` per run instead of one per row.
 // lint: hot-loop
-pub(super) fn compact_u32(col: &mut Vec<u32>, keep: &RowMask) {
+pub fn compact_u32(col: &mut Vec<u32>, keep: &RowMask) {
     debug_assert_eq!(col.len(), keep.len());
     let mut out = 0usize;
     let data = col.as_mut_slice();
@@ -242,10 +276,10 @@ pub(super) fn compact_u32(col: &mut Vec<u32>, keep: &RowMask) {
     col.truncate(out);
 }
 
-/// Run-based query-set-column compaction (same run scan, rows are
-/// `words_per_set` words wide).
+/// Survivor compaction over a query-set column: the same run scan as
+/// [`compact_u32`], rows `words_per_set` words wide.
 // lint: hot-loop
-pub(super) fn compact_qsets(qsets: &mut QuerySetColumn, keep: &RowMask) {
+pub fn compact_qsets(qsets: &mut QuerySetColumn, keep: &RowMask) {
     debug_assert_eq!(qsets.len(), keep.len());
     let wps = qsets.words_per_set();
     let mut out = 0usize;
@@ -276,7 +310,11 @@ pub(super) fn compact_qsets(qsets: &mut QuerySetColumn, keep: &RowMask) {
     qsets.truncate(out);
 }
 
-/// CSR routing partition. Routing many queries it is one word-wise
+/// Routing partition: for every query in `queries`, extracts the rows
+/// whose query-set contains it, in ascending order, into `part`'s CSR
+/// layout; returns the total number of `(query, row)` pairs.
+///
+/// Routing many queries it is one word-wise
 /// counting sweep over the qset column (set bits found with
 /// `trailing_zeros`), a prefix-sum, and one scatter sweep — instead of two
 /// sweeps per routed query. Routing few
@@ -285,7 +323,7 @@ pub(super) fn compact_qsets(qsets: &mut QuerySetColumn, keep: &RowMask) {
 /// per row, against a `trailing_zeros` walk whose trip count and stores
 /// depend on the data.
 // lint: hot-loop
-pub(super) fn partition(
+pub fn partition(
     qsets: &QuerySetColumn,
     queries: &QuerySet,
     part: &mut Partition,

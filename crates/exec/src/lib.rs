@@ -8,12 +8,7 @@
 //! locality-conscious routing, and the episode-based engine with dynamic
 //! query admission and a multi-core worker pool.
 
-// The `simd` feature introduces one audited `unsafe` surface — the
-// `std::arch` AVX2 bodies in `kernels::simd`, every block SAFETY-commented
-// and gated on runtime feature detection (DESIGN.md §14). Default builds
-// keep the crate-wide forbid.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod engine;
@@ -38,7 +33,7 @@ pub use engine::{
 pub use episode::{EngineShared, SharedStats, TraceEntry};
 pub use fault::{FaultInjector, FaultKind, FaultSite, LiveSet};
 pub use filter::{GroupedFilter, PlainFilter, SelectionFilter};
-pub use kernels::{KernelMode, Kernels, Partition};
+pub use kernels::Partition;
 pub use output::{row_hash, CompletionStatus, Outputs, QueryResult};
 pub use planner::{JoinNode, Leaf, ProbeNode};
 pub use profile::{Category, Profile};

@@ -24,7 +24,7 @@
 //! commit point.
 
 use crate::fault::LiveSet;
-use crate::kernels::{pairs, route as kernel, Kernels, Partition};
+use crate::kernels::{self, pairs, route as kernel, Partition};
 use crate::output::{row_hash, Outputs};
 use crate::planner::Leaf;
 use roulette_core::{QueryId, QuerySetColumn, RelId};
@@ -185,10 +185,8 @@ pub struct RouteScratch {
 /// `leaf`'s queries. `cols` must be laid out as `leaf` was resolved
 /// against. See the module docs.
 // lint: hot-loop
-#[allow(clippy::too_many_arguments)]
 pub fn route(
     catalog: &Catalog,
-    kernels: Kernels,
     locality: bool,
     leaf: &Leaf,
     qsets: &QuerySetColumn,
@@ -214,7 +212,7 @@ pub fn route(
         }
         return;
     }
-    kernels.partition(qsets, &leaf.queries, part);
+    kernels::partition(qsets, &leaf.queries, part);
     let collecting = sink.collecting;
     for (q, projs) in leaf.projected() {
         let rows = part.rows_of(q.index());
@@ -337,7 +335,7 @@ mod tests {
         let mut sink = EpisodeSink::new(collecting);
         let mut scratch = RouteScratch::default();
         for _ in 0..2 {
-            route(&c, Kernels::best(), locality, &leaf, &qsets, &cols, &mut sink, &mut scratch);
+            route(&c, locality, &leaf, &qsets, &cols, &mut sink, &mut scratch);
         }
         let outputs = Outputs::new(3, collecting);
         let live = LiveSet::new(3);

@@ -8,7 +8,7 @@
 
 use roulette_core::{QuerySet, QuerySetColumn, RelId, RowMask};
 
-use crate::kernels::Kernels;
+use crate::kernels;
 
 /// A batch of Data-Query-model tuples in vID form.
 #[derive(Debug, Clone)]
@@ -91,15 +91,14 @@ impl DataVector {
     }
 
     /// Keeps only tuples whose bit is set in `keep`, compacting every vID
-    /// column and the query-set column through the selected compaction
-    /// kernel.
+    /// column and the query-set column through the compaction kernels.
     // lint: hot-loop
-    pub fn retain_mask(&mut self, keep: &RowMask, kernels: Kernels) {
+    pub fn retain_mask(&mut self, keep: &RowMask) {
         debug_assert_eq!(keep.len(), self.len());
         for (_, vids) in &mut self.cols {
-            kernels.compact_u32(vids, keep);
+            kernels::compact_u32(vids, keep);
         }
-        kernels.compact_qsets(&mut self.qsets, keep);
+        kernels::compact_qsets(&mut self.qsets, keep);
     }
 
     /// Empties the vector, handing its vID column buffers (cleared,

@@ -138,9 +138,7 @@ pub const HOT_PATHS: &[&str] = &[
     "crates/exec/src/kernels/mod.rs",
     "crates/exec/src/kernels/pairs.rs",
     "crates/exec/src/kernels/route.rs",
-    "crates/exec/src/kernels/scalar.rs",
     "crates/exec/src/kernels/wide.rs",
-    "crates/exec/src/kernels/simd.rs",
     "crates/policy/src/qlearning.rs",
     "crates/core/src/relset.rs",
     "crates/core/src/queryset.rs",
@@ -856,8 +854,9 @@ fn field_has_doc(toks: &[Tok], mut i: usize) -> bool {
     false
 }
 
-/// Detects `#![forbid(unsafe_code)]` (or `#![deny(unsafe_code)]`) in a
-/// crate-root file.
+/// Detects an unconditional `#![forbid(unsafe_code)]` in a crate-root
+/// file. `deny` (which an inner `allow` can lift) and a `cfg_attr`-gated
+/// `forbid` do not count.
 pub fn has_forbid_unsafe(file: &SourceFile) -> bool {
     let toks = file.toks();
     for i in 0..toks.len() {
@@ -867,8 +866,8 @@ pub fn has_forbid_unsafe(file: &SourceFile) -> bool {
         {
             if let Some(end) = matching_close(toks, i + 2, '[', ']') {
                 let body = &toks[i + 3..end];
-                let gate = body.iter().any(|t| t.is_ident("forbid") || t.is_ident("deny"));
-                if gate && body.iter().any(|t| t.is_ident("unsafe_code")) {
+                let forbid = body.first().is_some_and(|t| t.is_ident("forbid"));
+                if forbid && body.iter().any(|t| t.is_ident("unsafe_code")) {
                     return true;
                 }
             }
@@ -1084,6 +1083,12 @@ fn f(xs: &mut Vec<u32>, s: &str) -> usize {
         assert!(!uses_unsafe(&f));
         let g = SourceFile::new("crates/x/src/lib.rs", "//! docs\npub fn a() {}");
         assert!(!has_forbid_unsafe(&g));
+        // `deny` can be lifted by an inner `allow`, and a gated `forbid`
+        // holds only in some builds: neither counts.
+        let d = SourceFile::new("crates/x/src/lib.rs", "#![deny(unsafe_code)]\npub fn a() {}");
+        assert!(!has_forbid_unsafe(&d));
+        let gated = "#![cfg_attr(not(feature = \"x\"), forbid(unsafe_code))]\npub fn a() {}";
+        assert!(!has_forbid_unsafe(&SourceFile::new("crates/x/src/lib.rs", gated)));
         // The string "unsafe" in a literal is not the keyword.
         let h = SourceFile::new("crates/x/src/lib.rs", "const S: &str = \"unsafe\";");
         assert!(!uses_unsafe(&h));

@@ -141,8 +141,8 @@ impl Workspace {
     /// * every identifier in *other* shims (shims may build on each other,
     ///   e.g. proptest's generator is `rand::StdRng`),
     /// * identifiers inside `S`'s own `#[macro_export]` macro bodies —
-    ///   those tokens expand at workspace call sites (e.g.
-    ///   `criterion_group!` calling `configure_from_args`).
+    ///   those tokens expand at workspace call sites (e.g. `proptest!`
+    ///   naming `ProptestConfig`).
     ///
     /// `S`'s ordinary code does *not* count: a shim keeping its own
     /// surface alive is exactly the drift this rule exists to catch.

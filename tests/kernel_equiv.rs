@@ -1,27 +1,25 @@
 //! Differential tests for the data-parallel kernel layer.
 //!
-//! The wide (and, when compiled, AVX2) kernels are pure mechanical
-//! transformations of the scalar reference path: for every kernel, every
-//! row width, and every tail length they must produce *byte-identical*
-//! query-set words, survivor masks, compacted columns, and partition
-//! layouts. The suite sweeps the kernel API directly across
-//! `Kernels::all_modes()`, pins the tiled probe operator (AND-select,
-//! `Stem::probe_tiles`, column gathers) to the per-key `Stem::probe` +
-//! `and_into` reference and the router's count and column-hash kernels to
-//! per-row `row_hash`, then closes the loop end-to-end: a full engine run
-//! with wide kernels must match a `with_wide_kernels(false)` run
-//! row-for-row at one and four workers, including under deterministic
-//! fault injection, and the fused column-at-a-time router must match the
-//! per-row direct router (`locality_router = false`) for every leaf shape,
-//! query-set width and worker count, collecting or not.
+//! The kernels are pure mechanical transformations of row-at-a-time
+//! loops: for every kernel, every row width, and every tail length they
+//! must produce *byte-identical* query-set words, survivor masks,
+//! compacted columns, and partition layouts to a reference that shares no
+//! code with them — `QuerySetColumn`'s `and_rows` family and
+//! `retain_mask`, and the per-row `scalar_filter_grouped`,
+//! `scalar_compact_u32` and `scalar_partition` below. The suite also pins
+//! the tiled probe operator (AND-select, `Stem::probe_tiles`, column
+//! gathers) to the per-key `Stem::probe` + `and_into` reference and the
+//! router's count and column-hash kernels to per-row `row_hash`, then
+//! closes the loop end to end: the fused column-at-a-time router must
+//! match the per-row direct router (`locality_router = false`) for every
+//! leaf shape, query-set width and worker count, collecting or not.
 
 use roulette::core::queryset::and_into;
 use roulette::core::{ColId, EngineConfig, QueryId, QuerySet, QuerySetColumn, RelId, RowMask};
-use roulette::exec::kernels::{pairs, route};
+use roulette::exec::kernels::{self, pairs, route};
 use roulette::exec::{
-    row_hash, CompletionStatus, FaultInjector, FaultSite, GroupedFilter, Kernels, MatchTile,
-    Partition, PlainFilter, ProbeScratch, QueryResult, RouletteEngine, Stem, Walk, PROBE_TILE,
-    VERSION_ALL,
+    row_hash, GroupedFilter, MatchTile, Partition, PlainFilter, ProbeScratch, RouletteEngine,
+    Stem, Walk, PROBE_TILE, VERSION_ALL,
 };
 use std::sync::atomic::AtomicU32;
 use roulette::query::SpjQuery;
@@ -42,14 +40,16 @@ const CAPACITIES: [usize; 5] = [7, 64, 65, 130, 300];
 
 /// Builds a column of `n` rows at the width implied by `capacity`:
 /// pseudo-random words with occasional all-zero and all-ones rows so the
-/// empty- and full-qset paths are hit inside one batch.
+/// empty- and full-qset paths are hit inside one batch. The first row is
+/// a random one, so a kernel that mishandles row 0 cannot hide behind an
+/// empty row.
 fn make_qsets(capacity: usize, n: usize, seed: i64) -> QuerySetColumn {
     let words = QuerySet::full(capacity).width();
     let mut col = QuerySetColumn::new(words);
     let mut s = seed;
     for i in 0..n {
         let row: Vec<u64> = (0..words)
-            .map(|_| match i % 7 {
+            .map(|_| match (i + 3) % 7 {
                 0 => 0,
                 1 => u64::MAX,
                 _ => lcg(&mut s) as u64,
@@ -72,28 +72,63 @@ fn make_masks(words: usize, n: usize, seed: i64) -> Vec<u64> {
         .collect()
 }
 
-/// Asserts a non-reference mode produced byte-identical column + mask.
+/// Asserts a kernel produced the reference's column + mask, byte for byte.
 fn assert_same(
     tag: &str,
-    mode: &str,
     reference: (&QuerySetColumn, &RowMask),
     candidate: (&QuerySetColumn, &RowMask),
 ) {
-    assert_eq!(
-        reference.0.raw(),
-        candidate.0.raw(),
-        "{tag}: {mode} qset words diverged from scalar"
-    );
+    assert_eq!(reference.0.raw(), candidate.0.raw(), "{tag}: qset words diverged");
     assert_eq!(
         (reference.1.len(), reference.1.words()),
         (candidate.1.len(), candidate.1.words()),
-        "{tag}: {mode} keep mask diverged from scalar"
+        "{tag}: keep mask diverged"
     );
+}
+
+// --- row-at-a-time references ---
+
+/// Grouped-filter reference: one binary search + one `and_row` per tuple.
+fn scalar_filter_grouped(
+    filter: &GroupedFilter,
+    values: &[i64],
+    qsets: &mut QuerySetColumn,
+    keep: &mut RowMask,
+) {
+    keep.clear_resize(qsets.len());
+    for (i, &v) in values.iter().enumerate() {
+        if qsets.and_row(i, filter.mask_for(v)) {
+            keep.set(i);
+        }
+    }
+}
+
+/// Compaction reference: one element moved per surviving row.
+fn scalar_compact_u32(col: &mut Vec<u32>, keep: &RowMask) {
+    let mut out = 0usize;
+    keep.for_each_set(|i| {
+        col[out] = col[i];
+        out += 1;
+    });
+    col.truncate(out);
+}
+
+/// Partition reference: per query id (`0..capacity`), the rows holding it
+/// if it is routed, ascending — empty for a query that is not routed.
+fn scalar_partition(qsets: &QuerySetColumn, queries: &QuerySet, capacity: usize) -> Vec<Vec<u32>> {
+    (0..capacity)
+        .map(|q| {
+            if !queries.contains(QueryId(q as u32)) {
+                return Vec::new();
+            }
+            let (wi, b) = (q / 64, q % 64);
+            (0..qsets.len() as u32).filter(|&i| qsets.row(i as usize)[wi] >> b & 1 == 1).collect()
+        })
+        .collect()
 }
 
 #[test]
 fn filter_kernels_match_scalar_for_all_widths_and_tails() {
-    let scalar = Kernels::scalar();
     for &capacity in &CAPACITIES {
         // Predicates staggered so values hit disjoint, overlapping, and
         // unbounded ranges; a couple of queries get no predicate at all.
@@ -107,6 +142,7 @@ fn filter_kernels_match_scalar_for_all_widths_and_tails() {
             .collect();
         let grouped = GroupedFilter::build(&preds, capacity);
         let plain = PlainFilter::new(&preds, capacity);
+        let mut buf = vec![7; 9]; // stale contents must not leak
         for &n in &ROWS {
             let mut s = 41;
             let values: Vec<i64> = (0..n)
@@ -119,29 +155,24 @@ fn filter_kernels_match_scalar_for_all_widths_and_tails() {
             let base = make_qsets(capacity, n, 7);
             let mut ref_q = base.clone();
             let mut ref_k = RowMask::new();
-            scalar.filter_grouped(&grouped, &values, &mut ref_q, &mut ref_k);
-            let mut ref_pq = base.clone();
-            let mut ref_pk = RowMask::new();
-            let mut buf = Vec::new();
-            scalar.filter_plain(&plain, &values, &mut buf, &mut ref_pq, &mut ref_pk);
-            for k in Kernels::all_modes() {
-                let tag = format!("filter cap={capacity} rows={n}");
-                let mut q = base.clone();
-                let mut keep = RowMask::new();
-                k.filter_grouped(&grouped, &values, &mut q, &mut keep);
-                assert_same(&tag, k.mode_name(), (&ref_q, &ref_k), (&q, &keep));
-                let mut pq = base.clone();
-                let mut pk = RowMask::new();
-                k.filter_plain(&plain, &values, &mut buf, &mut pq, &mut pk);
-                assert_same(&tag, k.mode_name(), (&ref_pq, &ref_pk), (&pq, &pk));
-            }
+            scalar_filter_grouped(&grouped, &values, &mut ref_q, &mut ref_k);
+            let tag = format!("filter cap={capacity} rows={n}");
+            let mut q = base.clone();
+            let mut keep = RowMask::new();
+            kernels::filter_grouped(&grouped, &values, &mut q, &mut keep);
+            assert_same(&format!("{tag} grouped"), (&ref_q, &ref_k), (&q, &keep));
+            // Per-query evaluation computes the same predicate bitsets as
+            // the lookup table, so it must reach the same result.
+            let mut pq = base.clone();
+            let mut pk = RowMask::new();
+            kernels::filter_plain(&plain, &values, &mut buf, &mut pq, &mut pk);
+            assert_same(&format!("{tag} plain"), (&ref_q, &ref_k), (&pq, &pk));
         }
     }
 }
 
 #[test]
 fn qset_kernels_match_scalar_for_all_widths_and_tails() {
-    let scalar = Kernels::scalar();
     for &capacity in &CAPACITIES {
         let words = QuerySet::full(capacity).width();
         for &n in &ROWS {
@@ -152,36 +183,33 @@ fn qset_kernels_match_scalar_for_all_widths_and_tails() {
 
             let mut ref_and = base.clone();
             let mut ref_and_k = RowMask::new();
-            scalar.qset_and(&mut ref_and, &masks, &mut ref_and_k);
+            ref_and.and_rows(&masks, &mut ref_and_k);
+            let mut q = base.clone();
+            let mut keep = RowMask::new();
+            kernels::qset_and(&mut q, &masks, &mut keep);
+            assert_same(&format!("{tag} and"), (&ref_and, &ref_and_k), (&q, &keep));
+
             let mut ref_bc = base.clone();
             let mut ref_bc_k = RowMask::new();
-            scalar.qset_and_broadcast(&mut ref_bc, one_mask, &mut ref_bc_k);
+            ref_bc.and_rows_broadcast(one_mask, &mut ref_bc_k);
+            let mut q = base.clone();
+            let mut keep = RowMask::new();
+            kernels::qset_and_broadcast(&mut q, one_mask, &mut keep);
+            assert_same(&format!("{tag} and_broadcast"), (&ref_bc, &ref_bc_k), (&q, &keep));
+
             let mut ref_sub = base.clone();
             let mut ref_sub_k = RowMask::new();
-            scalar.qset_subtract_broadcast(&mut ref_sub, one_mask, &mut ref_sub_k);
+            ref_sub.subtract_rows_broadcast(one_mask, &mut ref_sub_k);
+            let mut q = base.clone();
+            let mut keep = RowMask::new();
+            kernels::qset_subtract_broadcast(&mut q, one_mask, &mut keep);
+            assert_same(&format!("{tag} subtract"), (&ref_sub, &ref_sub_k), (&q, &keep));
+
             let mut ref_or = base.clone();
-            scalar.qset_or(&mut ref_or, &masks);
-
-            for k in Kernels::all_modes() {
-                let mut q = base.clone();
-                let mut keep = RowMask::new();
-                k.qset_and(&mut q, &masks, &mut keep);
-                assert_same(&tag, k.mode_name(), (&ref_and, &ref_and_k), (&q, &keep));
-
-                let mut q = base.clone();
-                let mut keep = RowMask::new();
-                k.qset_and_broadcast(&mut q, one_mask, &mut keep);
-                assert_same(&tag, k.mode_name(), (&ref_bc, &ref_bc_k), (&q, &keep));
-
-                let mut q = base.clone();
-                let mut keep = RowMask::new();
-                k.qset_subtract_broadcast(&mut q, one_mask, &mut keep);
-                assert_same(&tag, k.mode_name(), (&ref_sub, &ref_sub_k), (&q, &keep));
-
-                let mut q = base.clone();
-                k.qset_or(&mut q, &masks);
-                assert_eq!(ref_or.raw(), q.raw(), "{tag}: {} qset_or diverged", k.mode_name());
-            }
+            ref_or.or_rows(&masks);
+            let mut q = base.clone();
+            kernels::qset_or(&mut q, &masks);
+            assert_eq!(ref_or.raw(), q.raw(), "{tag}: qset_or diverged");
         }
     }
 }
@@ -214,7 +242,6 @@ fn keep_patterns(n: usize) -> Vec<RowMask> {
 
 #[test]
 fn compaction_kernels_match_scalar_for_all_patterns() {
-    let scalar = Kernels::scalar();
     for &capacity in &[64usize, 130] {
         for &n in &ROWS {
             for (pi, keep) in keep_patterns(n).iter().enumerate() {
@@ -224,24 +251,17 @@ fn compaction_kernels_match_scalar_for_all_patterns() {
                 let tag = format!("compact cap={capacity} rows={n} pat={pi}");
 
                 let mut ref_c = base_c.clone();
-                scalar.compact_u32(&mut ref_c, keep);
-                let mut ref_q = base_q.clone();
-                scalar.compact_qsets(&mut ref_q, keep);
+                scalar_compact_u32(&mut ref_c, keep);
+                let mut c = base_c.clone();
+                kernels::compact_u32(&mut c, keep);
+                assert_eq!(ref_c, c, "{tag}: compact_u32 diverged");
 
-                for k in Kernels::all_modes() {
-                    let mut c = base_c.clone();
-                    k.compact_u32(&mut c, keep);
-                    assert_eq!(ref_c, c, "{tag}: {} compact_u32 diverged", k.mode_name());
-                    let mut q = base_q.clone();
-                    k.compact_qsets(&mut q, keep);
-                    assert_eq!(
-                        ref_q.raw(),
-                        q.raw(),
-                        "{tag}: {} compact_qsets diverged",
-                        k.mode_name()
-                    );
-                    assert_eq!(ref_q.len(), q.len(), "{tag}: {} compacted len", k.mode_name());
-                }
+                let mut ref_q = base_q.clone();
+                ref_q.retain_mask(keep);
+                let mut q = base_q.clone();
+                kernels::compact_qsets(&mut q, keep);
+                assert_eq!(ref_q.raw(), q.raw(), "{tag}: compact_qsets diverged");
+                assert_eq!(ref_q.len(), q.len(), "{tag}: compacted len");
             }
         }
     }
@@ -259,11 +279,10 @@ fn few_queries(capacity: usize) -> QuerySet {
 
 #[test]
 fn partition_kernels_match_scalar_row_for_row() {
-    let scalar = Kernels::scalar();
     for &capacity in &CAPACITIES {
         // Route strict subsets of the queries so masked-out bits matter:
-        // every third query (the wide kernel's one-pass CSR form) and
-        // three of them, high words included (its per-query sweeps).
+        // every third query (the kernel's one-pass CSR form) and three of
+        // them, high words included (its per-query sweeps).
         let mut third = QuerySet::empty(capacity);
         for q in (0..capacity).step_by(3) {
             third.insert(QueryId(q as u32));
@@ -272,22 +291,15 @@ fn partition_kernels_match_scalar_row_for_row() {
             for &n in &ROWS {
                 let qsets = make_qsets(capacity, n, 31);
                 let tag = format!("partition cap={capacity} routed={} rows={n}", routed.len());
-                let mut ref_p = Partition::new();
-                let ref_total = scalar.partition(&qsets, &routed, &mut ref_p);
-                for k in Kernels::all_modes() {
-                    // A reused partition must not leak its previous layout.
-                    let mut p = Partition::new();
-                    k.partition(&make_qsets(capacity, 77, 5), &QuerySet::full(capacity), &mut p);
-                    let total = k.partition(&qsets, &routed, &mut p);
-                    assert_eq!(ref_total, total, "{tag}: {} total diverged", k.mode_name());
-                    for q in 0..capacity {
-                        assert_eq!(
-                            ref_p.rows_of(q),
-                            p.rows_of(q),
-                            "{tag}: {} rows of query {q} diverged",
-                            k.mode_name()
-                        );
-                    }
+                let want = scalar_partition(&qsets, &routed, capacity);
+                let want_total: usize = want.iter().map(Vec::len).sum();
+                // A reused partition must not leak its previous layout.
+                let mut p = Partition::new();
+                kernels::partition(&make_qsets(capacity, 77, 5), &QuerySet::full(capacity), &mut p);
+                let total = kernels::partition(&qsets, &routed, &mut p);
+                assert_eq!(want_total as u64, total, "{tag}: total diverged");
+                for (q, rows) in want.iter().enumerate() {
+                    assert_eq!(rows.as_slice(), p.rows_of(q), "{tag}: rows of query {q} diverged");
                 }
             }
         }
@@ -847,143 +859,6 @@ fn view_walks_match_chain_walks_across_freezes_and_thaws() {
             assert_eq!(got, oracle, "{tag}: a VERSION_ALL walk diverged across a thaw");
             assert_eq!(chained.view_bytes(), 0, "{tag}: the oracle built a view");
         }
-    }
-}
-
-// --- end-to-end: wide vs scalar engines must agree byte-for-byte ---
-
-/// fact(fk → dim.pk, v) with dangling fks; `scale` repeats the pattern.
-fn catalog(scale: usize) -> Catalog {
-    let mut c = Catalog::new();
-    let pattern_fk = [0i64, 1, 2, 0, 1, 9, 9, 2];
-    let mut fk = Vec::with_capacity(pattern_fk.len() * scale);
-    let mut v = Vec::with_capacity(pattern_fk.len() * scale);
-    for i in 0..scale {
-        for (j, &f) in pattern_fk.iter().enumerate() {
-            fk.push(f);
-            v.push((i * pattern_fk.len() + j) as i64);
-        }
-    }
-    let mut f = RelationBuilder::new("fact");
-    f.int64("fk", fk);
-    f.int64("v", v);
-    c.add(f.build()).unwrap();
-    let mut d = RelationBuilder::new("dim");
-    d.int64("pk", vec![0, 1, 2, 3]);
-    d.int64("w", vec![10, 11, 12, 13]);
-    c.add(d.build()).unwrap();
-    c
-}
-
-/// Projecting join, filtered projecting join, and a count-style query —
-/// together they exercise selection, semijoin pruning, compaction, and
-/// both routing paths.
-fn workload(c: &Catalog) -> Vec<SpjQuery> {
-    vec![
-        SpjQuery::builder(c)
-            .relation("fact")
-            .relation("dim")
-            .join(("fact", "fk"), ("dim", "pk"))
-            .project("dim", "w")
-            .project("fact", "v")
-            .build()
-            .unwrap(),
-        SpjQuery::builder(c)
-            .relation("fact")
-            .relation("dim")
-            .join(("fact", "fk"), ("dim", "pk"))
-            .range("fact", "v", 3, 40)
-            .project("fact", "v")
-            .build()
-            .unwrap(),
-        SpjQuery::builder(c)
-            .relation("fact")
-            .relation("dim")
-            .join(("fact", "fk"), ("dim", "pk"))
-            .range("fact", "v", 0, 11)
-            .build()
-            .unwrap(),
-    ]
-}
-
-/// Runs the workload; returns per-query results plus sorted collected rows.
-fn run(
-    c: &Catalog,
-    cfg: &EngineConfig,
-    injector: Option<FaultInjector>,
-) -> (Vec<QueryResult>, Vec<Vec<Vec<i64>>>) {
-    let engine = RouletteEngine::new(c, cfg.clone());
-    let queries = workload(c);
-    let n = queries.len();
-    let mut session = engine.session(n);
-    session.collect_rows().unwrap();
-    if let Some(inj) = injector {
-        session.set_fault_injector(inj);
-    }
-    for q in queries {
-        session.admit(q).unwrap();
-    }
-    session.run();
-    // Collected row order is schedule-dependent; sort before comparing.
-    let rows = (0..n)
-        .map(|i| {
-            let mut r = session.take_collected(QueryId(i as u32));
-            r.sort_unstable();
-            r
-        })
-        .collect();
-    (session.finish().per_query, rows)
-}
-
-fn assert_engines_equivalent(
-    cfg: &EngineConfig,
-    injector: impl Fn() -> Option<FaultInjector>,
-    tag: &str,
-) {
-    let c = catalog(8);
-    let wide = cfg.clone().with_wide_kernels(true);
-    let scalar = cfg.clone().with_wide_kernels(false);
-    let (w_res, w_rows) = run(&c, &wide, injector());
-    let (s_res, s_rows) = run(&c, &scalar, injector());
-    for (i, (w, s)) in w_res.iter().zip(&s_res).enumerate() {
-        assert_eq!(w.status, s.status, "{tag}: query {i} status diverged");
-        if w.status != CompletionStatus::Complete {
-            continue; // quarantined outputs are explicitly untrusted
-        }
-        assert_eq!(
-            (w.rows, w.checksum),
-            (s.rows, s.checksum),
-            "{tag}: query {i} result diverged between wide and scalar kernels"
-        );
-        assert_eq!(w_rows[i], s_rows[i], "{tag}: query {i} collected rows diverged");
-    }
-}
-
-#[test]
-fn engine_wide_kernels_byte_identical_single_worker() {
-    let cfg = EngineConfig::default().with_vector_size(3).unwrap();
-    assert_engines_equivalent(&cfg, || None, "1 worker");
-}
-
-#[test]
-fn engine_wide_kernels_byte_identical_four_workers() {
-    let cfg = EngineConfig::default()
-        .with_vector_size(7)
-        .unwrap()
-        .with_workers(4)
-        .unwrap();
-    assert_engines_equivalent(&cfg, || None, "4 workers");
-}
-
-#[test]
-fn engine_wide_kernels_byte_identical_under_faults() {
-    let cfg = EngineConfig::default().with_vector_size(3).unwrap();
-    for site in [FaultSite::StemInsert, FaultSite::StemProbe, FaultSite::Route] {
-        assert_engines_equivalent(
-            &cfg,
-            || Some(FaultInjector::new().fail_at(site, Some(QueryId(1)), 2)),
-            &format!("fault at {site:?}"),
-        );
     }
 }
 
