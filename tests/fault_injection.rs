@@ -8,13 +8,12 @@
 //! execution site and assert exactly that, then exercise the
 //! memory-budget degradation ladder and the episode watchdog.
 //!
-//! Every session a fault is injected into runs single-worker, so fault
-//! firing points are reproducible functions of the schedule.
+//! All sessions here run single-worker so fault firing points are
+//! reproducible functions of the schedule.
 
-use roulette::baselines::{ExecMode, QatEngine};
 use roulette::core::{EngineConfig, Error, QueryId};
 use roulette::exec::{
-    row_hash, CompletionStatus, FaultInjector, FaultSite, QueryResult, RouletteEngine,
+    CompletionStatus, FaultInjector, FaultSite, QueryResult, RouletteEngine,
 };
 use roulette::query::SpjQuery;
 use roulette::storage::{Catalog, RelationBuilder};
@@ -239,94 +238,6 @@ fn panic_quarantine_reports_internal_error() {
         Some(Error::Internal(msg)) => assert!(msg.contains("injected panic"), "{msg}"),
         other => panic!("expected Internal error, got {other:?}"),
     }
-}
-
-/// A projecting join, a filtered projecting join and a count-style query:
-/// together they exercise selection, semi-join pruning, compaction, the
-/// flat rowstore and both routing paths.
-fn projecting_workload(c: &Catalog) -> Vec<SpjQuery> {
-    let join =
-        |c| SpjQuery::builder(c).relation("fact").relation("dim").join(("fact", "fk"), ("dim", "pk"));
-    vec![
-        join(c).project("dim", "w").project("fact", "v").build().unwrap(),
-        join(c).range("fact", "v", 3, 40).project("fact", "v").build().unwrap(),
-        join(c).range("fact", "v", 0, 11).build().unwrap(),
-    ]
-}
-
-/// Runs `projecting_workload` collecting rows and checks it against the
-/// query-at-a-time engine, which shares no execution code with it: the
-/// queries in `quarantined` (all of them when `None`, the set a panic
-/// hits being schedule-dependent) may be quarantined, every other query
-/// must complete with QAT's `(rows, checksum)`, and every complete query's
-/// collected rows must be exactly that many rows whose hashes sum to the
-/// checksum. Returns the quarantined query ids.
-fn assert_collected_run_matches_qat(
-    c: &Catalog,
-    cfg: &EngineConfig,
-    injector: Option<FaultInjector>,
-    quarantined: Option<QueryId>,
-    tag: &str,
-) -> Vec<usize> {
-    let queries = projecting_workload(c);
-    let expected = QatEngine::new(c, ExecMode::Vectorized, 7).execute_serial(&queries);
-    let engine = RouletteEngine::new(c, cfg.clone());
-    let mut session = engine.session(queries.len());
-    session.collect_rows().unwrap();
-    if let Some(inj) = injector {
-        session.set_fault_injector(inj);
-    }
-    for q in queries {
-        session.admit(q).unwrap();
-    }
-    session.run();
-    let rows: Vec<_> =
-        (0..expected.len()).map(|i| session.take_collected(QueryId(i as u32))).collect();
-    let results = session.finish().per_query;
-    let mut evicted = Vec::new();
-    for (i, (r, want)) in results.iter().zip(&expected).enumerate() {
-        if !r.is_complete() {
-            let allowed = quarantined.is_none() || quarantined == Some(QueryId(i as u32));
-            assert!(allowed, "{tag}: query {i} quarantined");
-            evicted.push(i);
-            continue;
-        }
-        assert_eq!((r.rows, r.checksum), (want.rows, want.checksum), "{tag}: query {i} vs QAT");
-        assert_eq!(rows[i].len() as u64, r.rows, "{tag}: query {i} collected row count");
-        let sum = rows[i].iter().fold(0u64, |acc, row| acc.wrapping_add(row_hash(row)));
-        assert_eq!(sum, r.checksum, "{tag}: query {i} checksum vs collected rows");
-    }
-    evicted
-}
-
-#[test]
-fn collected_results_match_qat_across_workers_faults_and_a_contained_panic() {
-    let c = catalog(8);
-    let one = small_config();
-    let four = EngineConfig::default().with_vector_size(7).unwrap().with_workers(4).unwrap();
-    for (cfg, tag) in [(&one, "1 worker"), (&four, "4 workers")] {
-        let evicted = assert_collected_run_matches_qat(&c, cfg, None, None, tag);
-        assert!(evicted.is_empty(), "{tag}: clean run quarantined {evicted:?}");
-    }
-    // An error fault evicts exactly its target; the pooled scratch buffers
-    // the aborted episode touched must come back clean for the survivors.
-    for site in [FaultSite::StemInsert, FaultSite::StemProbe, FaultSite::Route] {
-        let inj = FaultInjector::new().fail_at(site, Some(QueryId(1)), 2);
-        let tag = format!("error at {site:?}");
-        let evicted = assert_collected_run_matches_qat(&c, &one, Some(inj), Some(QueryId(1)), &tag);
-        assert_eq!(evicted, [1], "{tag}: exactly the target is quarantined");
-    }
-    // A panic unwinds through the episode; `EpisodeScratch::reset` must
-    // leave a pristine arena for the episodes after it.
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let outcome = std::panic::catch_unwind(|| {
-        let inj = FaultInjector::new().panic_at(FaultSite::StemProbe, 2);
-        assert_collected_run_matches_qat(&c, &one, Some(inj), None, "contained panic")
-    });
-    std::panic::set_hook(prev);
-    let evicted = outcome.expect("panic escaped the isolation boundary");
-    assert!(!evicted.is_empty(), "the panic quarantined nobody");
 }
 
 #[test]

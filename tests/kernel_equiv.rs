@@ -10,16 +10,20 @@
 //! the tiled probe operator (AND-select, `Stem::probe_tiles`, column
 //! gathers) to the per-key `Stem::probe` + `and_into` reference and the
 //! router's count and column-hash kernels to per-row `row_hash`, then
-//! closes the loop end to end: the fused column-at-a-time router must
-//! match the per-row direct router (`locality_router = false`) for every
-//! leaf shape, query-set width and worker count, collecting or not.
+//! closes the loop end to end: a full engine run must match the
+//! query-at-a-time engine (which shares no kernel with it) at one and four
+//! workers, including under deterministic fault injection, and the fused
+//! column-at-a-time router must match the per-row direct router
+//! (`locality_router = false`) for every leaf shape, query-set width and
+//! worker count, collecting or not.
 
+use roulette::baselines::{ExecMode, QatEngine};
 use roulette::core::queryset::and_into;
 use roulette::core::{ColId, EngineConfig, QueryId, QuerySet, QuerySetColumn, RelId, RowMask};
 use roulette::exec::kernels::{self, pairs, route};
 use roulette::exec::{
-    row_hash, GroupedFilter, MatchTile, Partition, PlainFilter, ProbeScratch, RouletteEngine,
-    Stem, Walk, PROBE_TILE, VERSION_ALL,
+    row_hash, FaultInjector, FaultSite, GroupedFilter, MatchTile, Partition, PlainFilter,
+    ProbeScratch, RouletteEngine, Stem, Walk, PROBE_TILE, VERSION_ALL,
 };
 use std::sync::atomic::AtomicU32;
 use roulette::query::SpjQuery;
@@ -859,6 +863,111 @@ fn view_walks_match_chain_walks_across_freezes_and_thaws() {
             assert_eq!(got, oracle, "{tag}: a VERSION_ALL walk diverged across a thaw");
             assert_eq!(chained.view_bytes(), 0, "{tag}: the oracle built a view");
         }
+    }
+}
+
+// --- end-to-end: the engine's kernels vs the query-at-a-time engine ---
+
+/// fact(fk → dim.pk, v) with dangling fks; `scale` repeats the pattern.
+fn catalog(scale: usize) -> Catalog {
+    let mut c = Catalog::new();
+    let pattern_fk = [0i64, 1, 2, 0, 1, 9, 9, 2];
+    let mut fk = Vec::with_capacity(pattern_fk.len() * scale);
+    let mut v = Vec::with_capacity(pattern_fk.len() * scale);
+    for i in 0..scale {
+        for (j, &f) in pattern_fk.iter().enumerate() {
+            fk.push(f);
+            v.push((i * pattern_fk.len() + j) as i64);
+        }
+    }
+    let mut f = RelationBuilder::new("fact");
+    f.int64("fk", fk);
+    f.int64("v", v);
+    c.add(f.build()).unwrap();
+    let mut d = RelationBuilder::new("dim");
+    d.int64("pk", vec![0, 1, 2, 3]);
+    d.int64("w", vec![10, 11, 12, 13]);
+    c.add(d.build()).unwrap();
+    c
+}
+
+/// Projecting join, filtered projecting join, and a count-style query —
+/// together they exercise selection, semijoin pruning, compaction, and
+/// both routing paths.
+fn workload(c: &Catalog) -> Vec<SpjQuery> {
+    let join =
+        |c| SpjQuery::builder(c).relation("fact").relation("dim").join(("fact", "fk"), ("dim", "pk"));
+    vec![
+        join(c).project("dim", "w").project("fact", "v").build().unwrap(),
+        join(c).range("fact", "v", 3, 40).project("fact", "v").build().unwrap(),
+        join(c).range("fact", "v", 0, 11).build().unwrap(),
+    ]
+}
+
+/// Runs the workload collecting rows and checks it against the
+/// query-at-a-time engine: only `quarantined` may be quarantined, every
+/// other query must complete with QAT's `(rows, checksum)`, and its
+/// collected rows must be exactly that many rows whose hashes sum to the
+/// checksum. Returns the quarantined query ids.
+fn assert_engine_matches_qat(
+    cfg: &EngineConfig,
+    injector: Option<FaultInjector>,
+    quarantined: Option<QueryId>,
+    tag: &str,
+) -> Vec<usize> {
+    let c = catalog(8);
+    let queries = workload(&c);
+    let expected = QatEngine::new(&c, ExecMode::Vectorized, 7).execute_serial(&queries);
+    let engine = RouletteEngine::new(&c, cfg.clone());
+    let mut session = engine.session(queries.len());
+    session.collect_rows().unwrap();
+    if let Some(inj) = injector {
+        session.set_fault_injector(inj);
+    }
+    for q in queries {
+        session.admit(q).unwrap();
+    }
+    session.run();
+    let rows: Vec<_> =
+        (0..expected.len()).map(|i| session.take_collected(QueryId(i as u32))).collect();
+    let results = session.finish().per_query;
+    let mut evicted = Vec::new();
+    for (i, (r, want)) in results.iter().zip(&expected).enumerate() {
+        if !r.is_complete() {
+            assert_eq!(quarantined, Some(QueryId(i as u32)), "{tag}: query {i} quarantined");
+            evicted.push(i);
+            continue;
+        }
+        assert_eq!((r.rows, r.checksum), (want.rows, want.checksum), "{tag}: query {i} vs QAT");
+        assert_eq!(rows[i].len() as u64, r.rows, "{tag}: query {i} collected row count");
+        let sum = rows[i].iter().fold(0u64, |acc, row| acc.wrapping_add(row_hash(row)));
+        assert_eq!(sum, r.checksum, "{tag}: query {i} checksum vs collected rows");
+    }
+    evicted
+}
+
+#[test]
+fn engine_wide_kernels_byte_identical_single_worker() {
+    let cfg = EngineConfig::default().with_vector_size(3).unwrap();
+    let evicted = assert_engine_matches_qat(&cfg, None, None, "1 worker");
+    assert!(evicted.is_empty(), "clean run quarantined {evicted:?}");
+}
+
+#[test]
+fn engine_wide_kernels_byte_identical_four_workers() {
+    let cfg = EngineConfig::default().with_vector_size(7).unwrap().with_workers(4).unwrap();
+    let evicted = assert_engine_matches_qat(&cfg, None, None, "4 workers");
+    assert!(evicted.is_empty(), "clean run quarantined {evicted:?}");
+}
+
+#[test]
+fn engine_wide_kernels_byte_identical_under_faults() {
+    let cfg = EngineConfig::default().with_vector_size(3).unwrap();
+    for site in [FaultSite::StemInsert, FaultSite::StemProbe, FaultSite::Route] {
+        let inj = FaultInjector::new().fail_at(site, Some(QueryId(1)), 2);
+        let tag = format!("fault at {site:?}");
+        let evicted = assert_engine_matches_qat(&cfg, Some(inj), Some(QueryId(1)), &tag);
+        assert_eq!(evicted, [1], "{tag}: exactly the target is quarantined");
     }
 }
 

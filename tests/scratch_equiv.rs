@@ -1,16 +1,18 @@
-//! Differential tests for the episode scratch arena.
+//! End-to-end tests for the episode scratch arena.
 //!
-//! The zero-allocation hot path (`EpisodeScratch` pooling, the flat sink
-//! rowstore, batched STeM probes) is a pure mechanical transformation: with
-//! scratch reuse enabled the engine must produce *byte-identical* results —
-//! per-query row counts, checksums, and collected output rows — to a run
-//! that allocates every buffer fresh (`with_scratch_reuse(false)`, the
-//! differential-testing reference path). These tests pin that down at one
-//! and four workers, and under mid-session fault quarantine, where the
-//! panic/error paths must leave pooled buffers in a reusable state.
+//! Every episode runs on the pooled `EpisodeScratch` (the flat sink
+//! rowstore, batched STeM probes, reused buffers), so a buffer that comes
+//! back dirty from one episode corrupts the next. These tests run a
+//! collecting session and check it against the query-at-a-time engine,
+//! which shares no execution code with it: per-query row counts and
+//! checksums must equal QAT's, and every query's collected rows must be
+//! exactly that many rows whose hashes sum to the checksum. They pin this
+//! down at one and four workers, and under mid-session fault quarantine,
+//! where the panic/error paths must leave pooled buffers reusable.
 
+use roulette::baselines::{ExecMode, QatEngine};
 use roulette::core::{EngineConfig, QueryId};
-use roulette::exec::{CompletionStatus, FaultInjector, FaultSite, QueryResult, RouletteEngine};
+use roulette::exec::{row_hash, FaultInjector, FaultSite, RouletteEngine};
 use roulette::query::SpjQuery;
 use roulette::storage::{Catalog, RelationBuilder};
 
@@ -40,43 +42,31 @@ fn catalog(scale: usize) -> Catalog {
 /// Mixed workload: a projecting join (exercises the flat rowstore), a
 /// filtered projecting join, and a projection-free count-style query.
 fn workload(c: &Catalog) -> Vec<SpjQuery> {
+    let join =
+        |c| SpjQuery::builder(c).relation("fact").relation("dim").join(("fact", "fk"), ("dim", "pk"));
     vec![
-        SpjQuery::builder(c)
-            .relation("fact")
-            .relation("dim")
-            .join(("fact", "fk"), ("dim", "pk"))
-            .project("dim", "w")
-            .project("fact", "v")
-            .build()
-            .unwrap(),
-        SpjQuery::builder(c)
-            .relation("fact")
-            .relation("dim")
-            .join(("fact", "fk"), ("dim", "pk"))
-            .range("fact", "v", 3, 40)
-            .project("fact", "v")
-            .build()
-            .unwrap(),
-        SpjQuery::builder(c)
-            .relation("fact")
-            .relation("dim")
-            .join(("fact", "fk"), ("dim", "pk"))
-            .range("fact", "v", 0, 11)
-            .build()
-            .unwrap(),
+        join(c).project("dim", "w").project("fact", "v").build().unwrap(),
+        join(c).range("fact", "v", 3, 40).project("fact", "v").build().unwrap(),
+        join(c).range("fact", "v", 0, 11).build().unwrap(),
     ]
 }
 
-/// Runs the workload; returns per-query results plus sorted collected rows.
-fn run(
-    c: &Catalog,
+/// Runs the workload collecting rows and checks it against QAT. A query
+/// may be quarantined only if it is `quarantined` (any query when
+/// `any_quarantine`, the set a panic hits being schedule-dependent).
+/// Returns the quarantined query ids.
+fn assert_matches_qat(
     cfg: &EngineConfig,
     injector: Option<FaultInjector>,
-) -> (Vec<QueryResult>, Vec<Vec<Vec<i64>>>) {
-    let engine = RouletteEngine::new(c, cfg.clone());
-    let queries = workload(c);
-    let n = queries.len();
-    let mut session = engine.session(n);
+    quarantined: Option<QueryId>,
+    any_quarantine: bool,
+    tag: &str,
+) -> Vec<usize> {
+    let c = catalog(8);
+    let queries = workload(&c);
+    let expected = QatEngine::new(&c, ExecMode::Vectorized, 7).execute_serial(&queries);
+    let engine = RouletteEngine::new(&c, cfg.clone());
+    let mut session = engine.session(queries.len());
     session.collect_rows().unwrap();
     if let Some(inj) = injector {
         session.set_fault_injector(inj);
@@ -85,68 +75,50 @@ fn run(
         session.admit(q).unwrap();
     }
     session.run();
-    // Workers drain vectors in nondeterministic interleavings, so collected
-    // row *order* is schedule-dependent; sort before comparing. Row counts
-    // and the order-independent checksums need no normalization.
-    let rows = (0..n)
-        .map(|i| {
-            let mut r = session.take_collected(QueryId(i as u32));
-            r.sort_unstable();
-            r
-        })
-        .collect();
-    (session.finish().per_query, rows)
-}
-
-fn assert_equivalent(cfg: &EngineConfig, injector: impl Fn() -> Option<FaultInjector>, tag: &str) {
-    let c = catalog(8);
-    let reuse = cfg.clone().with_scratch_reuse(true);
-    let fresh = cfg.clone().with_scratch_reuse(false);
-    let (r_res, r_rows) = run(&c, &reuse, injector());
-    let (f_res, f_rows) = run(&c, &fresh, injector());
-    for (i, (r, f)) in r_res.iter().zip(&f_res).enumerate() {
-        assert_eq!(r.status, f.status, "{tag}: query {i} status diverged");
-        if r.status != CompletionStatus::Complete {
+    let rows: Vec<_> =
+        (0..expected.len()).map(|i| session.take_collected(QueryId(i as u32))).collect();
+    let results = session.finish().per_query;
+    let mut evicted = Vec::new();
+    for (i, (r, want)) in results.iter().zip(&expected).enumerate() {
+        if !r.is_complete() {
+            let allowed = any_quarantine || quarantined == Some(QueryId(i as u32));
+            assert!(allowed, "{tag}: query {i} quarantined");
+            evicted.push(i);
             continue; // quarantined outputs are explicitly untrusted
         }
-        assert_eq!(
-            (r.rows, r.checksum),
-            (f.rows, f.checksum),
-            "{tag}: query {i} result diverged between scratch reuse on/off"
-        );
-        assert_eq!(r_rows[i], f_rows[i], "{tag}: query {i} collected rows diverged");
-        assert_eq!(r.rows as usize, r_rows[i].len(), "{tag}: query {i} row count vs collected");
+        assert_eq!((r.rows, r.checksum), (want.rows, want.checksum), "{tag}: query {i} vs QAT");
+        assert_eq!(rows[i].len() as u64, r.rows, "{tag}: query {i} collected row count");
+        let sum = rows[i].iter().fold(0u64, |acc, row| acc.wrapping_add(row_hash(row)));
+        assert_eq!(sum, r.checksum, "{tag}: query {i} checksum vs collected rows");
     }
+    evicted
 }
 
 #[test]
 fn scratch_reuse_is_byte_identical_single_worker() {
     let cfg = EngineConfig::default().with_vector_size(3).unwrap();
-    assert_equivalent(&cfg, || None, "1 worker");
+    let evicted = assert_matches_qat(&cfg, None, None, false, "1 worker");
+    assert!(evicted.is_empty(), "clean run quarantined {evicted:?}");
 }
 
 #[test]
 fn scratch_reuse_is_byte_identical_four_workers() {
-    let cfg = EngineConfig::default()
-        .with_vector_size(7)
-        .unwrap()
-        .with_workers(4)
-        .unwrap();
-    assert_equivalent(&cfg, || None, "4 workers");
+    let cfg = EngineConfig::default().with_vector_size(7).unwrap().with_workers(4).unwrap();
+    let evicted = assert_matches_qat(&cfg, None, None, false, "4 workers");
+    assert!(evicted.is_empty(), "clean run quarantined {evicted:?}");
 }
 
 #[test]
 fn scratch_reuse_is_byte_identical_under_quarantine() {
     // An error fault mid-session evicts one query; the pooled buffers the
     // aborted episode touched must come back clean so survivors' results
-    // stay identical to the allocate-fresh reference.
+    // stay equal to QAT's.
     let cfg = EngineConfig::default().with_vector_size(3).unwrap();
     for site in [FaultSite::StemInsert, FaultSite::StemProbe, FaultSite::Route] {
-        assert_equivalent(
-            &cfg,
-            || Some(FaultInjector::new().fail_at(site, Some(QueryId(1)), 2)),
-            &format!("quarantine at {site:?}"),
-        );
+        let inj = FaultInjector::new().fail_at(site, Some(QueryId(1)), 2);
+        let tag = format!("quarantine at {site:?}");
+        let evicted = assert_matches_qat(&cfg, Some(inj), Some(QueryId(1)), false, &tag);
+        assert_eq!(evicted, [1], "{tag}: exactly the target is quarantined");
     }
 }
 
@@ -158,12 +130,10 @@ fn scratch_reuse_is_byte_identical_after_contained_panic() {
     std::panic::set_hook(Box::new(|_| {}));
     let outcome = std::panic::catch_unwind(|| {
         let cfg = EngineConfig::default().with_vector_size(3).unwrap();
-        assert_equivalent(
-            &cfg,
-            || Some(FaultInjector::new().panic_at(FaultSite::StemProbe, 2)),
-            "contained panic",
-        );
+        let inj = FaultInjector::new().panic_at(FaultSite::StemProbe, 2);
+        assert_matches_qat(&cfg, Some(inj), None, true, "contained panic")
     });
     std::panic::set_hook(prev);
-    outcome.unwrap();
+    let evicted = outcome.expect("panic escaped the isolation boundary");
+    assert!(!evicted.is_empty(), "the panic quarantined nobody");
 }
