@@ -8,7 +8,7 @@
 //! wall. All engines produce RouLette-compatible `(rows, checksum)`
 //! results, so cross-engine result equivalence is testable.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 pub mod hashtable;

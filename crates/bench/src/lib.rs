@@ -7,7 +7,6 @@
 //! `cargo run --release -p roulette-bench --bin fig11a` etc. Scale with
 //! `ROULETTE_SCALE`.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fig11;

@@ -15,9 +15,11 @@
 //!   §4.3, including least-squares calibration from measured timings;
 //! * [`EngineConfig`] — engine- and learning-related tuning knobs with the
 //!   paper's published defaults (`μ = 0.21`, `ε = 0.014`, `γ = 1`);
-//! * [`Error`] — the shared error type.
+//! * [`Error`] — the shared error type;
+//! * [`sync`] — the workspace's locks, each built with its rank in the one
+//!   lock order ([`sync::LockRank`]), checked in debug builds.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 pub mod config;
@@ -26,6 +28,7 @@ pub mod error;
 pub mod ids;
 pub mod queryset;
 pub mod relset;
+pub mod sync;
 
 pub use config::{EngineConfig, TelemetryConfig};
 pub use cost::{CostModel, OpKind};

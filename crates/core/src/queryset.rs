@@ -14,6 +14,16 @@
 //!   per tuple, used on the data plane so that query-set intersection over a
 //!   whole vector is a tight loop over `u64` words.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::ids::QueryId;
 use std::fmt;
 
@@ -58,9 +68,9 @@ pub fn reserve_pow2<T>(v: &mut Vec<T>, additional: usize) {
 pub fn and_assign(dst: &mut [u64], mask: &[u64]) -> bool {
     debug_assert_eq!(dst.len(), mask.len());
     let mut any = 0u64;
-    for i in 0..dst.len() {
-        dst[i] &= mask[i];
-        any |= dst[i];
+    for (d, m) in dst.iter_mut().zip(mask) {
+        *d &= m;
+        any |= *d;
     }
     any != 0
 }
@@ -70,8 +80,8 @@ pub fn and_assign(dst: &mut [u64], mask: &[u64]) -> bool {
 pub fn intersects(a: &[u64], b: &[u64]) -> bool {
     debug_assert_eq!(a.len(), b.len());
     let mut any = 0u64;
-    for i in 0..a.len() {
-        any |= a[i] & b[i];
+    for (x, y) in a.iter().zip(b) {
+        any |= x & y;
     }
     any != 0
 }
@@ -244,6 +254,10 @@ impl QuerySet {
 
     /// Adds a query (panics in debug builds if out of capacity).
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "query ids are below the capacity the set was built for (asserted above)"
+    )]
     pub fn insert(&mut self, q: QueryId) {
         let (w, b) = (q.index() / 64, q.index() % 64);
         debug_assert!(w < self.words.len(), "query id beyond set capacity");
@@ -254,8 +268,8 @@ impl QuerySet {
     #[inline]
     pub fn remove(&mut self, q: QueryId) {
         let (w, b) = (q.index() / 64, q.index() % 64);
-        if w < self.words.len() {
-            self.words[w] &= !(1u64 << b);
+        if let Some(word) = self.words.get_mut(w) {
+            *word &= !(1u64 << b);
         }
     }
 
@@ -263,7 +277,7 @@ impl QuerySet {
     #[inline]
     pub fn contains(&self, q: QueryId) -> bool {
         let (w, b) = (q.index() / 64, q.index() % 64);
-        w < self.words.len() && (self.words[w] >> b) & 1 == 1
+        self.words.get(w).is_some_and(|word| (word >> b) & 1 == 1)
     }
 
     /// Number of member queries.
@@ -294,16 +308,16 @@ impl QuerySet {
     /// In-place union.
     pub fn union_with(&mut self, other: &QuerySet) {
         debug_assert_eq!(self.width(), other.width());
-        for i in 0..self.words.len() {
-            self.words[i] |= other.words[i];
+        for (w, o) in self.words.iter_mut().zip(&other.words) {
+            *w |= o;
         }
     }
 
     /// In-place difference `self −= other`.
     pub fn subtract(&mut self, other: &QuerySet) {
         debug_assert_eq!(self.width(), other.width());
-        for i in 0..self.words.len() {
-            self.words[i] &= !other.words[i];
+        for (w, o) in self.words.iter_mut().zip(&other.words) {
+            *w &= !o;
         }
     }
 
@@ -500,6 +514,10 @@ impl QuerySetColumn {
 
     /// Borrow of row `i`.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "callers pass i < len(), and the column holds len() whole rows"
+    )]
     pub fn row(&self, i: usize) -> &[u64] {
         let s = i * self.words_per_set;
         &self.data[s..s + self.words_per_set]
@@ -507,6 +525,10 @@ impl QuerySetColumn {
 
     /// Mutable borrow of row `i`.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "callers pass i < len(), and the column holds len() whole rows"
+    )]
     pub fn row_mut(&mut self, i: usize) -> &mut [u64] {
         let s = i * self.words_per_set;
         &mut self.data[s..s + self.words_per_set]

@@ -5,6 +5,16 @@
 //! bounded by the number of relations in the schema — so a single `u64`
 //! bitset suffices and makes lineage manipulation branch-free.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::ids::RelId;
 use std::fmt;
 

@@ -7,6 +7,16 @@
 //! workloads), sharing the circular scans and STeM state of ongoing
 //! queries.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::episode::{run_episode, EngineShared, SharedStats, TraceEntry};
 use crate::fault::{FaultInjector, LiveSet};
 use crate::filter::SelectionFilter;
@@ -15,7 +25,7 @@ use crate::profile::{Category, Profile};
 use crate::pruning::rank_relations;
 use crate::scratch::EpisodeScratch;
 use crate::stem::Stem;
-use parking_lot::Mutex;
+use roulette_core::sync::{LockRank, Mutex};
 use roulette_core::{
     ColId, CostModel, EngineConfig, Error, QueryId, QuerySet, RelId, RelSet, Result,
 };
@@ -210,18 +220,17 @@ impl<'a> RouletteEngine<'a> {
             catalog: self.catalog,
             config: self.config.clone(),
             batch: QueryBatch::new(self.catalog.len(), capacity),
-            ingestion: Mutex::new(Ingestion::new(
-                &self
-                    .catalog
-                    .relations()
-                    .map(|(_, r)| r.rows())
-                    .collect::<Vec<_>>(),
-                self.config.vector_size,
-                capacity,
-            )),
+            ingestion: Mutex::new(
+                LockRank::SessionIngestion,
+                Ingestion::new(
+                    &self.catalog.relations().map(|(_, r)| r.rows()).collect::<Vec<_>>(),
+                    self.config.vector_size,
+                    capacity,
+                ),
+            ),
             stems: (0..self.catalog.len()).map(|_| None).collect(),
             work: (0..self.config.workers.max(1))
-                .map(|_| Mutex::new(VecDeque::new()))
+                .map(|_| Mutex::new(LockRank::SessionWork, VecDeque::new()))
                 .collect(),
             scan_done: (0..self.catalog.len()).map(|_| AtomicBool::new(false)).collect(),
             scan_epoch: AtomicU64::new(0),
@@ -234,19 +243,22 @@ impl<'a> RouletteEngine<'a> {
             profile: Profile::new(),
             stats: SharedStats::default(),
             global_version: AtomicU32::new(1),
-            policy: Mutex::new(policy),
+            policy: Mutex::new(LockRank::SessionPolicy, policy),
             cost: CostModel::default(),
             pending_episodes: (0..self.catalog.len()).map(|_| AtomicU64::new(0)).collect(),
             trace: false,
-            traces: Mutex::new(Vec::new()),
+            traces: Mutex::new(LockRank::SessionTraces, Vec::new()),
             live: LiveSet::new(capacity),
-            fallback: Mutex::new(GreedyPolicy::with_defaults(self.config.seed)),
+            fallback: Mutex::new(
+                LockRank::EngineFallback,
+                GreedyPolicy::with_defaults(self.config.seed),
+            ),
             injector: None,
             pressure: AtomicU8::new(0),
             closed: false,
             recorder: self.recorder.clone(),
             telemetry_done: (0..capacity).map(|_| AtomicBool::new(false)).collect(),
-            scratch: Mutex::new(EpisodeScratch::new()),
+            scratch: Mutex::new(LockRank::SessionScratch, EpisodeScratch::new()),
         }
     }
 }
@@ -263,8 +275,8 @@ pub struct Session<'a> {
     /// vectors under one ingestion latch when empty, and steals from the
     /// back of a sibling's queue when ingestion is drained — so a straggler
     /// stuck in a long episode no longer idles the pool behind it.
-    /// Lock class `Session.work`, ordered after `Session.ingestion` (a
-    /// refill pushes under both); never nested with another worker's queue.
+    /// Rank `SessionWork`, after `SessionIngestion` (a refill pushes under
+    /// both); never nested with another worker's queue.
     work: Vec<Mutex<VecDeque<IngestVector>>>,
     /// Lock-free mirror of `Ingestion::scan_complete`, synced under the
     /// ingestion latch wherever the schedule changes (refill, admission,

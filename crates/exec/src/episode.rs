@@ -14,6 +14,16 @@
 //! materialises it; (v) the execution log is fed back to the learned
 //! policy.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::fault::{FaultInjector, FaultSite, LiveSet};
 use crate::filter::SelectionFilter;
 use crate::kernels::{self, pairs};
@@ -113,7 +123,7 @@ pub struct EngineShared<'a> {
     pub injector: Option<&'a FaultInjector>,
     /// Greedy fallback policy the watchdog replans with. Kept warm with the
     /// same observations as the learned policy (when a watchdog is armed).
-    pub fallback: &'a parking_lot::Mutex<GreedyPolicy>,
+    pub fallback: &'a roulette_core::sync::Mutex<GreedyPolicy>,
     /// Session quarantine hook: evicts a query from the shared plan and
     /// records the attributed error.
     pub quarantine: &'a (dyn Fn(QueryId, Error) + Sync),
@@ -269,7 +279,7 @@ pub fn run_episode(
     shared: &EngineShared<'_>,
     iv: &IngestVector,
     complete: RelSet,
-    policy: &parking_lot::Mutex<Box<dyn roulette_policy::Policy>>,
+    policy: &roulette_core::sync::Mutex<Box<dyn roulette_policy::Policy>>,
     log: &mut ExecutionLog,
     scratch: &mut EpisodeScratch,
     trace: bool,

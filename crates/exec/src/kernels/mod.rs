@@ -25,6 +25,17 @@
 //! per-key probe for `pairs` and `row_hash` for `route` — run only in the
 //! tests, never in the engine.
 
+// Covers the `pairs`, `route` and `wide` submodules too.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 pub mod pairs;
 pub mod route;
 mod wide;

@@ -318,7 +318,7 @@ pub fn compact_qsets(qsets: &mut QuerySetColumn, keep: &RowMask) {
 /// counting sweep over the qset column (set bits found with
 /// `trailing_zeros`), a prefix-sum, and one scatter sweep — instead of two
 /// sweeps per routed query. Routing few
-/// ([`SWEEP_MAX_PER_WORD`](super::SWEEP_MAX_PER_WORD)) it is two sweeps
+/// (`SWEEP_MAX_PER_WORD`) it is two sweeps
 /// per query after all, but branch-free ones: a shift, a mask and an add
 /// per row, against a `trailing_zeros` walk whose trip count and stores
 /// depend on the data.

@@ -8,7 +8,7 @@
 //! locality-conscious routing, and the episode-based engine with dynamic
 //! query admission and a multi-core worker pool.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 pub mod engine;

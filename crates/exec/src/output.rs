@@ -8,7 +8,17 @@
 //! which compute the same checksum), and optionally the projected rows
 //! themselves for small workloads.
 
-use parking_lot::Mutex;
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
+use roulette_core::sync::{LockRank, Mutex};
 use roulette_core::{Error, QueryId};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
@@ -84,15 +94,20 @@ impl Outputs {
         Outputs {
             rows: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
             checksums: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
-            collected: collect
-                .then(|| (0..capacity).map(|_| Mutex::new(Vec::new())).collect()),
+            collected: collect.then(|| {
+                (0..capacity).map(|_| Mutex::new(LockRank::OutputsCollected, Vec::new())).collect()
+            }),
             statuses: (0..capacity).map(|_| AtomicU8::new(0)).collect(),
-            errors: Mutex::new(vec![None; capacity]),
+            errors: Mutex::new(LockRank::OutputsErrors, vec![None; capacity]),
         }
     }
 
     /// Marks `q` quarantined with the attributed error. First writer wins;
     /// later errors for the same query are dropped.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "q was admitted by this session, so q < capacity, the length of every sink"
+    )]
     pub fn quarantine(&self, q: QueryId, err: Error) {
         // ordering: Release pairs with the Acquire load in `status` so a
         // reader that sees Quarantined also sees the attributed error.
@@ -102,11 +117,19 @@ impl Outputs {
     }
 
     /// The error attributed to `q`, if it was quarantined.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "q was admitted by this session, so q < capacity, the length of every sink"
+    )]
     pub fn error(&self, q: QueryId) -> Option<Error> {
         self.errors.lock()[q.index()].clone()
     }
 
     /// `q`'s completion status.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "q was admitted by this session, so q < capacity, the length of every sink"
+    )]
     pub fn status(&self, q: QueryId) -> CompletionStatus {
         // ordering: Acquire pairs with `quarantine`'s Release store.
         match self.statuses[q.index()].load(Ordering::Acquire) {
@@ -122,6 +145,10 @@ impl Outputs {
 
     /// Adds one output row for `q`.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "q was admitted by this session, so q < capacity, the length of every sink"
+    )]
     pub fn push(&self, q: QueryId, values: &[i64]) {
         self.rows[q.index()].fetch_add(1, Ordering::Relaxed);
         self.checksums[q.index()].fetch_add(row_hash(values), Ordering::Relaxed);
@@ -133,12 +160,20 @@ impl Outputs {
     /// Adds a pre-aggregated batch for `q` (the locality-conscious router's
     /// one-update-per-query-per-vector path).
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "q was admitted by this session, so q < capacity, the length of every sink"
+    )]
     pub fn push_batch(&self, q: QueryId, rows: u64, checksum: u64) {
         self.rows[q.index()].fetch_add(rows, Ordering::Relaxed);
         self.checksums[q.index()].fetch_add(checksum, Ordering::Relaxed);
     }
 
     /// Appends collected rows for `q` (two-pass router path).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "q was admitted by this session, so q < capacity, the length of every sink"
+    )]
     pub fn extend_collected(&self, q: QueryId, rows: &[Vec<i64>]) {
         if let Some(collected) = &self.collected {
             collected[q.index()].lock().extend(rows.iter().cloned());
@@ -149,6 +184,10 @@ impl Outputs {
     /// `data[offsets[i-1]..offsets[i]]` (with `offsets[-1]` read as 0).
     /// The episode sink stages rows this way so routing never allocates;
     /// rows materialize into `Vec`s only here, at the commit point.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "q was admitted by this session, so q < capacity, the length of every sink"
+    )]
     pub fn extend_collected_flat(&self, q: QueryId, data: &[i64], offsets: &[u32]) {
         if let Some(collected) = &self.collected {
             let mut sink = collected[q.index()].lock();
@@ -162,6 +201,10 @@ impl Outputs {
     }
 
     /// Snapshot of one query's result.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "q was admitted by this session, so q < capacity, the length of every sink"
+    )]
     pub fn result(&self, q: QueryId) -> QueryResult {
         QueryResult {
             // ordering: rows/checksum are monotone accumulators read after
@@ -178,6 +221,10 @@ impl Outputs {
     }
 
     /// Takes the collected rows of `q` (empty when not collecting).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "q was admitted by this session, so q < capacity, the length of every sink"
+    )]
     pub fn take_collected(&self, q: QueryId) -> Vec<Vec<i64>> {
         match &self.collected {
             Some(c) => std::mem::take(&mut *c[q.index()].lock()),

@@ -12,7 +12,7 @@
 //!   counting pass over the query-set words and one sink update per query;
 //! * otherwise one CSR partition pass yields each query's row list, and the
 //!   query's checksum is the `row_hash` chain run down each projected
-//!   column over that list ([`kernels::route`](crate::kernels::route));
+//!   column over that list ([`crate::kernels::route`]);
 //!   rows are re-assembled only when the sink collects them.
 //!
 //! The direct multicast router of the Fig. 17–18 ablation
@@ -22,6 +22,16 @@
 //! Nothing here takes a lock: a leaf probe calls [`route`] under a STeM's
 //! read latch, and the sink is worker-local until the episode's
 //! commit point.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use crate::fault::LiveSet;
 use crate::kernels::{self, pairs, route as kernel, Partition};

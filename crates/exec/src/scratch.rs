@@ -16,6 +16,16 @@
 //! recycling a buffer can never alias state a concurrent episode still
 //! reads. See DESIGN.md §10.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::router::{EpisodeSink, RouteScratch};
 use crate::stem::ProbeScratch;
 use crate::vector::DataVector;

@@ -41,8 +41,18 @@
 //! view. The chained index stays the only build structure and the
 //! reference (DESIGN.md §14).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::kernels::pairs;
-use parking_lot::{RwLock, RwLockReadGuard};
+use roulette_core::sync::{LockRank, RwLock, RwLockReadGuard};
 use roulette_core::{ColId, QuerySetColumn, RelId};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
@@ -331,12 +341,15 @@ impl Stem {
         words_per_set: usize,
         hint: usize,
     ) -> Self {
-        let inner = RwLock::new(StemInner {
-            vids: Vec::new(),
-            versions: Vec::new(),
-            qsets: QuerySetColumn::new(words_per_set),
-            indices: key_cols.iter().map(|_| StemIndex::with_capacity(hint)).collect(),
-        });
+        let inner = RwLock::new(
+            LockRank::Stem,
+            StemInner {
+                vids: Vec::new(),
+                versions: Vec::new(),
+                qsets: QuerySetColumn::new(words_per_set),
+                indices: key_cols.iter().map(|_| StemIndex::with_capacity(hint)).collect(),
+            },
+        );
         Stem { rel, key_cols, views: true, inner }
     }
 
@@ -909,6 +922,7 @@ impl StemReader<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use roulette_core::sync::Mutex;
     use roulette_core::QuerySet;
 
     fn qcol(sets: &[&QuerySet]) -> QuerySetColumn {
@@ -1067,11 +1081,13 @@ mod tests {
         let vids: Vec<u32> = (0..100).collect();
         let keys: Vec<i64> = (0..100).collect();
         stem.insert_vector(&vids, &qc, &[keys], &global);
+        // Before taking the latch: `memory_bytes` takes it too, and one
+        // thread must not hold a STeM latch twice.
+        let accounted = stem.memory_bytes();
         let inner = stem.inner.read();
         let cap_bytes = inner.qsets.capacity_words() * 8;
         let len_bytes = inner.qsets.raw().len() * 8;
         assert!(cap_bytes >= len_bytes);
-        let accounted = stem.memory_bytes();
         // memory_bytes must include the full reserved qset block: strip the
         // other components and compare against capacity, not length.
         let non_qset: usize = inner.vids.capacity() * 4
@@ -1430,7 +1446,8 @@ mod tests {
         let q = QuerySet::full(1);
 
         for trial in 0..50 {
-            let found = Arc::new(std::sync::Mutex::new(Vec::new()));
+            // A result sink taken under the STeM latch, as the engine's are.
+            let found = Arc::new(Mutex::new(LockRank::OutputsCollected, Vec::new()));
             let mk = |own: Arc<Stem>, other: Arc<Stem>, vid: u32| {
                 let global = Arc::clone(&global);
                 let q = q.clone();
@@ -1441,7 +1458,7 @@ mod tests {
                     qc.push(q.words());
                     let v = own.insert_vector(&[vid], &qc, &[vec![key]], &global);
                     other.probe(0, key, v, |_, other_vid| {
-                        found.lock().unwrap().push((vid, other_vid));
+                        found.lock().push((vid, other_vid));
                     });
                 }
             };
@@ -1449,7 +1466,7 @@ mod tests {
             let t2 = std::thread::spawn(mk(Arc::clone(&stem_s), Arc::clone(&stem_r), trial as u32));
             t1.join().unwrap();
             t2.join().unwrap();
-            let matches = found.lock().unwrap();
+            let matches = found.lock();
             assert_eq!(matches.len(), 1, "trial {trial}: {:?}", *matches);
         }
     }

@@ -6,6 +6,16 @@
 //! mini-columns from base storage on demand. Adaptive projections (§5.2)
 //! drop vID columns that no downstream operator needs.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use roulette_core::{QuerySet, QuerySetColumn, RelId, RowMask};
 
 use crate::kernels;

@@ -1,60 +1,40 @@
 //! # roulette-lint
 //!
-//! A workspace invariant linter for the RouLette repository.
+//! The workspace invariants that no rustc or clippy lint can state,
+//! checked over every `.rs` file in the tree:
 //!
-//! RouLette's eddy re-plans every 1024-tuple vector, so a single reachable
-//! panic inside the episode loop kills every in-flight query sharing the
-//! global plan. PR 1 *contains* such faults (`catch_unwind` + quarantine);
-//! this crate *prevents* new ones from landing, by statically enforcing a
-//! small set of repository invariants on every `.rs` file in the tree:
-//!
-//! * **R1 `no-panic-hot-path`** — no `unwrap`/`expect`, panicking macros,
-//!   or direct indexing in the designated hot-path modules;
-//! * **R2 `unsafe-needs-safety-comment`** — every `unsafe` carries a
-//!   `// SAFETY:` comment, and unsafe-free crates declare
-//!   `#![forbid(unsafe_code)]`;
-//! * **R3 `no-stdout-in-libs`** — library crates never print;
 //! * **R4 `shim-surface-drift`** — the offline dependency shims under
 //!   `shims/` export only API the workspace actually references;
-//! * **R5 `config-docs`** — every public `EngineConfig` field is
-//!   documented;
 //! * **R6 `no-alloc-in-episode-loop`** — code regions marked
 //!   `// lint: hot-loop` never heap-allocate (`Vec::new`, `vec![…]`,
 //!   `.clone()`, `.to_vec()`, `.to_owned()`); steady-state episode
 //!   execution draws every buffer from the `EpisodeScratch` arena;
-//! * **R7 `lock-order`** — every nested `Mutex`/`RwLock` acquisition,
-//!   resolved across files through a lightweight call map, follows the
-//!   canonical order declared in `lock-order.toml`, and the inferred
-//!   lock-acquisition graph is acyclic;
-//! * **R8 `no-blocking-while-locked`** — no `recv()`, `join()`,
-//!   `accept()`, `sleep()`, or socket/file blocking calls while any
-//!   guard is live in non-test code;
 //! * **R9 `atomic-ordering-justified`** — every non-`Relaxed` atomic
 //!   ordering (and every `Relaxed` on a non-counter atomic) carries an
-//!   `// ordering:` comment, mirroring R2's SAFETY discipline.
+//!   `// ordering:` comment.
+//!
+//! The other invariants the repository keeps live in stronger checks
+//! (DESIGN.md §8): no panics on the hot paths, no `unsafe`, no printing
+//! in libraries and documented configuration are rustc and clippy lints;
+//! lock order and no blocking under a lock are the debug-build lock ranks
+//! of `roulette_core::sync`.
 //!
 //! Matching is lexer-based ([`lexer`]): string literals, char literals,
-//! raw strings, and comments can never false-positive. Violations are
-//! suppressed either inline (`// lint:allow(<rule>)`) or frozen in
-//! [`lint-baseline.toml`](baseline) for incremental burn-down; the
-//! baseline is a strict two-way ratchet, so it can neither grow silently
-//! nor retain headroom after a fix.
+//! raw strings, and comments can never false-positive. A violation is
+//! suppressed inline with `// lint:allow(<rule>)`; there is no baseline.
 //!
 //! This library performs no I/O besides reading sources and never prints —
 //! the `roulette-lint` binary owns all output.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
-pub mod baseline;
-pub mod conc;
+pub mod atomics;
 pub mod lexer;
 pub mod report;
 pub mod rules;
 pub mod workspace;
 
-pub use baseline::{Baseline, BaselineEntry};
-pub use conc::LockOrder;
-pub use report::{CheckReport, Severity, StaleEntry, Violation};
-pub use rules::{Rule, SourceFile, HOT_PATHS, RULES};
+pub use report::{CheckReport, Violation};
+pub use rules::{Rule, SourceFile, RULES};
 pub use workspace::{default_root, Workspace};

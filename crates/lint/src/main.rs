@@ -1,139 +1,69 @@
 //! `roulette-lint` — the workspace invariant linter's CLI.
 //!
 //! ```text
-//! roulette-lint check    [--format text|json] [--baseline PATH] [--root PATH]
-//!                        [--lock-order PATH] [--warn RULE]...
-//! roulette-lint baseline [--baseline PATH] [--root PATH] [--lock-order PATH]
+//! roulette-lint check [--root PATH]
 //! roulette-lint rules
 //! ```
 //!
-//! `check` exits 0 when the tree is clean (modulo the committed baseline),
-//! 1 on violations or a stale baseline, 2 on usage or I/O errors.
+//! `check` exits 0 when the tree is clean, 1 on violations, 2 on usage or
+//! I/O errors.
 
-#![forbid(unsafe_code)]
-
-use roulette_lint::{Baseline, LockOrder, Workspace, RULES};
-use std::collections::HashSet;
+use roulette_lint::{Workspace, RULES};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: roulette-lint <check|baseline|rules> \
-    [--format text|json] [--baseline PATH] [--root PATH] [--lock-order PATH] [--warn RULE]...";
+const USAGE: &str = "usage: roulette-lint <check|rules> [--root PATH]";
 
-struct Opts {
-    cmd: String,
-    root: PathBuf,
-    baseline: PathBuf,
-    lock_order: Option<PathBuf>,
-    format: String,
-    demote: HashSet<String>,
-}
-
-fn parse_args() -> Result<Opts, String> {
+fn parse_args() -> Result<(String, PathBuf), String> {
     let mut args = std::env::args().skip(1);
     let cmd = args.next().ok_or(USAGE)?;
     let mut root = roulette_lint::default_root();
-    let mut baseline: Option<PathBuf> = None;
-    let mut lock_order: Option<PathBuf> = None;
-    let mut format = "text".to_string();
-    let mut demote = HashSet::new();
     while let Some(a) = args.next() {
-        let mut value = |name: &str| {
-            args.next().ok_or_else(|| format!("{name} requires a value\n{USAGE}"))
-        };
         match a.as_str() {
-            "--root" => root = PathBuf::from(value("--root")?),
-            "--baseline" => baseline = Some(PathBuf::from(value("--baseline")?)),
-            "--lock-order" => lock_order = Some(PathBuf::from(value("--lock-order")?)),
-            "--format" => {
-                format = value("--format")?;
-                if format != "text" && format != "json" {
-                    return Err(format!("unknown format `{format}`\n{USAGE}"));
-                }
-            }
-            "--warn" => {
-                let rule = value("--warn")?;
-                if roulette_lint::rules::rule_by_name(&rule).is_none() {
-                    return Err(format!("unknown rule `{rule}`"));
-                }
-                demote.insert(rule);
+            "--root" => {
+                root = PathBuf::from(
+                    args.next().ok_or_else(|| format!("--root requires a value\n{USAGE}"))?,
+                )
             }
             _ => return Err(format!("unknown argument `{a}`\n{USAGE}")),
         }
     }
-    let baseline = baseline.unwrap_or_else(|| root.join("lint-baseline.toml"));
-    Ok(Opts { cmd, root, baseline, lock_order, format, demote })
-}
-
-/// Loads the workspace, overriding the default `<root>/lock-order.toml`
-/// with an explicit `--lock-order PATH` when one was given.
-fn load_workspace(opts: &Opts) -> Result<Workspace, String> {
-    let mut ws = Workspace::load(&opts.root)
-        .map_err(|e| format!("loading workspace at {}: {e}", opts.root.display()))?;
-    if let Some(p) = &opts.lock_order {
-        let text =
-            std::fs::read_to_string(p).map_err(|e| format!("reading {}: {e}", p.display()))?;
-        ws.lock_order = Some(LockOrder::parse(&text)?);
-    }
-    Ok(ws)
+    Ok((cmd, root))
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
+    let (cmd, root) = match parse_args() {
         Ok(o) => o,
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::from(2);
         }
     };
-    match run(&opts) {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("roulette-lint: {e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn run(opts: &Opts) -> Result<ExitCode, String> {
-    match opts.cmd.as_str() {
+    match cmd.as_str() {
         "rules" => {
             for r in RULES {
-                println!("{:30} {:4}  {}", r.name, r.severity.to_string(), r.summary);
+                println!("{:30} {}", r.name, r.summary);
             }
-            Ok(ExitCode::SUCCESS)
+            ExitCode::SUCCESS
         }
-        "baseline" => {
-            let ws = load_workspace(opts)?;
-            let violations = ws.analyze();
-            let b = Baseline::from_violations(&violations);
-            std::fs::write(&opts.baseline, b.to_toml())
-                .map_err(|e| format!("writing {}: {e}", opts.baseline.display()))?;
-            println!(
-                "baseline: froze {} violation(s) across {} entr(ies) into {}",
-                violations.len(),
-                b.entries.len(),
-                opts.baseline.display()
-            );
-            Ok(ExitCode::SUCCESS)
-        }
-        "check" => {
-            let ws = load_workspace(opts)?;
-            let baseline = match std::fs::read_to_string(&opts.baseline) {
-                Ok(text) => Baseline::parse(&text)
-                    .map_err(|e| format!("{}: {e}", opts.baseline.display()))?,
-                // No baseline file: nothing is frozen; everything must be
-                // clean. (`baseline` bootstraps the freeze file.)
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => Baseline::default(),
-                Err(e) => return Err(format!("reading {}: {e}", opts.baseline.display())),
-            };
-            let report = ws.check(&baseline, &opts.demote);
-            match opts.format.as_str() {
-                "json" => println!("{}", report.render_json()),
-                _ => print!("{}", report.render_text()),
+        "check" => match Workspace::load(&root) {
+            Ok(ws) => {
+                let report = ws.check();
+                print!("{}", report.render_text());
+                if report.ok() {
+                    ExitCode::SUCCESS
+                } else {
+                    ExitCode::FAILURE
+                }
             }
-            Ok(if report.ok() { ExitCode::SUCCESS } else { ExitCode::FAILURE })
+            Err(e) => {
+                eprintln!("roulette-lint: loading workspace at {}: {e}", root.display());
+                ExitCode::from(2)
+            }
+        },
+        other => {
+            eprintln!("unknown command `{other}`\n{USAGE}");
+            ExitCode::from(2)
         }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
     }
 }

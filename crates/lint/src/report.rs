@@ -1,28 +1,7 @@
-//! Violation records, severities, and output rendering.
+//! Violation records and report rendering.
 //!
-//! Rendering returns `String`s — the library never writes to stdout (rule
-//! R3 applies to this crate too; only the `roulette-lint` binary prints).
-
-use std::collections::BTreeMap;
-use std::fmt;
-
-/// How a rule's violations affect the exit status.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Violations fail the check.
-    Deny,
-    /// Violations are reported but never fail the check.
-    Warn,
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Severity::Deny => "deny",
-            Severity::Warn => "warn",
-        })
-    }
-}
+//! Rendering returns `String`s — the library never writes to stdout; only
+//! the `roulette-lint` binary prints.
 
 /// One rule violation at one source location.
 #[derive(Debug, Clone)]
@@ -31,23 +10,10 @@ pub struct Violation {
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// Rule name, e.g. `no-panic-hot-path`.
+    /// Rule name, e.g. `atomic-ordering-justified`.
     pub rule: &'static str,
     /// Human-readable description of the violation.
     pub message: String,
-}
-
-/// A baseline entry that no longer matches the tree.
-#[derive(Debug, Clone)]
-pub struct StaleEntry {
-    /// Baselined file.
-    pub file: String,
-    /// Baselined rule.
-    pub rule: String,
-    /// Count frozen in the baseline.
-    pub baselined: usize,
-    /// Count actually found (strictly less than `baselined`).
-    pub found: usize,
 }
 
 /// Outcome of a `check` run.
@@ -55,122 +21,31 @@ pub struct StaleEntry {
 pub struct CheckReport {
     /// Number of `.rs` files analyzed.
     pub checked_files: usize,
-    /// Deny-severity violations not covered by the baseline; any entry
-    /// here fails the check.
+    /// Violations not suppressed by a `lint:allow`; any entry fails the
+    /// check.
     pub errors: Vec<Violation>,
-    /// Warn-severity violations not covered by the baseline.
-    pub warnings: Vec<Violation>,
-    /// Violations covered by the baseline (informational).
-    pub baselined: usize,
-    /// Baseline entries whose frozen count exceeds what the tree contains;
-    /// these fail the check so the baseline can only shrink via an explicit
-    /// `roulette-lint baseline` regeneration.
-    pub stale: Vec<StaleEntry>,
 }
 
 impl CheckReport {
     /// True when the check passes.
     pub fn ok(&self) -> bool {
-        self.errors.is_empty() && self.stale.is_empty()
+        self.errors.is_empty()
     }
 
     /// Human-readable report.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
-        for v in self.warnings.iter() {
-            out.push_str(&format!("warn[{}] {}:{}: {}\n", v.rule, v.file, v.line, v.message));
-        }
-        for v in self.errors.iter() {
+        for v in &self.errors {
             out.push_str(&format!("error[{}] {}:{}: {}\n", v.rule, v.file, v.line, v.message));
         }
-        for s in self.stale.iter() {
-            out.push_str(&format!(
-                "error[stale-baseline] {}: baseline freezes {} `{}` violation(s) but the tree \
-                 has {}; run `cargo run -p roulette-lint -- baseline` to shrink the freeze\n",
-                s.file, s.baselined, s.rule, s.found
-            ));
-        }
         out.push_str(&format!(
-            "{}: {} file(s) checked, {} error(s), {} warning(s), {} baselined, {} stale\n",
+            "{}: {} file(s) checked, {} error(s)\n",
             if self.ok() { "ok" } else { "FAILED" },
             self.checked_files,
-            self.errors.len(),
-            self.warnings.len(),
-            self.baselined,
-            self.stale.len()
+            self.errors.len()
         ));
         out
     }
-
-    /// Machine-readable report (stable key order).
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"ok\":{},", self.ok()));
-        out.push_str(&format!("\"checked_files\":{},", self.checked_files));
-        out.push_str(&format!("\"baselined\":{},", self.baselined));
-        let render = |vs: &[Violation]| -> String {
-            let items: Vec<String> = vs
-                .iter()
-                .map(|v| {
-                    format!(
-                        "{{\"file\":{},\"line\":{},\"rule\":{},\"message\":{}}}",
-                        json_str(&v.file),
-                        v.line,
-                        json_str(v.rule),
-                        json_str(&v.message)
-                    )
-                })
-                .collect();
-            format!("[{}]", items.join(","))
-        };
-        out.push_str(&format!("\"errors\":{},", render(&self.errors)));
-        out.push_str(&format!("\"warnings\":{},", render(&self.warnings)));
-        let stale: Vec<String> = self
-            .stale
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"file\":{},\"rule\":{},\"baselined\":{},\"found\":{}}}",
-                    json_str(&s.file),
-                    json_str(&s.rule),
-                    s.baselined,
-                    s.found
-                )
-            })
-            .collect();
-        out.push_str(&format!("\"stale\":[{}]", stale.join(",")));
-        out.push('}');
-        out
-    }
-}
-
-/// Groups violations by `(file, rule)` with counts, in sorted order —
-/// the shape both the baseline comparison and serialization use.
-pub fn group_counts(violations: &[Violation]) -> BTreeMap<(String, String), usize> {
-    let mut m = BTreeMap::new();
-    for v in violations {
-        *m.entry((v.file.clone(), v.rule.to_string())).or_insert(0) += 1;
-    }
-    m
-}
-
-/// Minimal JSON string escaping.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -178,42 +53,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-    }
-
-    #[test]
     fn report_ok_logic() {
-        let mut r = CheckReport::default();
-        assert!(r.ok());
-        r.warnings.push(Violation {
-            file: "f".into(),
-            line: 1,
-            rule: "x",
-            message: "m".into(),
-        });
-        assert!(r.ok(), "warnings alone must not fail the check");
-        r.stale.push(StaleEntry {
-            file: "f".into(),
-            rule: "x".into(),
-            baselined: 2,
-            found: 1,
-        });
-        assert!(!r.ok(), "stale baseline entries fail the check");
-    }
-
-    #[test]
-    fn json_render_is_parseable_shape() {
         let mut r = CheckReport { checked_files: 3, ..Default::default() };
+        assert!(r.ok());
+        assert!(r.render_text().starts_with("ok: 3 file(s) checked"));
         r.errors.push(Violation {
             file: "a.rs".into(),
             line: 7,
-            rule: "no-panic-hot-path",
-            message: "`unwrap()` in hot path".into(),
+            rule: "no-alloc-in-episode-loop",
+            message: "`vec![…]` allocates".into(),
         });
-        let j = r.render_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"ok\":false"));
-        assert!(j.contains("\"line\":7"));
+        assert!(!r.ok());
+        let text = r.render_text();
+        assert!(text.contains("error[no-alloc-in-episode-loop] a.rs:7:"), "{text}");
+        assert!(text.ends_with("FAILED: 3 file(s) checked, 1 error(s)\n"), "{text}");
     }
 }

@@ -2,18 +2,14 @@
 //!
 //! Walks `crates/`, `shims/`, `src/`, `tests/`, and `examples/` under the
 //! workspace root, lexes every `.rs` file once, and runs the rule set:
-//! per-file rules directly, plus the cross-file analyses — crate-level
-//! `#![forbid(unsafe_code)]` coverage (R2), shim surface matching against
-//! the non-shim reference corpus (R4), and the concurrency model behind
-//! R7/R8/R9 (lock-order against `lock-order.toml`, blocking-while-locked,
-//! and atomic-ordering justification; see [`crate::conc`]).
+//! R6 per file, plus the two cross-file analyses — shim surface matching
+//! against the non-shim reference corpus (R4) and atomic-ordering
+//! justification with its workspace-wide counter set (R9, see
+//! [`crate::atomics`]).
 
-use crate::baseline::Baseline;
-use crate::conc::{self, LockOrder};
-use crate::report::{CheckReport, Severity, StaleEntry, Violation};
-use crate::rules::{
-    self, has_forbid_unsafe, rule_by_name, uses_unsafe, SourceFile, UNSAFE_NEEDS_SAFETY_COMMENT,
-};
+use crate::atomics;
+use crate::report::{CheckReport, Violation};
+use crate::rules::{self, SourceFile};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -26,13 +22,8 @@ const SKIP_DIRS: &[&str] = &["target", ".git", "fixtures"];
 
 /// A loaded workspace: every scanned source file, lexed and annotated.
 pub struct Workspace {
-    /// Absolute workspace root.
-    pub root: PathBuf,
     /// Files in sorted path order.
     pub files: Vec<SourceFile>,
-    /// The canonical lock order from `<root>/lock-order.toml`, when the
-    /// file exists. `None` makes every multi-lock nesting an R7 violation.
-    pub lock_order: Option<LockOrder>,
 }
 
 impl Workspace {
@@ -58,17 +49,7 @@ impl Workspace {
             let src = std::fs::read_to_string(&p)?;
             files.push(SourceFile::new(rel, &src));
         }
-        let order_path = root.join("lock-order.toml");
-        let lock_order = if order_path.is_file() {
-            let text = std::fs::read_to_string(&order_path)?;
-            Some(
-                LockOrder::parse(&text)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?,
-            )
-        } else {
-            None
-        };
-        Ok(Workspace { root: root.to_path_buf(), files, lock_order })
+        Ok(Workspace { files })
     }
 
     /// Runs every rule and returns all violations not suppressed by an
@@ -76,16 +57,10 @@ impl Workspace {
     pub fn analyze(&self) -> Vec<Violation> {
         let mut out = Vec::new();
         for f in &self.files {
-            rules::check_no_panic_hot_path(f, &mut out);
             rules::check_no_alloc_in_episode_loop(f, &mut out);
-            rules::check_unsafe_comments(f, &mut out);
-            rules::check_no_stdout_in_libs(f, &mut out);
-            rules::check_config_docs(f, &mut out);
         }
-        self.check_forbid_unsafe(&mut out);
         self.check_shim_surfaces(&mut out);
-        conc::check_concurrency(&self.files, self.lock_order.as_ref(), &mut out);
-        conc::check_atomic_orderings(&self.files, &mut out);
+        atomics::check_atomic_orderings(&self.files, &mut out);
         // Apply inline escapes.
         let by_path: HashMap<&str, &SourceFile> =
             self.files.iter().map(|f| (f.rel_path.as_str(), f)).collect();
@@ -96,41 +71,10 @@ impl Workspace {
         out
     }
 
-    /// R2, crate half: a crate whose sources contain no `unsafe` must
-    /// declare `#![forbid(unsafe_code)]` at its root.
-    fn check_forbid_unsafe(&self, out: &mut Vec<Violation>) {
-        for (root_file, members) in self.crates() {
-            let any_unsafe = members.iter().any(|f| uses_unsafe(f));
-            let root = members.iter().find(|f| f.rel_path == root_file);
-            if let Some(root) = root {
-                if !any_unsafe && !has_forbid_unsafe(root) {
-                    out.push(Violation {
-                        file: root_file.clone(),
-                        line: 1,
-                        rule: UNSAFE_NEEDS_SAFETY_COMMENT,
-                        message: "crate has no unsafe code; declare `#![forbid(unsafe_code)]` \
-                                  so none can land silently"
-                            .to_string(),
-                    });
-                }
-            }
-        }
-    }
-
-    /// Groups files into crates: `crates/<n>/…` and `shims/<n>/…` each form
-    /// one crate rooted at `…/src/lib.rs`; `src/` + root `tests/` +
-    /// `examples/` form the umbrella crate rooted at `src/lib.rs`.
-    fn crates(&self) -> BTreeMap<String, Vec<&SourceFile>> {
-        let mut groups: BTreeMap<String, Vec<&SourceFile>> = BTreeMap::new();
-        for f in &self.files {
-            let parts: Vec<&str> = f.rel_path.split('/').collect();
-            let root_file = match parts.as_slice() {
-                ["crates" | "shims", name, ..] => format!("{}/{}/src/lib.rs", parts[0], name),
-                _ => "src/lib.rs".to_string(),
-            };
-            groups.entry(root_file).or_default().push(f);
-        }
-        groups
+    /// Runs [`analyze`](Self::analyze) over the tree: every violation is an
+    /// error.
+    pub fn check(&self) -> CheckReport {
+        CheckReport { checked_files: self.files.len(), errors: self.analyze() }
     }
 
     /// R4: every shim pub item must be referenced from outside its own
@@ -180,82 +124,6 @@ impl Workspace {
             referenced.extend(rules::exported_macro_body_idents(f));
             rules::check_shim_surface(f, &referenced, out);
         }
-    }
-
-    /// Runs `analyze` and reconciles the result against `baseline`,
-    /// honoring per-rule severity (optionally overridden by `demote`,
-    /// a set of rule names treated as warnings).
-    pub fn check(&self, baseline: &Baseline, demote: &HashSet<String>) -> CheckReport {
-        let violations = self.analyze();
-        let mut report = CheckReport { checked_files: self.files.len(), ..Default::default() };
-
-        let severity = |rule: &str| -> Severity {
-            if demote.contains(rule) {
-                Severity::Warn
-            } else {
-                rule_by_name(rule).map_or(Severity::Deny, |r| r.severity)
-            }
-        };
-
-        // Group found violations by (file, rule) and compare counts with
-        // the frozen allowance.
-        let mut grouped: BTreeMap<(String, String), Vec<Violation>> = BTreeMap::new();
-        for v in violations {
-            grouped.entry((v.file.clone(), v.rule.to_string())).or_default().push(v);
-        }
-        for ((file, rule), vs) in &grouped {
-            let allowance = baseline.allowance(file, rule);
-            match vs.len().cmp(&allowance) {
-                std::cmp::Ordering::Greater => {
-                    // More violations than frozen: report every site (the
-                    // baseline has no line information, so all candidate
-                    // sites are shown) with the counts attached.
-                    for v in vs {
-                        let mut v = v.clone();
-                        if allowance > 0 {
-                            v.message.push_str(&format!(
-                                " [{} found, {} baselined]",
-                                vs.len(),
-                                allowance
-                            ));
-                        }
-                        match severity(rule) {
-                            Severity::Deny => report.errors.push(v),
-                            Severity::Warn => report.warnings.push(v),
-                        }
-                    }
-                }
-                std::cmp::Ordering::Equal => report.baselined += vs.len(),
-                std::cmp::Ordering::Less => {
-                    report.baselined += vs.len();
-                    if severity(rule) == Severity::Deny {
-                        report.stale.push(StaleEntry {
-                            file: file.clone(),
-                            rule: rule.clone(),
-                            baselined: allowance,
-                            found: vs.len(),
-                        });
-                    }
-                }
-            }
-        }
-        // Baseline entries with no remaining violations at all are stale
-        // too — otherwise deleting the last violation would leave frozen
-        // headroom for new code to consume.
-        for e in &baseline.entries {
-            if !grouped.contains_key(&(e.file.clone(), e.rule.clone()))
-                && severity(&e.rule) == Severity::Deny
-            {
-                report.stale.push(StaleEntry {
-                    file: e.file.clone(),
-                    rule: e.rule.clone(),
-                    baselined: e.count,
-                    found: 0,
-                });
-            }
-        }
-        report.stale.sort_by(|a, b| (&a.file, &a.rule).cmp(&(&b.file, &b.rule)));
-        report
     }
 }
 

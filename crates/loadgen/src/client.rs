@@ -1,5 +1,6 @@
 //! A blocking line-protocol client for one server connection.
 
+use roulette_core::sync;
 use roulette_core::{Error, Result};
 use roulette_server::protocol::{Request, Response};
 use std::io::{BufRead, BufReader, Write};
@@ -25,6 +26,7 @@ pub struct Client {
 impl Client {
     /// Connects to `addr` (e.g. `127.0.0.1:7878`).
     pub fn connect(addr: &str) -> Result<Client> {
+        debug_assert!(sync::no_locks_held());
         let writer = TcpStream::connect(addr)
             .map_err(|e| Error::Internal(format!("connect {addr}: {e}")))?;
         // A read timeout bounds how long a dead server can wedge a worker.
@@ -39,6 +41,7 @@ impl Client {
     }
 
     fn send(&mut self, req: &Request) -> Result<()> {
+        debug_assert!(sync::no_locks_held());
         let mut line = req.encode();
         line.push('\n');
         self.writer
@@ -47,6 +50,7 @@ impl Client {
     }
 
     fn recv(&mut self) -> Result<Response> {
+        debug_assert!(sync::no_locks_held());
         let mut line = String::new();
         match self.reader.read_line(&mut line) {
             Ok(0) => Err(Error::Internal("server disconnected".into())),

@@ -28,7 +28,16 @@
 //! precomputed from the workload seed, so runs stay reproducible and
 //! workers never share an RNG.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 #![warn(missing_docs)]
 
 pub mod client;
@@ -39,11 +48,11 @@ pub use stats::{percentile, LatencyStats};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use roulette_core::sync::{self, LockRank, Mutex};
 use roulette_core::{Error, Result};
 use roulette_server::protocol::Response;
 use roulette_server::workload::{demo_sql, stream_demo_sql};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Load-run parameters.
@@ -205,7 +214,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadReport> {
     let next_arrival = AtomicU64::new(0);
     let stop = AtomicBool::new(false);
     let tally = Tally::default();
-    let latencies = Mutex::new(LatencyStats::new());
+    let latencies = Mutex::new(LockRank::LoadgenLatencies, LatencyStats::new());
     let start = Instant::now();
     std::thread::scope(|scope| {
         for worker in 0..cfg.concurrency.max(1) {
@@ -238,10 +247,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadReport> {
             let _ = c.drain();
         }
     }
-    let mut lat = match latencies.into_inner() {
-        Ok(l) => l,
-        Err(poisoned) => poisoned.into_inner(),
-    };
+    let mut lat = latencies.into_inner();
     // ordering: Acquire pairs with the workers' AcqRel tally updates; the
     // scoped threads were joined above, so these are the final totals.
     let sent = tally.sent.load(Ordering::Acquire);
@@ -356,6 +362,7 @@ fn worker_loop(
         let due = start + interval.saturating_mul(u32::try_from(i).unwrap_or(u32::MAX));
         let now = Instant::now();
         if due > now {
+            debug_assert!(sync::no_locks_held());
             std::thread::sleep(due - now);
         }
         let pool_idx = match churn {
@@ -407,10 +414,7 @@ fn worker_loop(
             }
         }
     }
-    match latencies.lock() {
-        Ok(mut l) => l.merge(local_lat),
-        Err(poisoned) => poisoned.into_inner().merge(local_lat),
-    }
+    latencies.lock().merge(local_lat);
 }
 
 enum Resolution {
@@ -459,6 +463,7 @@ fn resolve(
                         }
                         // ordering: AcqRel tally update; read post-join.
                         tally.retries.fetch_add(1, Ordering::AcqRel);
+                        debug_assert!(sync::no_locks_held());
                         std::thread::sleep(backoff);
                         backoff = backoff.saturating_mul(2);
                     }

@@ -7,7 +7,7 @@
 //! §4.3), and the greedy selectivity-based baseline policy used by the
 //! quality-of-planning experiments (§6.2).
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 pub mod greedy;

@@ -25,6 +25,16 @@
 //! best possible value) pushes early episodes toward exploration, and the
 //! ε-greedy decision rule guarantees eventual convergence.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::log::LogEntry;
 use crate::policy::Policy;
 use crate::qtable::QTable;

@@ -6,7 +6,7 @@
 //! a small SQL parser for the SPJ fragment, and the §6 workload generators
 //! (TPC-DS sensitivity analysis, JOB-style, chains).
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 pub mod ast;

@@ -19,10 +19,10 @@
 //! never blocks the engine, because results are handed over materialized
 //! and the handler thread alone pays the socket-write backpressure.
 
+use roulette_core::sync::{Condvar, LockRank, Mutex};
 use roulette_core::{Error, Result};
 use std::collections::VecDeque;
 use std::sync::mpsc::SyncSender;
-use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// One admitted query, from the wire to the engine loop.
@@ -76,15 +76,8 @@ impl AdmissionQueue {
     pub fn new(capacity: usize) -> Self {
         AdmissionQueue {
             capacity: capacity.max(1),
-            state: Mutex::new(QueueState::default()),
+            state: Mutex::new(LockRank::AdmissionQueue, QueueState::default()),
             ready: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, QueueState> {
-        match self.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
         }
     }
 
@@ -98,7 +91,7 @@ impl AdmissionQueue {
     /// that case the job is dropped without a [`JobOutcome`], and the
     /// caller answers the client directly with the returned error.
     pub fn push(&self, job: Job) -> Result<usize> {
-        let mut st = self.lock();
+        let mut st = self.state.lock();
         if st.closed {
             return Err(Error::Overloaded("server is draining; no new admissions".into()));
         }
@@ -120,7 +113,7 @@ impl AdmissionQueue {
     /// engine loop's exit condition, which by construction happens only
     /// after every admitted job has been handed out.
     pub fn pop_batch(&self, max: usize) -> Option<Vec<Job>> {
-        let mut st = self.lock();
+        let mut st = self.state.lock();
         loop {
             if !st.jobs.is_empty() {
                 let n = st.jobs.len().min(max.max(1));
@@ -129,28 +122,25 @@ impl AdmissionQueue {
             if st.closed {
                 return None;
             }
-            st = match self.ready.wait(st) {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            st = self.ready.wait(st);
         }
     }
 
     /// Closes the queue to new admissions and wakes the engine loop so it
     /// can drain what remains. Idempotent.
     pub fn close(&self) {
-        self.lock().closed = true;
+        self.state.lock().closed = true;
         self.ready.notify_all();
     }
 
     /// Current number of waiting jobs.
     pub fn depth(&self) -> usize {
-        self.lock().jobs.len()
+        self.state.lock().jobs.len()
     }
 
     /// Whether [`close`](Self::close) has been called.
     pub fn is_closed(&self) -> bool {
-        self.lock().closed
+        self.state.lock().closed
     }
 }
 

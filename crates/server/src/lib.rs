@@ -28,7 +28,16 @@
 //!   snapshot-isolated ([`StreamServeConfig`],
 //!   [`workload::stream_demo_sql`]).
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 #![warn(missing_docs)]
 
 pub mod admission;

@@ -7,7 +7,7 @@
 //! synthetic dataset generators the evaluation uses (TPC-DS-like, JOB-like,
 //! and the Fig. 15 chains schema).
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 pub mod catalog;

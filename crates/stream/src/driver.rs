@@ -429,6 +429,7 @@ fn run_session_with_departures(
         scope.spawn(|| {
             // Let the workers take their first episodes so the departure
             // is genuinely mid-flight, then evict.
+            debug_assert!(roulette_core::sync::no_locks_held());
             std::thread::sleep(Duration::from_micros(200));
             depart(session, departing);
         });

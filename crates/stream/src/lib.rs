@@ -30,7 +30,16 @@
 //! `policy-reset` events (with matching counters) into any attached
 //! [`Recorder`](roulette_telemetry::Recorder).
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 #![warn(missing_docs)]
 
 pub mod config;

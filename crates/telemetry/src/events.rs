@@ -9,8 +9,18 @@
 //! event is dropped and a drop counter advances — backpressure never
 //! reaches the engine.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
+use roulette_core::sync::{LockRank, Mutex};
 use std::collections::VecDeque;
-use std::sync::{Mutex, MutexGuard};
 
 /// What happened. Variants carry raw ids (`u32` query slots, `u16`
 /// relation slots) so this crate stays dependency-free.
@@ -125,7 +135,10 @@ pub struct EventRing {
 impl EventRing {
     /// A ring holding at most `capacity` events (≥ 1).
     pub fn new(capacity: usize) -> Self {
-        EventRing { capacity: capacity.max(1), inner: Mutex::new(RingInner::default()) }
+        EventRing {
+            capacity: capacity.max(1),
+            inner: Mutex::new(LockRank::EventRing, RingInner::default()),
+        }
     }
 
     /// Ring capacity.
@@ -133,19 +146,10 @@ impl EventRing {
         self.capacity
     }
 
-    fn lock(&self) -> MutexGuard<'_, RingInner> {
-        // Telemetry must never take the engine down: recover from a
-        // poisoned latch instead of propagating the panic.
-        match self.inner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
     /// Appends an event stamped with `episode`, dropping the oldest entry
     /// when full.
     pub fn push(&self, episode: u64, kind: EventKind) {
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         let seq = inner.next_seq;
         inner.next_seq += 1;
         if inner.buf.len() == self.capacity {
@@ -157,22 +161,22 @@ impl EventRing {
 
     /// Number of buffered events.
     pub fn len(&self) -> usize {
-        self.lock().buf.len()
+        self.inner.lock().buf.len()
     }
 
     /// Whether no events are buffered.
     pub fn is_empty(&self) -> bool {
-        self.lock().buf.is_empty()
+        self.inner.lock().buf.is_empty()
     }
 
     /// Events dropped to make room (ring overflow).
     pub fn dropped(&self) -> u64 {
-        self.lock().dropped
+        self.inner.lock().dropped
     }
 
     /// Copies the buffered events out in sequence order.
     pub fn snapshot(&self) -> Vec<Event> {
-        self.lock().buf.iter().cloned().collect()
+        self.inner.lock().buf.iter().cloned().collect()
     }
 }
 

@@ -8,6 +8,16 @@
 //! of at most 2×, which is plenty for latency-shape regressions while
 //! keeping the structure a fixed 66-word array.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Bucket count: one zero bucket plus one per possible leading-zero count.

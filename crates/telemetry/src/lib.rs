@@ -21,7 +21,7 @@
 //! included sink wiring all of the above together; [`NullRecorder`] is the
 //! do-nothing implementation used by overhead tests.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 pub mod events;

@@ -5,6 +5,16 @@
 //! cache line; recording is a single relaxed `fetch_add`. Reads sum the
 //! shards (reads are rare: exporters and tests).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 

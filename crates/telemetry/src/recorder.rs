@@ -7,6 +7,16 @@
 //! methods have default no-op bodies: sinks override what they consume, and
 //! new hooks never break existing implementations.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::events::EventKind;
 
 /// Per-episode measurements, recorded once at the end of each episode.

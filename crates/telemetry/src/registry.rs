@@ -5,8 +5,9 @@
 //! returned handle lock-free. The registry latch is only taken on
 //! registration and on export, never on the recording hot path.
 
+use roulette_core::sync::{LockRank, Mutex};
 use std::io;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use crate::histogram::{bucket_upper_bound, Histogram};
 use crate::metrics::{FloatGauge, Gauge, ShardedCounter};
@@ -27,9 +28,15 @@ struct Registered {
 }
 
 /// A registry of named metrics. Cloned handles share the same storage.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MetricsRegistry {
     inner: Mutex<Vec<Registered>>,
+}
+
+impl Default for MetricsRegistry {
+    fn default() -> Self {
+        MetricsRegistry { inner: Mutex::new(LockRank::MetricsRegistry, Vec::new()) }
+    }
 }
 
 impl MetricsRegistry {
@@ -38,15 +45,8 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    fn lock(&self) -> MutexGuard<'_, Vec<Registered>> {
-        match self.inner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
     fn get_or_insert(&self, name: &str, help: &str, make: impl FnOnce() -> Metric) -> Metric {
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         if let Some(r) = inner.iter().find(|r| r.name == name) {
             return r.metric.clone();
         }
@@ -102,6 +102,7 @@ impl MetricsRegistry {
     /// bucket, plus `_sum` and `_count`.
     pub fn render_prometheus(&self, w: &mut dyn io::Write) -> io::Result<()> {
         let mut entries: Vec<(String, String, Metric)> = self
+            .inner
             .lock()
             .iter()
             .map(|r| (r.name.clone(), r.help.clone(), r.metric.clone()))

@@ -6,9 +6,20 @@
 //! the event stream. Handles to the individual metrics are resolved once at
 //! construction, so recording never touches the registry latch.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
+use roulette_core::sync::{LockRank, Mutex};
 use std::collections::HashMap;
 use std::io;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::events::{EventKind, EventRing};
@@ -188,7 +199,7 @@ impl Telemetry {
         Telemetry {
             registry,
             events: EventRing::new(event_capacity),
-            admit_times: Mutex::new(HashMap::new()),
+            admit_times: Mutex::new(LockRank::TelemetryAdmitTimes, HashMap::new()),
             episodes,
             episode_latency_ns,
             query_latency_us,
@@ -228,13 +239,6 @@ impl Telemetry {
     /// A sink with default event-ring capacity.
     pub fn with_defaults() -> Arc<Self> {
         Arc::new(Self::default())
-    }
-
-    fn admit_times(&self) -> MutexGuard<'_, HashMap<u32, Instant>> {
-        match self.admit_times.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
     }
 
     /// The underlying metrics registry (for registering extra metrics).
@@ -331,21 +335,21 @@ impl Recorder for Telemetry {
         match &kind {
             EventKind::Admission { query } => {
                 self.admitted.inc();
-                self.admit_times().insert(*query, Instant::now());
+                self.admit_times.lock().insert(*query, Instant::now());
             }
             EventKind::Completion { query } => {
                 self.completed.inc();
-                if let Some(t0) = self.admit_times().remove(query) {
+                if let Some(t0) = self.admit_times.lock().remove(query) {
                     self.query_latency_us.record(t0.elapsed().as_micros() as u64);
                 }
             }
             EventKind::Quarantine { query, .. } => {
                 self.quarantined.inc();
-                self.admit_times().remove(query);
+                self.admit_times.lock().remove(query);
             }
             EventKind::DeadlineExceeded { query, .. } => {
                 self.deadline_exceeded.inc();
-                self.admit_times().remove(query);
+                self.admit_times.lock().remove(query);
             }
             EventKind::WatchdogTrip { .. } => self.watchdog_trips.inc(),
             EventKind::FallbackReplan { .. } => self.fallback_replans.inc(),
@@ -445,7 +449,7 @@ mod tests {
         assert!(text.contains("roulette_queries_admitted_total 1"));
         assert!(text.contains("roulette_queries_completed_total 1"));
         assert!(text.contains("roulette_query_latency_us_count 1"));
-        assert!(t.admit_times().is_empty());
+        assert!(t.admit_times.lock().is_empty());
         let log = jsonl(&t);
         let mut lines = log.lines();
         assert_eq!(
@@ -464,7 +468,7 @@ mod tests {
         let t = Telemetry::default();
         t.record_event(0, EventKind::Admission { query: 4 });
         t.record_event(9, EventKind::DeadlineExceeded { query: 4, reason: "250 ms".into() });
-        assert!(t.admit_times().is_empty());
+        assert!(t.admit_times.lock().is_empty());
         let text = prom(&t);
         assert!(text.contains("roulette_deadline_exceeded_total 1"));
         assert!(text.contains("roulette_queries_quarantined_total 0"));
@@ -477,7 +481,7 @@ mod tests {
         let t = Telemetry::default();
         t.record_event(0, EventKind::Admission { query: 2 });
         t.record_event(1, EventKind::Quarantine { query: 2, reason: "oom".into() });
-        assert!(t.admit_times().is_empty());
+        assert!(t.admit_times.lock().is_empty());
         let text = prom(&t);
         assert!(text.contains("roulette_queries_quarantined_total 1"));
         assert!(text.contains("roulette_query_latency_us_count 0"));

@@ -13,7 +13,7 @@
 //! test name (override with `PROPTEST_SEED`), and failing inputs are not
 //! shrunk — the failing case index and seed are printed for replay.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 use rand::prelude::*;
@@ -302,6 +302,7 @@ pub mod prop {
 /// Runs `cases` random executions of a closure over generated inputs.
 /// Used by the [`proptest!`] expansion; panics propagate with a replay
 /// header identifying the failing case.
+#[expect(clippy::print_stderr, reason = "failure-replay reporting is part of the harness contract")]
 pub fn run_cases(test_name: &str, cases: u32, mut case_fn: impl FnMut(&mut TestRng)) {
     let mut rng = rng_for(test_name);
     for case in 0..cases {
@@ -309,8 +310,6 @@ pub fn run_cases(test_name: &str, cases: u32, mut case_fn: impl FnMut(&mut TestR
             case_fn(&mut rng)
         }));
         if let Err(payload) = result {
-            // Failure-replay reporting is part of the harness contract.
-            // lint:allow(no-stdout-in-libs)
             eprintln!(
                 "proptest shim: `{test_name}` failed at case {case}/{cases} \
                  (set PROPTEST_SEED to replay a fixed stream)"

@@ -8,7 +8,7 @@
 //! seed. Streams differ from upstream `rand`'s ChaCha-based `StdRng`, so
 //! seed-pinned expectations belong to *this* generator.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 /// Low-level entropy source: a stream of `u64`s.

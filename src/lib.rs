@@ -60,7 +60,7 @@
 //! let _ = (orders, cust);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 pub use roulette_baselines as baselines;
 pub use roulette_core as core;

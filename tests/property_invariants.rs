@@ -6,6 +6,48 @@ use roulette::core::{QueryId, QuerySet, RelId, RelSet};
 use roulette::exec::{GroupedFilter, PlainFilter};
 use std::collections::BTreeSet;
 
+/// Size of the demo SQL pool the parser fuzz draws from.
+const DEMO_POOL: usize = 16;
+
+/// Tokens the parser fuzz splices into demo SQL.
+const HOSTILE: &[&str] = &[
+    "é",
+    "🦀",
+    "\u{feff}",
+    "9223372036854775808",
+    "-9223372036854775809",
+    "99999999999999999999999",
+    "'",
+    "'unterminated",
+    "\"",
+    "\0",
+    " ",
+    "(",
+    ")",
+    ",",
+    ";",
+    "=",
+    "AND",
+    "SELECT",
+    "WHERE",
+];
+
+/// The server's demo catalog and a pool of SQL over it, built once.
+fn demo() -> &'static (roulette::storage::Catalog, Vec<String>) {
+    static DEMO: std::sync::OnceLock<(roulette::storage::Catalog, Vec<String>)> =
+        std::sync::OnceLock::new();
+    DEMO.get_or_init(|| {
+        let seed = 7;
+        let sql = roulette_server::demo_sql(seed, DEMO_POOL).expect("demo SQL generates");
+        (roulette_server::demo_dataset(seed).catalog, sql)
+    })
+}
+
+/// The largest char boundary of `s` at or below `at`.
+fn floor_char_boundary(s: &str, at: usize) -> usize {
+    (0..=at.min(s.len())).rev().find(|&i| s.is_char_boundary(i)).unwrap_or(0)
+}
+
 fn qs_from(ids: &BTreeSet<u32>, capacity: usize) -> QuerySet {
     let mut s = QuerySet::empty(capacity);
     for &i in ids {
@@ -122,6 +164,45 @@ proptest! {
         let sql = to_sql(&c, &q);
         let q2 = parse(&c, &sql).unwrap();
         prop_assert_eq!(q, q2);
+    }
+
+    /// Parser fuzz: the server's demo SQL, truncated anywhere and with
+    /// hostile tokens spliced in (non-ASCII, `i64`-overflowing literals,
+    /// unterminated quotes, NUL), parses to `Ok` or a typed `Err` through
+    /// the SQL parser and both wire-protocol parsers, and never panics.
+    #[test]
+    fn parsers_never_panic_on_mangled_demo_sql(
+        pick in 0usize..DEMO_POOL,
+        keep in 0usize..400,
+        truncate in any::<bool>(),
+        splices in prop::collection::vec((0usize..400, 0usize..HOSTILE.len()), 0..4),
+    ) {
+        use roulette::query::parse;
+        use roulette_server::protocol::{Request, Response};
+        let (catalog, pool) = demo();
+        let mut text = pool[pick].clone();
+        if truncate {
+            text.truncate(floor_char_boundary(&text, keep));
+        }
+        for &(at, token) in &splices {
+            text.insert_str(floor_char_boundary(&text, at), HOSTILE[token]);
+        }
+        let parsed = parse(catalog, &text);
+        if !truncate && splices.is_empty() {
+            prop_assert!(parsed.is_ok(), "demo SQL must parse: {text:?} → {parsed:?}");
+        }
+        for line in [
+            text.clone(),
+            format!("QUERY {text}"),
+            format!("QUERY ROWS DEADLINE={text}"),
+            format!("CHAOS {text}"),
+            format!("OK {text}"),
+            format!("ROW {text}"),
+            format!("ERR {text}"),
+        ] {
+            let _ = Request::parse(&line);
+            let _ = Response::parse(&line);
+        }
     }
 }
 
