@@ -89,7 +89,7 @@ impl<'a> QatEngine<'a> {
                     scope.spawn(move || self.run_pipeline(q, plan, tables, part, None))
                 })
                 .collect();
-            debug_assert!(roulette_core::sync::no_locks_held());
+            roulette_core::sync::assert_no_locks_held();
             handles.into_iter().map(|h| h.join().expect("worker")).collect()
         });
         parts.into_iter().fold(QueryResult::default(), |acc, r| QueryResult {

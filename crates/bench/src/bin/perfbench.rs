@@ -6,7 +6,8 @@
 //! view in and out of cache, and along the hash chains), windowed-relation expiry (the
 //! streaming layer's reclamation path), three data-parallel kernels (filter
 //! masking, bulk query-set intersection, survivor compaction — DESIGN.md
-//! §14), the router in its count-only and projected shapes, and the
+//! §14), the router in its count-only, one-class projected and
+//! three-class projected shapes, and the
 //! control plane: admitting a 256-query batch, planning a 256-query join
 //! phase, and Q-table lookups. Emits `BENCH_perf.json` so successive PRs
 //! accumulate a performance trajectory.
@@ -461,15 +462,15 @@ fn bench_qtable_lookup(quick: bool, runs: usize) -> BenchResult {
 }
 
 /// The engine's router ([`roulette_exec::route`], the body leaf probes and
-/// direct vectors both run) over 1024-row vectors carrying three vID
-/// columns, routed into an [`EpisodeSink`] that is flushed once at the
-/// end, in one of the two leaf shapes of `routing::SHAPES`. Work items are
+/// direct vectors both run) over 1024-row vectors carrying three or four
+/// vID columns, routed into an [`EpisodeSink`] that is flushed once at
+/// the end, in one of the leaf shapes of `routing::SHAPES`. Work items are
 /// emitted `(query, row)` pairs, checked against the sink's row counts.
 fn bench_routing(name: &'static str, shape: usize, quick: bool, runs: usize) -> BenchResult {
-    let (_, capacity, density, projected) = SHAPES[shape];
+    let (_, capacity, density, relations, orders) = SHAPES[shape];
     const ROWS: usize = 1024;
     let n: usize = if quick { 1 << 15 } else { 1 << 18 };
-    let fx = routing_fixture(capacity, density, projected, ROWS);
+    let fx = routing_fixture(capacity, density, relations, orders, ROWS);
     let live = LiveSet::new(capacity);
     for q in fx.leaf.queries.iter() {
         live.activate(q);
@@ -656,6 +657,7 @@ fn main() {
         bench_compaction(quick, runs),
         bench_routing("routing_count_only", 0, quick, runs),
         bench_routing("routing_projected", 1, quick, runs),
+        bench_routing("routing_projected_classes", 2, quick, runs),
         bench_admit_batch(quick, runs),
         bench_plan_join(quick, runs),
         bench_qtable_lookup(quick, runs),

@@ -16,9 +16,10 @@
 //!   quarantined query and hide the bug. Guards may drop in any order, and
 //!   unwinding drops them too, so a contained panic leaves no rank behind.
 //!
-//! [`no_locks_held`] is the check for blocking calls: every `recv`,
-//! `join`, `accept`, `sleep`, socket read or write in library code sits
-//! behind `debug_assert!(sync::no_locks_held())`.
+//! [`assert_no_locks_held`] is the check for blocking calls: every `recv`,
+//! `join`, `accept`, `sleep`, socket read or write in library code is
+//! preceded by it. Blocking under a lock aborts just as an inversion does,
+//! so neither a swallowed thread panic nor `catch_unwind` can hide it.
 //!
 //! Release builds compile the rank bookkeeping out: each wrapper has the
 //! size of its `std` type, and `lock()` is `std`'s `lock()` plus
@@ -101,10 +102,22 @@ impl LockRank {
     ];
 }
 
-/// Whether the calling thread holds no lock from this module. Blocking
-/// calls assert it with `debug_assert!`; release builds always say `true`.
+/// Whether the calling thread holds no lock from this module; release
+/// builds always say `true`.
 pub fn no_locks_held() -> bool {
     rank::held_set() == 0
+}
+
+/// Called before a blocking call (`recv`, `join`, `accept`, `sleep`, a
+/// socket read or write): in debug builds, if the calling thread holds a
+/// lock from this module, writes the held ranks, the call site and a
+/// backtrace to stderr and aborts the process, as a rank violation does.
+/// Release builds compile it to nothing.
+#[track_caller]
+#[inline(always)]
+pub fn assert_no_locks_held() {
+    #[cfg(debug_assertions)]
+    rank::check_blocking(std::panic::Location::caller());
 }
 
 /// The rank bookkeeping; a zero-sized no-op in release builds.
@@ -156,7 +169,7 @@ mod rank {
                 // order can be violated any more.
                 let _ = HELD.try_with(|held| match admit(held.get(), self.0) {
                     Some(next) => held.set(next),
-                    None => violation(held.get(), self.0),
+                    None => violation(held.get(), format_args!("acquiring {:?}", self.0)),
                 });
                 Held(self.0)
             }
@@ -172,7 +185,16 @@ mod rank {
             HELD.try_with(Cell::get).unwrap_or(0)
         }
 
-        fn violation(held: HeldSet, rank: LockRank) -> ! {
+        /// Aborts if the thread blocks at `at` while holding a lock.
+        pub(in crate::sync) fn check_blocking(at: &std::panic::Location<'_>) {
+            let held = held_set();
+            if held != 0 {
+                violation(held, format_args!("blocking at {at}"));
+            }
+        }
+
+        /// Reports `what` the thread did while holding `held` and aborts.
+        fn violation(held: HeldSet, what: std::fmt::Arguments<'_>) -> ! {
             let names: Vec<LockRank> =
                 LockRank::ALL.into_iter().filter(|r| held & 1 << *r as u32 != 0).collect();
             // Straight to the stderr handle, not `eprintln!`: the test
@@ -180,8 +202,9 @@ mod rank {
             // discard it.
             let _ = writeln!(
                 std::io::stderr(),
-                "lock-rank violation: acquiring {rank:?} while holding {names:?} \
-                 (ranks must strictly increase; see roulette_core::sync::LockRank)\n{}",
+                "lock-rank violation: {what} while holding {names:?} \
+                 (ranks must strictly increase and no lock may be held across a \
+                 blocking call; see roulette_core::sync)\n{}",
                 std::backtrace::Backtrace::force_capture()
             );
             std::process::abort()
@@ -214,6 +237,8 @@ mod rank {
         }
     }
 
+    #[cfg(debug_assertions)]
+    pub(super) use imp::check_blocking;
     pub(super) use imp::{held_set, Held, Ranked};
 }
 
@@ -557,5 +582,50 @@ mod tests {
         drop(g);
         assert!(no_locks_held());
         notifier.join().expect("notifier thread");
+    }
+
+    #[test]
+    fn no_locks_held_tracks_guards() {
+        assert!(no_locks_held());
+        assert_no_locks_held();
+        let m = Mutex::new(LockRank::SessionWork, ());
+        let l = RwLock::new(LockRank::Stem, ());
+        {
+            let _g = m.lock();
+            assert_eq!(no_locks_held(), cfg!(not(debug_assertions)));
+            let _r = l.read();
+            assert_eq!(no_locks_held(), cfg!(not(debug_assertions)));
+        }
+        assert!(no_locks_held());
+        assert_no_locks_held();
+        drop(l.write());
+        assert!(no_locks_held());
+    }
+
+    /// Blocks "under" a lock; run only as the child of
+    /// `blocking_under_a_lock_aborts`, since it aborts the process.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[ignore = "aborts the process: run as a child by blocking_under_a_lock_aborts"]
+    fn blocking_under_a_lock() {
+        let m = Mutex::new(LockRank::ServerCatalog, ());
+        let _g = m.lock();
+        assert_no_locks_held();
+    }
+
+    #[cfg(all(debug_assertions, unix))]
+    #[test]
+    fn blocking_under_a_lock_aborts() {
+        use std::os::unix::process::ExitStatusExt;
+        let exe = std::env::current_exe().expect("test binary path");
+        let out = std::process::Command::new(exe)
+            .args(["--ignored", "--exact", "sync::tests::blocking_under_a_lock"])
+            .output()
+            .expect("re-run the test binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.signal(), Some(6), "SIGABRT expected, got {:?}", out.status);
+        assert!(stderr.contains("blocking at"), "{stderr}");
+        assert!(stderr.contains("ServerCatalog"), "{stderr}");
+        assert!(stderr.contains("sync.rs"), "the call site is named: {stderr}");
     }
 }

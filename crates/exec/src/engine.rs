@@ -63,6 +63,12 @@ pub struct EngineStats {
     pub pruned_tuples: u64,
     /// vID cells materialized by probe outputs.
     pub materialized_cells: u64,
+    /// Projected values the router folded into a row hash: Σ over routed
+    /// projection classes of selected rows × projected columns — a value
+    /// hashed once per class, however many of its queries receive the row.
+    /// 0 when every routed query is `count(*)`. Counts work done, so a
+    /// watchdog-discarded join phase's routing counts too.
+    pub routed_values: u64,
     /// Nanoseconds in selection-phase filtering (incl. pruning).
     pub filter_ns: u64,
     /// Nanoseconds in STeM inserts.
@@ -887,6 +893,7 @@ impl<'a> Session<'a> {
             elided_tuples: self.stats.elided_tuples.load(Ordering::Relaxed),
             pruned_tuples: self.stats.pruned_tuples.load(Ordering::Relaxed),
             materialized_cells: self.stats.materialized_cells.load(Ordering::Relaxed),
+            routed_values: self.stats.routed_values.load(Ordering::Relaxed),
             filter_ns,
             build_ns,
             probe_ns,

@@ -65,6 +65,9 @@ pub struct SharedStats {
     /// Intermediate vID cells materialized by probe outputs (adaptive-
     /// projection ablation metric).
     pub materialized_cells: AtomicU64,
+    /// Projected values the router folded into a row hash (see
+    /// [`crate::EngineStats::routed_values`]).
+    pub routed_values: AtomicU64,
     /// Queries evicted from the shared plan (faults, memory pressure).
     pub quarantined: AtomicU64,
     /// Episodes whose join phase was aborted and replanned by the watchdog.
@@ -566,6 +569,10 @@ pub fn run_episode(
     // Atomic commit point for the episode's outputs, masked by the queries
     // still live now.
     sink.flush(shared.outputs, shared.live);
+    let routed_values = std::mem::take(&mut sink.routed_values);
+    if routed_values > 0 {
+        shared.stats.routed_values.fetch_add(routed_values, Ordering::Relaxed);
+    }
     scratch.sink = sink;
     scratch.release_vector(vec);
 

@@ -4,26 +4,25 @@
 //! `u64` bitset words precisely so the per-vector operators can run wide
 //! and branch-free. This module is that execution substrate: the loops
 //! that dominate episode cost — filter-mask evaluation, bulk query-set
-//! intersection, survivor compaction, and the routing partition — are
-//! plain functions over unrolled multi-lane `u64` bodies (`wide`):
-//! survivor bits are assembled 64 rows per word, grouped-filter lookups
-//! resolve through a bucket jump table instead of a per-value binary
-//! search, compaction moves runs of surviving rows with `copy_within`,
-//! and the routing partition is a single CSR-style counting pass over the
-//! qset words.
+//! intersection and survivor compaction — are plain functions over
+//! unrolled multi-lane `u64` bodies (`wide`): survivor bits are assembled
+//! 64 rows per word, grouped-filter lookups resolve through a bucket jump
+//! table instead of a per-value binary search, and compaction moves runs
+//! of surviving rows with `copy_within`.
 //!
 //! The shared probe's selection-list kernels (`pairs`: pair AND-select,
 //! pair OR, broadcast AND-select, column gather) sit beside these, and so
-//! do the router's (`route`: per-query counts, column-at-a-time row hash).
+//! do the router's (`route`: per-query counts, projection-class row
+//! selection, column-at-a-time row hash).
 //!
 //! Every kernel is bit-exact against a row-at-a-time reference: lane order
 //! never changes the value written to a given output position, and tail
 //! rows (row counts or query counts not a multiple of the lane width) take
 //! a scalar epilogue over the same operations. The references —
 //! `QuerySetColumn`'s `and_rows` family and `retain_mask`, the per-row
-//! filter, compaction and partition of `tests/kernel_equiv.rs`, the
-//! per-key probe for `pairs` and `row_hash` for `route` — run only in the
-//! tests, never in the engine.
+//! filter and compaction of `tests/kernel_equiv.rs`, the per-key probe for
+//! `pairs`, and `row_hash` and per-row membership for `route` — run only
+//! in the tests, never in the engine.
 
 // Covers the `pairs`, `route` and `wide` submodules too.
 #![deny(
@@ -41,20 +40,19 @@ pub mod route;
 mod wide;
 
 pub use wide::{
-    compact_qsets, compact_u32, filter_grouped, filter_plain, partition, qset_and,
-    qset_and_broadcast, qset_or, qset_subtract_broadcast,
+    compact_qsets, compact_u32, filter_grouped, filter_plain, qset_and, qset_and_broadcast,
+    qset_or, qset_subtract_broadcast,
 };
 
-/// Routed queries per query-set word up to which the router's kernels (the
-/// count kernel, the routing partition) sweep the query-set column
-/// once per query instead of walking every word's set bits in one pass. A
-/// sweep is a shift, a mask and an add per row with nothing
-/// data-dependent; the one-pass walk is a `trailing_zeros` loop per word
-/// whose trip count, and stores, depend on the data. At four queries per
-/// word the sweeps cost at most about twice the walk's word loads alone,
-/// and usually far less than its bit loop; past that, a leaf routing many
-/// queries whose rows each hold few of them would pay for every query on
-/// every row.
+/// Counted queries per query-set word up to which the router's count
+/// kernel sweeps the query-set column once per query instead of walking
+/// every word's set bits in one pass. A sweep is a shift, a mask and an
+/// add per row with nothing data-dependent; the one-pass walk is a
+/// `trailing_zeros` loop per word whose trip count, and stores, depend on
+/// the data. At four queries per word the sweeps cost at most about twice
+/// the walk's word loads alone, and usually far less than its bit loop;
+/// past that, a class counting many queries whose rows each hold few of
+/// them would pay for every query on every row.
 pub(crate) const SWEEP_MAX_PER_WORD: usize = 4;
 
 /// Bit `q` of a query-set row (0 or 1; 0 past the row's width).
@@ -69,68 +67,4 @@ pub(crate) fn bit_of(row: &[u64], q: usize) -> u64 {
 #[inline]
 pub(crate) fn count_bit(raw: &[u64], wps: usize, q: usize) -> u32 {
     raw.chunks_exact(wps).map(|row| bit_of(row, q)).sum::<u64>() as u32
-}
-
-/// Reusable CSR-layout output of the routing partition kernel: for query
-/// `q`, `rows[offsets[q] .. offsets[q] + counts[q]]` are the surviving row
-/// indices in ascending order. Lives in the episode scratch arena so the
-/// buffers are recycled across episodes.
-#[derive(Clone, Debug, Default)]
-pub struct Partition {
-    /// Per-query survivor counts, indexed by query id (capacity-sized).
-    counts: Vec<u32>,
-    /// Per-query exclusive prefix offsets into `rows`.
-    offsets: Vec<u32>,
-    /// Scatter cursors (scratch for the single-pass wide partition).
-    cursors: Vec<u32>,
-    /// Row indices, grouped by query.
-    rows: Vec<u32>,
-}
-
-impl Partition {
-    /// An empty partition (buffers grow on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The surviving row indices for query id `q`, ascending. Empty when
-    /// the query had no survivors (or is out of range).
-    #[inline]
-    pub fn rows_of(&self, q: usize) -> &[u32] {
-        let start = self.offsets.get(q).copied().unwrap_or(0) as usize;
-        let n = self.counts.get(q).copied().unwrap_or(0) as usize;
-        self.rows.get(start..start + n).unwrap_or(&[])
-    }
-
-    /// Resets the count table to `capacity` query slots, zeroed.
-    pub(crate) fn reset_counts(&mut self, capacity: usize) {
-        self.counts.clear();
-        self.counts.resize(capacity, 0);
-    }
-
-    pub(crate) fn counts_mut(&mut self) -> &mut [u32] {
-        &mut self.counts
-    }
-
-    /// Builds `offsets` as the exclusive prefix sum of `counts` and sizes
-    /// `rows` for the total; returns the total. Also primes `cursors` with
-    /// a copy of the offsets for scatter passes.
-    pub(crate) fn build_offsets(&mut self) -> u64 {
-        self.offsets.clear();
-        let mut acc: u32 = 0;
-        for &c in &self.counts {
-            self.offsets.push(acc);
-            acc += c;
-        }
-        self.cursors.clear();
-        self.cursors.extend_from_slice(&self.offsets);
-        self.rows.clear();
-        self.rows.resize(acc as usize, 0);
-        u64::from(acc)
-    }
-
-    /// Splits the scatter state: `(cursors, rows)` mutably at once.
-    pub(crate) fn scatter_mut(&mut self) -> (&mut [u32], &mut [u32]) {
-        (&mut self.cursors, &mut self.rows)
-    }
 }

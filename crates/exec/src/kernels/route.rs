@@ -3,16 +3,22 @@
 //! The router needs two things from a routed vector: how many of its rows
 //! each query owns, and — for a query that projects columns — the sum of
 //! [`row_hash`](crate::output::row_hash) over those rows. Both are computed
-//! without assembling a row:
+//! per *projection class* (the queries projecting one column list) without
+//! assembling a row:
 //!
-//! * [`count_queries`] is the whole routing step of a leaf whose queries
-//!   project nothing (`count(*)`): counting passes over the query-set
-//!   words, no row lists.
+//! * [`count_queries`] is the whole routing step of a class that projects
+//!   nothing (`count(*)`): counting passes over the query-set words, no
+//!   row lists.
+//! * [`select_class`] finds the rows any member of a projecting class owns
+//!   and the members that own every one of them, listing the rows only
+//!   when they are not the whole tile.
 //! * [`hash_column`] runs one link of the `row_hash` chain down a gathered
-//!   column, one running hash per row. The rows' chains are independent,
-//!   so consecutive multiplies overlap in the pipeline instead of waiting
-//!   on each other as they do when one row is hashed value by value;
-//!   [`hash_sum`] closes the chains and adds them up.
+//!   column, one running hash per row ([`hash_gathered`] and [`hash_vids`]
+//!   fuse it with the gathers). The rows' chains are independent, so
+//!   consecutive multiplies overlap in the pipeline instead of waiting on
+//!   each other as they do when one row is hashed value by value;
+//!   [`hash_sum`] closes the chains and adds them up, and [`masked_sum`]
+//!   adds up those of one member that owns only some of the rows.
 //!
 //! Like the `pairs` kernels these have one implementation each; their
 //! reference is the per-row `row_hash` (`tests/kernel_equiv.rs`).
@@ -54,6 +60,66 @@ pub fn count_queries(qsets: &QuerySetColumn, queries: &QuerySet, counts: &mut Ve
             }
         }
     }
+}
+
+/// Selects the rows of `qsets` whose query-set holds any query of
+/// `members` (query-set words) and returns how many there are; `owners`
+/// becomes the members holding every selected row (unspecified when none
+/// is selected). When every row is selected — the class owns the whole tile —
+/// `rows` is left empty: the selection needs no list. Otherwise `rows`
+/// lists the selected rows, ascending.
+///
+/// A first pass only counts and ANDs, with no stores; a tile whose rows
+/// some member does not reach takes a second, branch-free pass that
+/// writes the list.
+// lint: hot-loop
+pub fn select_class(
+    qsets: &QuerySetColumn,
+    members: &[u64],
+    rows: &mut Vec<u32>,
+    owners: &mut Vec<u64>,
+) -> usize {
+    let w = qsets.words_per_set();
+    let hit = |row: &[u64]| row.iter().zip(members).fold(0, |acc, (&r, &m)| acc | r & m) != 0;
+    owners.clear();
+    owners.extend_from_slice(members);
+    rows.clear();
+    let mut n = 0;
+    if let ([m], [own]) = (members, owners.as_mut_slice()) {
+        // One word per row (at most 64 queries): no per-row word loops.
+        for &r in qsets.raw() {
+            n += usize::from(r & m != 0);
+            *own &= r;
+        }
+    } else {
+        for row in qsets.raw().chunks_exact(w) {
+            n += usize::from(hit(row));
+            for (o, &r) in owners.iter_mut().zip(row) {
+                *o &= r;
+            }
+        }
+    }
+    if n == 0 || n == qsets.len() {
+        return n;
+    }
+    owners.clear();
+    owners.extend_from_slice(members);
+    reserve_pow2(rows, n);
+    rows.resize(n, 0);
+    let mut k = 0;
+    for (i, row) in qsets.raw().chunks_exact(w).enumerate() {
+        let hit = hit(row);
+        // The write is unconditional; the cursor advances only on a hit.
+        if let Some(slot) = rows.get_mut(k) {
+            *slot = i as u32;
+        }
+        k += usize::from(hit);
+        let skip = u64::from(hit).wrapping_sub(1); // all ones on a miss
+        for (o, &r) in owners.iter_mut().zip(row) {
+            *o &= r | skip;
+        }
+    }
+    n
 }
 
 /// Starts one `row_hash` chain per row: `hashes` becomes `n` copies of the
@@ -99,12 +165,41 @@ pub fn hash_gathered<T: Copy + Into<i64>>(
     }
 }
 
+/// [`hash_gathered`] for a router that hashes every routed tuple: row `k`
+/// is tuple `k`, whose vID is `vids[k]`. No row list.
+// lint: hot-loop
+#[inline]
+pub fn hash_vids<T: Copy + Into<i64>>(base: &[T], vids: &[u32], hashes: &mut [u64]) {
+    debug_assert_eq!(vids.len(), hashes.len());
+    for (h, &vid) in hashes.iter_mut().zip(vids) {
+        let v = base.get(vid as usize).copied().map_or(0, Into::into);
+        *h = row_hash_step(*h, v);
+    }
+}
+
 /// Closes every chain (`| 1`, as `row_hash` does) and returns their
 /// wrapping sum — the checksum contribution of the hashed rows.
 // lint: hot-loop
 #[inline]
 pub fn hash_sum(hashes: &[u64]) -> u64 {
     hashes.iter().fold(0u64, |acc, &h| acc.wrapping_add(h | 1))
+}
+
+/// The rows and checksum of query `q` over the hashed rows: row `k` is
+/// tuple `rows[k]` of `qsets`, and it counts, with its closed chain
+/// `hashes[k] | 1`, when that tuple's query-set holds `q`. Branch-free.
+// lint: hot-loop
+pub fn masked_sum(qsets: &QuerySetColumn, rows: &[u32], q: usize, hashes: &[u64]) -> (usize, u64) {
+    debug_assert_eq!(rows.len(), hashes.len());
+    let w = qsets.words_per_set();
+    let (raw, wi, b) = (qsets.raw(), q / 64, q % 64);
+    let (mut n, mut sum) = (0u64, 0u64);
+    for (&r, &h) in rows.iter().zip(hashes) {
+        let bit = raw.get(r as usize * w + wi).map_or(0, |&word| word >> b & 1);
+        n += bit;
+        sum = sum.wrapping_add((h | 1) & bit.wrapping_neg());
+    }
+    (n as usize, sum)
 }
 
 #[cfg(test)]
@@ -154,6 +249,40 @@ mod tests {
     }
 
     #[test]
+    fn class_selection_and_masked_sums_follow_the_member_bits() {
+        use roulette_core::QueryId;
+        let mut col = QuerySetColumn::new(2);
+        for row in [[0b011, 0], [0, 1 << 1], [0b001, 1 << 1], [0b100, 0], [0b001, 0]] {
+            col.push(&row);
+        }
+        let mut members = QuerySet::empty(128);
+        for q in [0, 1, 65] {
+            members.insert(QueryId(q));
+        }
+        let (mut rows, mut owners) = (vec![7; 9], vec![1]);
+        assert_eq!(select_class(&col, members.words(), &mut rows, &mut owners), 4);
+        assert_eq!(rows, [0, 1, 2, 4]);
+        assert_eq!(owners, [0, 0], "no member owns rows 0 and 1 both");
+        assert_eq!(select_class(&col, &[0b001, 0], &mut rows, &mut owners), 3);
+        assert_eq!((rows.as_slice(), owners.as_slice()), (&[0, 2, 4][..], &[0b001, 0][..]));
+        assert_eq!(select_class(&col, &[0, 1 << 63], &mut rows, &mut owners), 0);
+        assert!(rows.is_empty());
+        // Every row selected: no list, and the owners of all five rows.
+        assert_eq!(select_class(&col, &[0b111, 1 << 1], &mut rows, &mut owners), 5);
+        assert_eq!((rows.len(), owners.as_slice()), (0, &[0, 0][..]));
+        let mut whole = QuerySetColumn::new(1);
+        whole.push(&[0b0111]);
+        whole.push(&[0b1101]);
+        assert_eq!(select_class(&whole, &[0b0101], &mut rows, &mut owners), 2);
+        assert_eq!((rows.len(), owners.as_slice()), (0, &[0b0101][..]));
+        let rows = [0u32, 1, 2, 4];
+        let hashes = [10u64, 21, 30, 40];
+        assert_eq!(masked_sum(&col, &rows, 0, &hashes), (3, 11 + 31 + 41));
+        assert_eq!(masked_sum(&col, &rows, 65, &hashes), (2, 21 + 31));
+        assert_eq!(masked_sum(&col, &rows, 2, &hashes), (0, 0));
+    }
+
+    #[test]
     fn gathered_hash_equals_gather_then_hash() {
         let base: Vec<u32> = (0..10).map(|i| i * 7).collect();
         let vids = [9u32, 0, 3, 3, 5];
@@ -164,6 +293,13 @@ mod tests {
         hash_seed(&mut staged, rows.len());
         hash_gathered(&base, &vids, &rows, &mut fused);
         hash_column(&vals, &mut staged);
+        assert_eq!(fused, staged);
+        let whole: Vec<i64> = vids.iter().map(|&v| base[v as usize] as i64).collect();
+        let (mut fused, mut staged) = (Vec::new(), Vec::new());
+        hash_seed(&mut fused, vids.len());
+        hash_seed(&mut staged, vids.len());
+        hash_vids(&base, &vids, &mut fused);
+        hash_column(&whole, &mut staged);
         assert_eq!(fused, staged);
     }
 }

@@ -33,7 +33,6 @@ pub use engine::{
 pub use episode::{EngineShared, SharedStats, TraceEntry};
 pub use fault::{FaultInjector, FaultKind, FaultSite, LiveSet};
 pub use filter::{GroupedFilter, PlainFilter, SelectionFilter};
-pub use kernels::Partition;
 pub use output::{row_hash, CompletionStatus, Outputs, QueryResult};
 pub use planner::{JoinNode, Leaf, ProbeNode};
 pub use profile::{Category, Profile};

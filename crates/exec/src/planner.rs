@@ -63,28 +63,40 @@ pub struct ProjCol {
 }
 
 /// A router (null decision) and its shape, fixed once per plan: which
-/// queries it serves and where each projected column is found in the
-/// vectors that reach it. A leaf none of whose queries projects anything —
-/// every `count(*)` — is *count-only*: it holds no column map and routing
-/// it is a counting pass.
+/// queries it serves and, per *projection class* — the routable queries
+/// projecting the same ordered column list — where each projected column
+/// is found in the vectors that reach it. Routing hashes a class's columns
+/// once per row any member owns, however many members receive the row.
+/// A leaf none of whose queries projects anything — every `count(*)` —
+/// is *count-only*: its one class is every query with no columns, and
+/// routing it is a counting pass.
 #[derive(Debug)]
 pub struct Leaf {
     /// The routed queries.
     pub queries: QuerySet,
-    /// One `(query, range into `cols`)` per routable query, ascending by
-    /// query id; empty for a count-only leaf.
-    per_query: Vec<(QueryId, u32, u32)>,
-    /// The routable queries' projection columns, back to back.
+    /// The projection classes, ordered by column list (a class without
+    /// columns first); empty for a count-only leaf, whose class is
+    /// implicit.
+    classes: Vec<ProjClass>,
+    /// The classes' projection columns, back to back.
     cols: Vec<ProjCol>,
     /// Queries projecting a relation the reaching vectors do not carry (a
     /// planner defect): they are quarantined instead of routed.
     unresolved: Vec<QueryId>,
 }
 
+/// One stored projection class: its members and its range of `cols`.
+#[derive(Debug)]
+struct ProjClass {
+    members: QuerySet,
+    start: u32,
+    end: u32,
+}
+
 impl Leaf {
     /// A leaf for `queries` with no column map yet (count-only).
     fn count_only(queries: QuerySet) -> Self {
-        Leaf { queries, per_query: Vec::new(), cols: Vec::new(), unresolved: Vec::new() }
+        Leaf { queries, classes: Vec::new(), cols: Vec::new(), unresolved: Vec::new() }
     }
 
     /// The leaf for `queries` resolved against the vID columns `carried`
@@ -100,50 +112,60 @@ impl Leaf {
         leaf
     }
 
+    /// Groups the routable queries into projection classes by sorting
+    /// them on their column lists.
     fn resolve_against(&mut self, carried: &[RelId], projections: &[Vec<(RelId, ColId)>]) {
-        let Leaf { queries, per_query, cols, unresolved } = self;
+        let Leaf { queries, classes, cols, unresolved } = self;
         let projs_of = |q: QueryId| projections.get(q.index()).map_or(&[][..], Vec::as_slice);
         if queries.iter().all(|q| projs_of(q).is_empty()) {
             return;
         }
-        'queries: for q in queries.iter() {
-            let start = cols.len();
-            for &(rel, col) in projs_of(q) {
-                let Some(slot) = carried.iter().position(|&r| r == rel) else {
-                    cols.truncate(start);
-                    unresolved.push(q);
-                    continue 'queries;
-                };
-                cols.push(ProjCol { rel, col, slot });
+        let slot_of = |rel: RelId| carried.iter().position(|&r| r == rel);
+        let mut keyed: Vec<(&[(RelId, ColId)], QueryId)> = Vec::new();
+        for q in queries.iter() {
+            let projs = projs_of(q);
+            if projs.iter().all(|&(rel, _)| slot_of(rel).is_some()) {
+                keyed.push((projs, q));
+            } else {
+                unresolved.push(q);
             }
-            per_query.push((q, start as u32, cols.len() as u32));
+        }
+        keyed.sort_unstable();
+        for class in keyed.chunk_by(|a, b| a.0 == b.0) {
+            let start = cols.len() as u32;
+            let projs = class.first().map_or(&[][..], |&(projs, _)| projs);
+            for &(rel, col) in projs {
+                cols.extend(slot_of(rel).map(|slot| ProjCol { rel, col, slot }));
+            }
+            let mut members = QuerySet::empty(queries.width() * 64);
+            for &(_, q) in class {
+                members.insert(q);
+            }
+            classes.push(ProjClass { members, start, end: cols.len() as u32 });
         }
     }
 
     /// Whether no routed query projects a column: routing is a count.
     #[inline]
     pub fn is_count_only(&self) -> bool {
-        self.per_query.is_empty() && self.unresolved.is_empty()
+        self.classes.is_empty() && self.unresolved.is_empty()
     }
 
-    /// The routable queries and their resolved projection columns,
-    /// ascending by query id. Empty for a count-only leaf.
+    /// The projection classes: each class's members and their resolved
+    /// columns, ordered by column list. A count-only leaf has one class,
+    /// every query with no columns.
     #[inline]
-    pub fn projected(&self) -> impl Iterator<Item = (QueryId, &[ProjCol])> + '_ {
-        self.per_query.iter().map(|&(q, start, end)| {
-            (q, self.cols.get(start as usize..end as usize).unwrap_or(&[]))
-        })
+    pub fn classes(&self) -> impl Iterator<Item = (&QuerySet, &[ProjCol])> + '_ {
+        let implicit = self.is_count_only().then_some((&self.queries, &[][..]));
+        implicit.into_iter().chain(self.classes.iter().map(|c| {
+            (&c.members, self.cols.get(c.start as usize..c.end as usize).unwrap_or(&[]))
+        }))
     }
 
-    /// Query `q`'s resolved projection columns: empty on a count-only
-    /// leaf, `None` when `q` is unresolved (or not routed here).
+    /// Query `q`'s resolved projection columns: `None` when `q` is
+    /// unresolved or not routed here.
     pub fn cols_of(&self, q: QueryId) -> Option<&[ProjCol]> {
-        if self.is_count_only() {
-            return Some(&[]);
-        }
-        let at = self.per_query.binary_search_by_key(&q, |&(q, _, _)| q).ok()?;
-        let &(_, start, end) = self.per_query.get(at)?;
-        self.cols.get(start as usize..end as usize)
+        self.classes().find(|(members, _)| members.contains(q)).map(|(_, cols)| cols)
     }
 
     /// Queries whose projections could not be resolved.
@@ -566,10 +588,17 @@ mod tests {
                     }
                     routed[q.index()] += 1;
                 }
-                if projecting {
-                    let listed: Vec<QueryId> = leaf.projected().map(|(q, _)| q).collect();
-                    assert_eq!(listed, leaf.queries.iter().collect::<Vec<_>>());
+                // The classes partition the queries, one per column list.
+                let mut listed: Vec<QueryId> = Vec::new();
+                let mut lists: Vec<&[ProjCol]> = Vec::new();
+                for (members, cols) in leaf.classes() {
+                    assert!(!members.is_empty());
+                    assert!(!lists.contains(&cols), "two classes share a column list");
+                    lists.push(cols);
+                    listed.extend(members.iter());
                 }
+                listed.sort_unstable();
+                assert_eq!(listed, leaf.queries.iter().collect::<Vec<_>>());
             }
             JoinNode::Probe(p) => {
                 let mut main: Vec<RelId> =
@@ -619,6 +648,37 @@ mod tests {
     }
 
     #[test]
+    fn leaf_groups_queries_by_ordered_projection_list() {
+        let (a, b, c) = ((RelId(0), ColId(0)), (RelId(1), ColId(2)), (RelId(1), ColId(0)));
+        // Q0 and Q3 project the same list, Q1 its permutation, Q2 and Q5
+        // nothing, Q4 a list of its own; Q6 is not routed here.
+        let projections =
+            vec![vec![a, b], vec![b, a], vec![], vec![a, b], vec![c], vec![], vec![a]];
+        let mut queries = QuerySet::full(7);
+        queries.remove(QueryId(6));
+        let leaf = Leaf::resolve(queries, &[RelId(1), RelId(0)], &projections);
+        let classes: Vec<(Vec<u32>, &[ProjCol])> =
+            leaf.classes().map(|(m, cols)| (m.iter().map(|q| q.0).collect(), cols)).collect();
+        let pc = |(rel, col): (RelId, ColId), slot| ProjCol { rel, col, slot };
+        assert_eq!(
+            classes,
+            vec![
+                (vec![2, 5], &[][..]),
+                (vec![0, 3], &[pc(a, 1), pc(b, 0)][..]),
+                (vec![4], &[pc(c, 0)][..]),
+                (vec![1], &[pc(b, 0), pc(a, 1)][..]),
+            ]
+        );
+        assert_eq!(leaf.cols_of(QueryId(3)), leaf.cols_of(QueryId(0)));
+        assert_eq!(leaf.cols_of(QueryId(6)), None);
+        // A count-only leaf is one implicit class of every query.
+        let leaf = Leaf::resolve(QuerySet::full(3), &[RelId(0)], &[vec![], vec![], vec![]]);
+        assert!(leaf.is_count_only());
+        let classes: Vec<(usize, usize)> = leaf.classes().map(|(m, c)| (m.len(), c.len())).collect();
+        assert_eq!(classes, vec![(3, 0)]);
+    }
+
+    #[test]
     fn leaf_with_an_uncarried_projection_is_unresolved_not_a_panic() {
         let queries = QuerySet::full(3);
         let projections = vec![
@@ -635,8 +695,8 @@ mod tests {
         );
         assert_eq!(leaf.cols_of(QueryId(1)), None);
         assert_eq!(leaf.cols_of(QueryId(2)), Some(&[][..]));
-        let listed: Vec<QueryId> = leaf.projected().map(|(q, _)| q).collect();
-        assert_eq!(listed, vec![QueryId(0), QueryId(2)]);
+        let listed: Vec<Vec<QueryId>> = leaf.classes().map(|(m, _)| m.iter().collect()).collect();
+        assert_eq!(listed, vec![vec![QueryId(2)], vec![QueryId(0)]]);
     }
 
     #[test]

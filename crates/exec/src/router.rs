@@ -6,14 +6,22 @@
 //! columns carried beside it — a whole vector that reached the router
 //! directly, or one tile of a leaf probe's output, which is routed while
 //! it is still in cache and never materialised — together with the plan's
-//! [`Leaf`] shape, and works column-at-a-time:
+//! [`Leaf`] shape, and works column-at-a-time over the leaf's *projection
+//! classes* — the queries projecting one ordered column list — not over
+//! its queries ([`crate::kernels::route`]):
 //!
-//! * a *count-only* leaf (no routed query projects a column) is one
-//!   counting pass over the query-set words and one sink update per query;
-//! * otherwise one CSR partition pass yields each query's row list, and the
-//!   query's checksum is the `row_hash` chain run down each projected
-//!   column over that list ([`crate::kernels::route`]);
-//!   rows are re-assembled only when the sink collects them.
+//! * a class that projects nothing (the one class of a count-only leaf) is
+//!   one counting pass over the query-set words and one sink update per
+//!   member;
+//! * a projecting class is a pass over the query-set words that finds the
+//!   rows any member owns and the members owning all of them (and lists
+//!   those rows unless they are the whole tile), then one `row_hash` chain
+//!   per selected row run down each projected column — once for the
+//!   class, however many members receive the row.
+//!   A member owning every selected row takes the class's row count and
+//!   checksum as they are; any other member sums the chains of its own
+//!   rows. Rows are re-assembled, per member, only when the sink collects
+//!   them.
 //!
 //! The direct multicast router of the Fig. 17–18 ablation
 //! (`locality_router = false`) projects and hashes tuple by tuple from the
@@ -34,10 +42,10 @@
 )]
 
 use crate::fault::LiveSet;
-use crate::kernels::{self, pairs, route as kernel, Partition};
+use crate::kernels::{bit_of, pairs, route as kernel};
 use crate::output::{row_hash, Outputs};
-use crate::planner::Leaf;
-use roulette_core::{QueryId, QuerySetColumn, RelId};
+use crate::planner::{Leaf, ProjCol};
+use roulette_core::{QueryId, QuerySet, QuerySetColumn, RelId};
 use roulette_storage::{Catalog, Column};
 
 /// One query's staged output: row count, checksum, and (when collecting)
@@ -65,6 +73,11 @@ struct SinkEntry {
 #[derive(Debug, Default)]
 pub struct EpisodeSink {
     pub(crate) collecting: bool,
+    /// Projected values folded into a row hash so far: Σ over routed
+    /// projection classes of selected rows × columns. A work counter, so
+    /// [`reset`](Self::reset) keeps it; the episode drains it into
+    /// [`crate::SharedStats::routed_values`].
+    pub(crate) routed_values: u64,
     acc: Vec<SinkEntry>,
     spare: Vec<SinkEntry>,
     /// Dense query-id → `acc` position + 1 (0 = not staged): entry lookup
@@ -96,6 +109,12 @@ impl EpisodeSink {
             *slot = self.acc.len() as u32;
         }
         self.acc.get_mut(*slot as usize - 1)
+    }
+
+    /// Projected values the router folded into a row hash since the sink
+    /// was made or last drained (see [`crate::EngineStats::routed_values`]).
+    pub fn routed_values(&self) -> u64 {
+        self.routed_values
     }
 
     /// Stages `n` rows of `q` whose hashes sum to `checksum`: one entry
@@ -170,21 +189,24 @@ fn retire(mut e: SinkEntry, spare: &mut Vec<SinkEntry>, slot_of: &mut [u32]) {
 }
 
 /// The router's reusable buffers, part of the episode scratch arena. All
-/// are reset per routed vector or tile and bounded by its size.
+/// are reset per projection class of a routed vector or tile and bounded
+/// by its size.
 #[derive(Debug, Default)]
 pub struct RouteScratch {
-    /// Per-query row counts of a count-only leaf.
+    /// Per-query row counts of a class that projects nothing.
     counts: Vec<u32>,
-    /// CSR routing partition (per-query survivor rows).
-    part: Partition,
-    /// The running `row_hash` chain of each of one query's rows.
+    /// The rows any member of a projecting class owns, ascending.
+    rows: Vec<u32>,
+    /// Query-set words: the members of the class owning every row of `rows`.
+    owners: Vec<u64>,
+    /// The running `row_hash` chain of each of the class's rows.
     hashes: Vec<u64>,
-    /// Collecting only: vIDs of one query's rows in one projected relation.
+    /// Collecting only: vIDs of the class's rows in one projected relation.
     vids: Vec<u32>,
-    /// Collecting only: one projected column gathered for one query's rows.
+    /// Collecting only: one projected column gathered for the class's rows.
     vals: Vec<i64>,
-    /// Collecting only: one query's projected values, column-major, kept
-    /// until its rows are re-assembled into the sink's row store.
+    /// Collecting only: the class's projected values, column-major, kept
+    /// until each member's rows are re-assembled into the sink's row store.
     route_vals: Vec<i64>,
     /// Direct router only: the projected row being multicast.
     row: Vec<i64>,
@@ -211,65 +233,137 @@ pub fn route(
         route_direct(catalog, leaf, qsets, cols, sink, &mut scratch.row);
         return;
     }
-    let RouteScratch { counts, part, vids, vals, hashes, route_vals, .. } = scratch;
-    if leaf.is_count_only() {
-        kernel::count_queries(qsets, &leaf.queries, counts);
-        for q in leaf.queries.iter() {
-            match counts.get(q.index()) {
-                Some(&n) if n > 0 => sink.add_empty_rows(q, n as usize),
-                _ => {}
-            }
+    for (members, projs) in leaf.classes() {
+        if projs.is_empty() {
+            count_class(members, qsets, sink, &mut scratch.counts);
+        } else {
+            route_class(catalog, members, projs, qsets, cols, sink, scratch);
         }
+    }
+}
+
+/// Routes the tuples `qsets` to a class that projects nothing: one count
+/// and one sink update per member.
+// lint: hot-loop
+// Both class bodies stay out of line: inlined into `route`'s loop, the
+// counting body ran ~10% slower (`perfbench`'s `routing_count_only`).
+#[inline(never)]
+fn count_class(
+    members: &QuerySet,
+    qsets: &QuerySetColumn,
+    sink: &mut EpisodeSink,
+    counts: &mut Vec<u32>,
+) {
+    kernel::count_queries(qsets, members, counts);
+    for q in members.iter() {
+        match counts.get(q.index()) {
+            Some(&n) if n > 0 => sink.add_empty_rows(q, n as usize),
+            _ => {}
+        }
+    }
+}
+
+/// Routes the tuples `(qsets, cols)` to one projecting class: `members`,
+/// who all project `projs`. See the module docs.
+// lint: hot-loop
+#[inline(never)]
+fn route_class(
+    catalog: &Catalog,
+    members: &QuerySet,
+    projs: &[ProjCol],
+    qsets: &QuerySetColumn,
+    cols: &[(RelId, Vec<u32>)],
+    sink: &mut EpisodeSink,
+    scratch: &mut RouteScratch,
+) {
+    let RouteScratch { rows, owners, hashes, vids, vals, route_vals, .. } = scratch;
+    let n = kernel::select_class(qsets, members.words(), rows, owners);
+    if n == 0 {
         return;
     }
-    kernels::partition(qsets, &leaf.queries, part);
+    // A class owning the whole tile has no row list: it reads the carried
+    // vIDs straight through.
+    let whole = rows.is_empty();
     let collecting = sink.collecting;
-    for (q, projs) in leaf.projected() {
-        let rows = part.rows_of(q.index());
-        let n = rows.len();
-        if n == 0 {
-            continue;
-        }
-        if projs.is_empty() {
-            sink.add_empty_rows(q, n);
-            continue;
-        }
-        kernel::hash_seed(hashes, n);
-        route_vals.clear();
-        for pc in projs {
-            debug_assert!(
-                cols.get(pc.slot).is_some_and(|(rel, _)| *rel == pc.rel),
-                "leaf resolved against another column order"
-            );
-            let carried = cols.get(pc.slot).map(|(_, v)| v.as_slice()).unwrap_or_default();
-            let column = catalog.relation(pc.rel).column(pc.col);
-            if collecting {
-                // The values are kept: gather them, then hash the copy.
+    kernel::hash_seed(hashes, n);
+    route_vals.clear();
+    for pc in projs {
+        debug_assert!(
+            cols.get(pc.slot).is_some_and(|(rel, _)| *rel == pc.rel),
+            "leaf resolved against another column order"
+        );
+        let carried = cols.get(pc.slot).map(|(_, v)| v.as_slice()).unwrap_or_default();
+        let column = catalog.relation(pc.rel).column(pc.col);
+        if collecting {
+            // The values are kept: gather them, then hash the copy.
+            let class_vids = if whole {
+                carried
+            } else {
                 vids.clear();
                 pairs::gather_u32(carried, rows, vids);
-                column.gather(vids, vals);
-                kernel::hash_column(vals, hashes);
-                route_vals.extend_from_slice(vals);
-            } else {
-                match column {
-                    Column::Int64(base) => kernel::hash_gathered(base, carried, rows, hashes),
-                    Column::Dict { codes, .. } => {
-                        kernel::hash_gathered(codes, carried, rows, hashes)
-                    }
-                }
+                vids.as_slice()
+            };
+            column.gather(class_vids, vals);
+            kernel::hash_column(vals, hashes);
+            route_vals.extend_from_slice(vals);
+        } else {
+            match column {
+                Column::Int64(base) => hash_projected(base, carried, rows, whole, hashes),
+                Column::Dict { codes, .. } => hash_projected(codes, carried, rows, whole, hashes),
             }
         }
-        let Some(e) = sink.add_batch(q, n, kernel::hash_sum(hashes)) else {
+    }
+    sink.routed_values += (n * projs.len()) as u64;
+    let total = kernel::hash_sum(hashes);
+    if whole && owners.as_slice() != members.words() {
+        // Some member owns only part of the tile: its sums need the list.
+        rows.extend(0..n as u32);
+    }
+    let w = qsets.words_per_set();
+    for q in members.iter() {
+        let owns_all = bit_of(owners, q.index()) == 1;
+        let (m, checksum) = if owns_all {
+            (n, total)
+        } else {
+            kernel::masked_sum(qsets, rows, q.index(), hashes)
+        };
+        if m == 0 {
+            continue;
+        }
+        let Some(e) = sink.add_batch(q, m, checksum) else {
             continue;
         };
         if collecting {
             // Row-major re-assembly into the entry's flat row store, rows
             // ascending — the order the per-row router emits.
             for k in 0..n {
-                e.data.extend(route_vals.iter().skip(k).step_by(n));
-                e.offsets.push(e.data.len() as u32);
+                let row = rows.get(k).map_or(&[][..], |&r| {
+                    qsets.raw().get(r as usize * w..).unwrap_or_default()
+                });
+                if owns_all || bit_of(row, q.index()) == 1 {
+                    e.data.extend(route_vals.iter().skip(k).step_by(n));
+                    e.offsets.push(e.data.len() as u32);
+                }
             }
         }
+    }
+}
+
+/// Folds one projected column of the class's rows into their hashes:
+/// through the row list, or — when the class owns the whole tile — straight
+/// through the carried vIDs.
+#[inline]
+fn hash_projected<T: Copy + Into<i64>>(
+    base: &[T],
+    carried: &[u32],
+    rows: &[u32],
+    whole: bool,
+    hashes: &mut [u64],
+) {
+    if whole {
+        kernel::hash_vids(base, carried, hashes);
+    } else {
+        kernel::hash_gathered(base, carried, rows, hashes);
     }
 }
 
@@ -385,6 +479,48 @@ mod tests {
         assert_eq!((got[0].0, got[0].1), (4, sum.wrapping_mul(2)));
         assert_eq!(got[0].2, [&want[..], &want[..]].concat());
         assert_eq!((got[1].0, got[1].1), (4, row_hash(&[]).wrapping_mul(4)));
+    }
+
+    #[test]
+    fn classes_hash_each_projected_value_once() {
+        let c = catalog();
+        let (r, s) = (c.relation_id("r").unwrap(), c.relation_id("s").unwrap());
+        let cols = vec![(s, vec![1u32, 2, 3, 4]), (r, vec![7u32, 6, 5, 4])];
+        let mut qsets = QuerySetColumn::new(1);
+        // Q0 owns rows 0–3, Q1 rows 1 and 3, Q2 rows 0 and 2, Q3 row 3.
+        for words in [0b0101u64, 0b0011, 0b0101, 0b1011] {
+            qsets.push(&[words]);
+        }
+        // Q0 and Q1 project one list, Q2 its permutation, Q3 nothing.
+        let (ra, sb) = ((r, ColId(0)), (s, ColId(0)));
+        let projections = vec![vec![ra, sb], vec![ra, sb], vec![sb, ra], vec![]];
+        let leaf = Leaf::resolve(QuerySet::full(4), &[s, r], &projections);
+        assert_eq!(leaf.classes().count(), 3);
+        let outputs = Outputs::new(4, true);
+        let live = LiveSet::new(4);
+        for q in 0..4 {
+            live.activate(QueryId(q));
+        }
+        let mut sink = EpisodeSink::new(true);
+        route(&c, true, &leaf, &qsets, &cols, &mut sink, &mut RouteScratch::default());
+        // Class {Q0, Q1}: rows 0–3 × 2 columns; class {Q2}: rows 0 and 2 ×
+        // 2 columns; the count-only class hashes nothing.
+        assert_eq!(sink.routed_values, 4 * 2 + 2 * 2);
+        sink.flush(&outputs, &live);
+        let rows: Vec<Vec<Vec<i64>>> = (0..4).map(|q| outputs.take_collected(QueryId(q))).collect();
+        assert_eq!(rows[0], [[70, -1], [60, -2], [50, -3], [40, -4]]);
+        assert_eq!(rows[1], [[60, -2], [40, -4]]);
+        assert_eq!(rows[2], [[-1, 70], [-3, 50]]);
+        assert_eq!(rows[3], [Vec::<i64>::new()]);
+        for (q, rows) in rows.iter().enumerate() {
+            let res = outputs.result(QueryId(q as u32));
+            let sum = rows.iter().fold(0u64, |acc, row| acc.wrapping_add(row_hash(row)));
+            assert_eq!((res.rows, res.checksum), (rows.len() as u64, sum), "Q{q}");
+        }
+        // The direct router hashes per (row, query) and counts nothing.
+        let mut sink = EpisodeSink::new(false);
+        route(&c, false, &leaf, &qsets, &cols, &mut sink, &mut RouteScratch::default());
+        assert_eq!(sink.routed_values, 0);
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub struct Client {
 impl Client {
     /// Connects to `addr` (e.g. `127.0.0.1:7878`).
     pub fn connect(addr: &str) -> Result<Client> {
-        debug_assert!(sync::no_locks_held());
+        sync::assert_no_locks_held();
         let writer = TcpStream::connect(addr)
             .map_err(|e| Error::Internal(format!("connect {addr}: {e}")))?;
         // A read timeout bounds how long a dead server can wedge a worker.
@@ -41,7 +41,7 @@ impl Client {
     }
 
     fn send(&mut self, req: &Request) -> Result<()> {
-        debug_assert!(sync::no_locks_held());
+        sync::assert_no_locks_held();
         let mut line = req.encode();
         line.push('\n');
         self.writer
@@ -50,7 +50,7 @@ impl Client {
     }
 
     fn recv(&mut self) -> Result<Response> {
-        debug_assert!(sync::no_locks_held());
+        sync::assert_no_locks_held();
         let mut line = String::new();
         match self.reader.read_line(&mut line) {
             Ok(0) => Err(Error::Internal("server disconnected".into())),

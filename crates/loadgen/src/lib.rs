@@ -362,7 +362,7 @@ fn worker_loop(
         let due = start + interval.saturating_mul(u32::try_from(i).unwrap_or(u32::MAX));
         let now = Instant::now();
         if due > now {
-            debug_assert!(sync::no_locks_held());
+            sync::assert_no_locks_held();
             std::thread::sleep(due - now);
         }
         let pool_idx = match churn {
@@ -463,7 +463,7 @@ fn resolve(
                         }
                         // ordering: AcqRel tally update; read post-join.
                         tally.retries.fetch_add(1, Ordering::AcqRel);
-                        debug_assert!(sync::no_locks_held());
+                        sync::assert_no_locks_held();
                         std::thread::sleep(backoff);
                         backoff = backoff.saturating_mul(2);
                     }

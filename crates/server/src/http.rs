@@ -39,7 +39,7 @@ pub fn spawn_metrics_http(
             if stop.load(Ordering::Acquire) {
                 return;
             }
-            debug_assert!(roulette_core::sync::no_locks_held());
+            roulette_core::sync::assert_no_locks_held();
             match listener.accept() {
                 Ok((stream, _)) => {
                     let _ = answer(stream, &telemetry);
@@ -55,7 +55,7 @@ pub fn spawn_metrics_http(
 }
 
 fn answer(mut stream: TcpStream, telemetry: &Arc<Telemetry>) -> std::io::Result<()> {
-    debug_assert!(roulette_core::sync::no_locks_held());
+    roulette_core::sync::assert_no_locks_held();
     stream.set_read_timeout(Some(Duration::from_millis(200)))?;
     // Drain (a prefix of) the request; the reply never depends on it.
     let mut buf = [0u8; 1024];

@@ -263,7 +263,7 @@ impl Server {
     /// and engine threads, and waits (bounded) for handlers to finish
     /// writing. Returns the terminal accounting.
     pub fn shutdown(mut self) -> DrainReport {
-        debug_assert!(sync::no_locks_held());
+        sync::assert_no_locks_held();
         begin_drain(&self.shared);
         if let Some(h) = self.accept.take() {
             let _ = h.join();
@@ -320,7 +320,7 @@ fn stream_loop(
     // Epoch 1 was pre-populated before the server started.
     let mut now: Tick = 1;
     loop {
-        debug_assert!(sync::no_locks_held());
+        sync::assert_no_locks_held();
         thread::sleep(Duration::from_millis(scfg.epoch_ms.max(1)));
         // ordering: Acquire pairs with `begin_drain`'s AcqRel swap.
         if shared.draining.load(Ordering::Acquire) {
@@ -352,13 +352,13 @@ fn begin_drain(shared: &Shared) {
     shared.queue.close();
     // Unblock the accept loop with a throwaway connection; it checks the
     // drain flag after every accept.
-    debug_assert!(sync::no_locks_held());
+    sync::assert_no_locks_held();
     let _ = TcpStream::connect(shared.addr);
 }
 
 fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
     loop {
-        debug_assert!(sync::no_locks_held());
+        sync::assert_no_locks_held();
         match listener.accept() {
             Ok((mut stream, _peer)) => {
                 // ordering: Acquire pairs with `begin_drain`'s AcqRel swap.
@@ -411,7 +411,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
 }
 
 fn write_line(w: &mut TcpStream, resp: &Response) -> std::io::Result<()> {
-    debug_assert!(sync::no_locks_held());
+    sync::assert_no_locks_held();
     let mut s = resp.encode();
     s.push('\n');
     w.write_all(s.as_bytes())
@@ -447,7 +447,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream) -> std::io::Result<()> {
     let wire_qs = QuerySet::full(1);
     let mut line = String::new();
     loop {
-        debug_assert!(sync::no_locks_held());
+        sync::assert_no_locks_held();
         match reader.read_line(&mut line) {
             Ok(0) => return Ok(()),
             Ok(_) => {}
@@ -555,7 +555,7 @@ fn serve_query(
     shared.metrics.queue_depth.set(depth as u64);
     // Exactly one terminal outcome arrives per admitted job; the engine
     // loop cannot exit before delivering it (drain pops the full backlog).
-    debug_assert!(sync::no_locks_held());
+    sync::assert_no_locks_held();
     let outcome = match rx.recv() {
         Ok(o) => o,
         Err(_) => JobOutcome::Failed(Error::Internal(
@@ -568,7 +568,7 @@ fn serve_query(
                 // Slow client: stall before streaming so the engine side
                 // demonstrably keeps running (results are already
                 // materialized; only this connection pays).
-                debug_assert!(sync::no_locks_held());
+                sync::assert_no_locks_held();
                 thread::sleep(Duration::from_millis(30));
             }
             let mut disconnected = false;
@@ -717,7 +717,7 @@ fn run_with_deadlines(session: &Session<'_>, admitted: &[Admitted]) {
                         );
                     }
                 }
-                debug_assert!(sync::no_locks_held());
+                sync::assert_no_locks_held();
                 thread::park_timeout(Duration::from_millis(1));
             }
         });

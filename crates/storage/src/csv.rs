@@ -87,7 +87,7 @@ pub fn relation_from_csv_str(name: &str, text: &str) -> Result<Relation> {
 /// Loads a relation from a CSV file; the relation is named after the file
 /// stem unless `name` is given.
 pub fn relation_from_csv_path(path: &std::path::Path, name: Option<&str>) -> Result<Relation> {
-    debug_assert!(roulette_core::sync::no_locks_held());
+    roulette_core::sync::assert_no_locks_held();
     let text = std::fs::read_to_string(path)
         .map_err(|e| Error::Parse(format!("reading {}: {e}", path.display())))?;
     let name = match name {

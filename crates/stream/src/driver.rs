@@ -60,6 +60,9 @@ pub struct EpochTrace {
     pub live_queries: usize,
     /// Episodes the epoch's session executed.
     pub episodes: u64,
+    /// Projected values the epoch's router folded into a row hash
+    /// ([`roulette_exec::EngineStats::routed_values`]).
+    pub routed_values: u64,
     /// Per-epoch mean absolute TD error (differenced), when the policy
     /// folded in observations.
     pub td_mean: Option<f64>,
@@ -302,6 +305,7 @@ impl StreamDriver {
             departed: departing.len(),
             live_queries: self.live.len(),
             episodes: outcome.stats.episodes,
+            routed_values: outcome.stats.routed_values,
             td_mean: delta.map(|d| d.td_mean),
             td_relative: delta.map(|d| d.relative_td()),
             epsilon,
@@ -429,7 +433,7 @@ fn run_session_with_departures(
         scope.spawn(|| {
             // Let the workers take their first episodes so the departure
             // is genuinely mid-flight, then evict.
-            debug_assert!(roulette_core::sync::no_locks_held());
+            roulette_core::sync::assert_no_locks_held();
             std::thread::sleep(Duration::from_micros(200));
             depart(session, departing);
         });

@@ -2,14 +2,14 @@
 //!
 //! The kernels are pure mechanical transformations of row-at-a-time
 //! loops: for every kernel, every row width, and every tail length they
-//! must produce *byte-identical* query-set words, survivor masks,
-//! compacted columns, and partition layouts to a reference that shares no
-//! code with them — `QuerySetColumn`'s `and_rows` family and
-//! `retain_mask`, and the per-row `scalar_filter_grouped`,
-//! `scalar_compact_u32` and `scalar_partition` below. The suite also pins
-//! the tiled probe operator (AND-select, `Stem::probe_tiles`, column
-//! gathers) to the per-key `Stem::probe` + `and_into` reference and the
-//! router's count and column-hash kernels to per-row `row_hash`, then
+//! must produce *byte-identical* query-set words, survivor masks and
+//! compacted columns to a reference that shares no code with them —
+//! `QuerySetColumn`'s `and_rows` family and `retain_mask`, and the per-row
+//! `scalar_filter_grouped` and `scalar_compact_u32` below. The suite also
+//! pins the tiled probe operator (AND-select, `Stem::probe_tiles`, column
+//! gathers) to the per-key `Stem::probe` + `and_into` reference, and the
+//! router's count and column-hash kernels and its projection classes to
+//! per-row membership, the direct router and per-row `row_hash`, then
 //! closes the loop end to end: a full engine run must match the
 //! query-at-a-time engine (which shares no kernel with it) at one and four
 //! workers, including under deterministic fault injection, and the fused
@@ -22,8 +22,9 @@ use roulette::core::queryset::and_into;
 use roulette::core::{ColId, EngineConfig, QueryId, QuerySet, QuerySetColumn, RelId, RowMask};
 use roulette::exec::kernels::{self, pairs, route};
 use roulette::exec::{
-    row_hash, FaultInjector, FaultSite, GroupedFilter, MatchTile, Partition, PlainFilter,
-    ProbeScratch, RouletteEngine, Stem, Walk, PROBE_TILE, VERSION_ALL,
+    route as route_tuples, row_hash, EpisodeSink, FaultInjector, FaultSite, GroupedFilter, Leaf,
+    LiveSet, MatchTile, Outputs, PlainFilter, ProbeScratch, RouletteEngine, RouteScratch, Stem,
+    Walk, PROBE_TILE, VERSION_ALL,
 };
 use std::sync::atomic::AtomicU32;
 use roulette::query::SpjQuery;
@@ -115,20 +116,6 @@ fn scalar_compact_u32(col: &mut Vec<u32>, keep: &RowMask) {
         out += 1;
     });
     col.truncate(out);
-}
-
-/// Partition reference: per query id (`0..capacity`), the rows holding it
-/// if it is routed, ascending — empty for a query that is not routed.
-fn scalar_partition(qsets: &QuerySetColumn, queries: &QuerySet, capacity: usize) -> Vec<Vec<u32>> {
-    (0..capacity)
-        .map(|q| {
-            if !queries.contains(QueryId(q as u32)) {
-                return Vec::new();
-            }
-            let (wi, b) = (q / 64, q % 64);
-            (0..qsets.len() as u32).filter(|&i| qsets.row(i as usize)[wi] >> b & 1 == 1).collect()
-        })
-        .collect()
 }
 
 #[test]
@@ -271,43 +258,14 @@ fn compaction_kernels_match_scalar_for_all_patterns() {
     }
 }
 
-/// Three routed queries — few enough per query-set word that the router's
-/// kernels take their per-query sweep form — with the high words in use.
+/// Three routed queries — few enough per query-set word that the count
+/// kernel takes its per-query sweep form — with the high words in use.
 fn few_queries(capacity: usize) -> QuerySet {
     let mut few = QuerySet::empty(capacity);
     for q in [0, capacity / 2, capacity - 1] {
         few.insert(QueryId(q as u32));
     }
     few
-}
-
-#[test]
-fn partition_kernels_match_scalar_row_for_row() {
-    for &capacity in &CAPACITIES {
-        // Route strict subsets of the queries so masked-out bits matter:
-        // every third query (the kernel's one-pass CSR form) and three of
-        // them, high words included (its per-query sweeps).
-        let mut third = QuerySet::empty(capacity);
-        for q in (0..capacity).step_by(3) {
-            third.insert(QueryId(q as u32));
-        }
-        for routed in [third, few_queries(capacity)] {
-            for &n in &ROWS {
-                let qsets = make_qsets(capacity, n, 31);
-                let tag = format!("partition cap={capacity} routed={} rows={n}", routed.len());
-                let want = scalar_partition(&qsets, &routed, capacity);
-                let want_total: usize = want.iter().map(Vec::len).sum();
-                // A reused partition must not leak its previous layout.
-                let mut p = Partition::new();
-                kernels::partition(&make_qsets(capacity, 77, 5), &QuerySet::full(capacity), &mut p);
-                let total = kernels::partition(&qsets, &routed, &mut p);
-                assert_eq!(want_total as u64, total, "{tag}: total diverged");
-                for (q, rows) in want.iter().enumerate() {
-                    assert_eq!(rows.as_slice(), p.rows_of(q), "{tag}: rows of query {q} diverged");
-                }
-            }
-        }
-    }
 }
 
 #[test]
@@ -370,6 +328,174 @@ fn column_hash_kernels_match_row_hash() {
             });
             assert_eq!(route::hash_sum(&fused), want, "fused rows={n} cols={n_cols}");
             assert_eq!(route::hash_sum(&staged), want, "staged rows={n} cols={n_cols}");
+        }
+    }
+}
+
+// --- the router's projection classes vs the direct router and row_hash ---
+
+/// Projection lists query `q` cycles through (`q % 8`): a pair and its
+/// permutation, a disjoint column, nothing, widths 3–5 (a dictionary
+/// column, one column twice), and a relation the tile does not carry.
+fn class_lists(c: &Catalog) -> Vec<Vec<(RelId, ColId)>> {
+    let col = |rel: &str, name: &str| {
+        let r = c.relation_id(rel).unwrap();
+        (r, c.relation(r).column_id(name).unwrap())
+    };
+    let (ax, aw, by, cz) = (col("a", "x"), col("a", "w"), col("b", "y"), col("c", "z"));
+    vec![
+        vec![ax, by],
+        vec![by, ax],
+        vec![cz],
+        vec![],
+        vec![ax, by, cz, ax, aw],
+        vec![aw, cz, by],
+        vec![col("d", "v")],
+        vec![ax, by, cz, aw],
+    ]
+}
+
+/// Whether query `q` owns tuple `i` of an `n`-tuple tile, by its role
+/// `(q / 8) % 4`: pseudo-random, every tuple, none, or the same tuples as
+/// query `q − 24` — same projection list, so the two can own all of a
+/// class's rows together.
+fn owns(q: usize, i: usize, seed: i64) -> bool {
+    match (q / 8) % 4 {
+        0 => {
+            let mut s = seed ^ (q as i64 * 7919) ^ (i as i64 * 104_729);
+            lcg(&mut s);
+            lcg(&mut s) & 3 != 0
+        }
+        1 => true,
+        2 => false,
+        _ => owns(q - 24, i, seed),
+    }
+}
+
+/// The routed subsets of a `capacity`-query leaf: every query; queries
+/// with random ownership and their twins; random and every-tuple owners;
+/// random and no-tuple owners; and the twins of the first eight alone.
+fn class_subsets(capacity: usize) -> Vec<QuerySet> {
+    let roles: [&dyn Fn(usize) -> bool; 5] = [
+        &|_| true,
+        &|q| (q / 8) % 4 != 1 && (q / 8) % 4 != 2,
+        &|q| (q / 8) % 4 <= 1,
+        &|q| (q / 8) % 4 == 0 || (q / 8) % 4 == 2,
+        &|q| q < 8 || (24..32).contains(&q),
+    ];
+    roles
+        .iter()
+        .map(|keep| {
+            let mut set = QuerySet::empty(capacity);
+            for q in (0..capacity).filter(|&q| keep(q)) {
+                set.insert(QueryId(q as u32));
+            }
+            set
+        })
+        .collect()
+}
+
+#[test]
+fn projection_classes_match_direct_router_and_row_hash() {
+    let mut c = Catalog::new();
+    let mut s = 91;
+    for (rel, cols) in [("a", &["x", "w"][..]), ("b", &["y"]), ("c", &["z"]), ("d", &["v"])] {
+        let mut b = RelationBuilder::new(rel);
+        for &name in cols {
+            if name == "w" {
+                b.strings(name, (0..97).map(|_| ["p", "q", "r", "s"][lcg(&mut s).rem_euclid(4) as usize]));
+            } else {
+                b.int64(name, (0..97).map(|_| lcg(&mut s)).collect());
+            }
+        }
+        c.add(b.build()).unwrap();
+    }
+    let lists = class_lists(&c);
+    let (a, b, cr) = (c.relation_id("a").unwrap(), c.relation_id("b").unwrap(), c.relation_id("c").unwrap());
+    let carried = [b, a, cr];
+    let mut scratch = RouteScratch::default(); // reused: stale state must not leak
+    for &capacity in &CAPACITIES {
+        let projections: Vec<Vec<(RelId, ColId)>> =
+            (0..capacity).map(|q| lists[q % lists.len()].clone()).collect();
+        for &n in &ROWS {
+            let seed = (capacity * 1000 + n) as i64;
+            let cols: Vec<(RelId, Vec<u32>)> = carried
+                .iter()
+                .map(|&r| (r, (0..n).map(|_| lcg(&mut s).rem_euclid(97) as u32).collect()))
+                .collect();
+            let mut qsets = QuerySetColumn::new(QuerySet::full(capacity).width());
+            for i in 0..n {
+                let mut row = QuerySet::empty(capacity);
+                for q in (0..capacity).filter(|&q| owns(q, i, seed)) {
+                    row.insert(QueryId(q as u32));
+                }
+                qsets.push(row.words());
+            }
+            let value = |(rel, col): (RelId, ColId), i: usize| -> i64 {
+                let vids = &cols.iter().find(|(r, _)| *r == rel).unwrap().1;
+                c.relation(rel).column(col).value(vids[i] as usize)
+            };
+            for routed in class_subsets(capacity) {
+                let leaf = Leaf::resolve(routed.clone(), &carried, &projections);
+                // Per-row reference: each resolvable query's rows, ascending.
+                let mut want_values = 0u64;
+                let mut seen: Vec<&[(RelId, ColId)]> = Vec::new();
+                let want: Vec<Vec<Vec<i64>>> = (0..capacity)
+                    .map(|q| {
+                        let list = &projections[q];
+                        let resolvable = list.iter().all(|(r, _)| carried.contains(r));
+                        if !routed.contains(QueryId(q as u32)) || !resolvable {
+                            return Vec::new();
+                        }
+                        if !seen.contains(&list.as_slice()) {
+                            seen.push(list);
+                            let class_rows = (0..n)
+                                .filter(|&i| {
+                                    routed.iter().any(|m| {
+                                        projections[m.index()] == *list && owns(m.index(), i, seed)
+                                    })
+                                })
+                                .count();
+                            want_values += (class_rows * list.len()) as u64;
+                        }
+                        (0..n)
+                            .filter(|&i| owns(q, i, seed))
+                            .map(|i| list.iter().map(|&pc| value(pc, i)).collect())
+                            .collect()
+                    })
+                    .collect();
+                for locality in [true, false] {
+                    for collecting in [true, false] {
+                        let tag = format!(
+                            "classes cap={capacity} rows={n} routed={} locality={locality} \
+                             collecting={collecting}",
+                            routed.len()
+                        );
+                        let mut sink = EpisodeSink::new(collecting);
+                        route_tuples(&c, locality, &leaf, &qsets, &cols, &mut sink, &mut scratch);
+                        let values = if locality { want_values } else { 0 };
+                        assert_eq!(sink.routed_values(), values, "{tag}: routed values");
+                        let outputs = Outputs::new(capacity, collecting);
+                        let live = LiveSet::new(capacity);
+                        for q in routed.iter() {
+                            live.activate(q);
+                        }
+                        sink.flush(&outputs, &live);
+                        for (q, rows) in want.iter().enumerate() {
+                            let res = outputs.result(QueryId(q as u32));
+                            let sum = rows.iter().fold(0u64, |acc, r| acc.wrapping_add(row_hash(r)));
+                            assert_eq!(
+                                (res.rows, res.checksum),
+                                (rows.len() as u64, sum),
+                                "{tag}: query {q}"
+                            );
+                            let got = outputs.take_collected(QueryId(q as u32));
+                            let want_rows = if collecting { rows.clone() } else { Vec::new() };
+                            assert_eq!(got, want_rows, "{tag}: collected rows of query {q}");
+                        }
+                    }
+                }
+            }
         }
     }
 }
@@ -999,8 +1125,14 @@ fn run_routed(
             r
         })
         .collect();
-    let results = session.finish().per_query;
+    let outcome = session.finish();
+    let results = outcome.per_query;
     assert!(results.iter().all(|r| r.is_complete()));
+    // Only the column-at-a-time router's projecting classes hash values.
+    let projecting = queries.iter().any(|q| !q.projections.is_empty());
+    if !cfg.locality_router || !projecting {
+        assert_eq!(outcome.stats.routed_values, 0);
+    }
     (results.iter().map(|r| (r.rows, r.checksum)).collect(), rows)
 }
 
