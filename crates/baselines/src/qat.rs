@@ -106,19 +106,32 @@ impl<'a> QatEngine<'a> {
         self.run_pipeline(q, &plan, &tables, &root_vids, outputs)
     }
 
-    /// Applies `rel`'s predicates, returning the surviving row ids.
+    /// Applies `rel`'s predicates, returning the surviving row ids: a
+    /// chunk of rows at a time, each predicate narrowing the chunk's
+    /// survivors over its gathered column.
     fn filtered_vids(&self, q: &SpjQuery, rel: RelId) -> Vec<u32> {
+        const CHUNK: usize = 1024;
         let relation = self.catalog.relation(rel);
         let preds: Vec<_> = q.predicates_on(rel).collect();
         let mut vids = Vec::with_capacity(relation.rows());
-        'rows: for row in 0..relation.rows() {
+        let mut values = Vec::new();
+        for start in (0..relation.rows()).step_by(CHUNK) {
+            let end = (start + CHUNK).min(relation.rows());
+            let first = vids.len();
+            vids.extend(start as u32..end as u32);
             for p in &preds {
-                let v = relation.column(p.col).value(row);
-                if v < p.lo || v > p.hi {
-                    continue 'rows;
+                relation.column(p.col).gather_range(start, end, &mut values);
+                let mut kept = first;
+                for i in first..vids.len() {
+                    let row = vids[i];
+                    let v = values[row as usize - start];
+                    if v >= p.lo && v <= p.hi {
+                        vids[kept] = row;
+                        kept += 1;
+                    }
                 }
+                vids.truncate(kept);
             }
-            vids.push(row as u32);
         }
         vids
     }
@@ -132,8 +145,8 @@ impl<'a> QatEngine<'a> {
                 let (target_rel, target_col) = if e.left.0 == step.target { e.left } else { e.right };
                 debug_assert_eq!(target_rel, step.target);
                 let vids = self.filtered_vids(q, target_rel);
-                let col = self.catalog.relation(target_rel).column(target_col);
-                let keys: Vec<i64> = vids.iter().map(|&v| col.value(v as usize)).collect();
+                let mut keys = Vec::new();
+                self.catalog.relation(target_rel).column(target_col).gather(&vids, &mut keys);
                 JoinHashTable::build(&keys, &vids)
             })
             .collect()
@@ -175,22 +188,11 @@ impl<'a> QatEngine<'a> {
                     if e.left.0 == step.target { e.right } else { e.left };
                 let probe_idx =
                     rel_order.iter().position(|&r| r == probe_rel).expect("probe rel joined");
-                // MonetDB-style: materialize the gathered key column fully
-                // before probing (an extra full pass); vectorized gathers
-                // on the fly.
-                let probe_column = self.catalog.relation(probe_rel).column(probe_col);
-                let keys: Vec<i64> = match self.mode {
-                    ExecMode::Materialized => {
-                        let mut keys = Vec::with_capacity(cols[probe_idx].len());
-                        for &v in &cols[probe_idx] {
-                            keys.push(probe_column.value(v as usize));
-                        }
-                        keys
-                    }
-                    ExecMode::Vectorized => {
-                        cols[probe_idx].iter().map(|&v| probe_column.value(v as usize)).collect()
-                    }
-                };
+                // The gathered key column, materialized before probing: the
+                // whole input at once (MonetDB-style) or one vector at a
+                // time, as `chunk_size` sets.
+                let mut keys = Vec::new();
+                self.catalog.relation(probe_rel).column(probe_col).gather(&cols[probe_idx], &mut keys);
                 let mut out: Vec<Vec<u32>> = vec![Vec::new(); cols.len() + 1];
                 for (i, &key) in keys.iter().enumerate() {
                     tables[s].probe(key, |target_vid| {
@@ -207,14 +209,17 @@ impl<'a> QatEngine<'a> {
             }
             if cols.len() == rel_order.len() {
                 let n = cols[0].len();
-                #[allow(clippy::needless_range_loop)]
+                let projected: Vec<Vec<i64>> = proj
+                    .iter()
+                    .map(|&(k, col)| {
+                        let mut vals = Vec::new();
+                        self.catalog.relation(rel_order[k]).column(col).gather(&cols[k], &mut vals);
+                        vals
+                    })
+                    .collect();
                 for i in 0..n {
                     values.clear();
-                    for &(k, col) in &proj {
-                        let rel = rel_order[k];
-                        values
-                            .push(self.catalog.relation(rel).column(col).value(cols[k][i] as usize));
-                    }
+                    values.extend(projected.iter().map(|vals| vals[i]));
                     rows += 1;
                     checksum = checksum.wrapping_add(row_hash(&values));
                     if let Some(o) = outputs {

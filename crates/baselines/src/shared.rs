@@ -204,13 +204,21 @@ pub fn execute_global(catalog: &Catalog, batch: &QueryBatch, plan: &GlobalPlan) 
                 let base = batch.rel_queries(*rel).clone();
                 let mut vids = Vec::new();
                 let mut qsets = QuerySetColumn::new(base.width());
+                let rel_filters: Vec<_> = filters
+                    .iter()
+                    .filter(|(frel, _, _)| frel == rel)
+                    .map(|(_, fcol, filter)| {
+                        let mut vals = Vec::new();
+                        relation.column(*fcol).gather_range(0, relation.rows(), &mut vals);
+                        (vals, filter)
+                    })
+                    .collect();
                 for row in 0..relation.rows() {
                     let mut mask = base.clone();
                     let mut alive = !mask.is_empty();
-                    for (frel, fcol, filter) in &filters {
-                        if frel == rel && alive {
-                            let v = relation.column(*fcol).value(row);
-                            alive = mask.intersect_words(filter.mask_for(v));
+                    for (vals, filter) in &rel_filters {
+                        if alive {
+                            alive = mask.intersect_words(filter.mask_for(vals[row]));
                         }
                     }
                     if alive {
@@ -232,13 +240,14 @@ pub fn execute_global(catalog: &Catalog, batch: &QueryBatch, plan: &GlobalPlan) 
                 let (l_rel, l_col) = if r_rel == edge.left.0 { edge.right } else { edge.left };
                 let r_vids = r.vids_of(r_rel);
                 let r_column = catalog.relation(r_rel).column(r_col);
-                let keys: Vec<i64> =
-                    r_vids.iter().map(|&v| r_column.value(v as usize)).collect();
+                let mut keys = Vec::new();
+                r_column.gather(r_vids, &mut keys);
                 let row_ids: Vec<u32> = (0..r_vids.len() as u32).collect();
                 let table = JoinHashTable::build(&keys, &row_ids);
 
                 let l_vids = l.vids_of(l_rel);
-                let l_column = catalog.relation(l_rel).column(l_col);
+                let mut l_keys = Vec::new();
+                catalog.relation(l_rel).column(l_col).gather(l_vids, &mut l_keys);
                 let width = l.qsets.words_per_set();
                 let mut cols: Vec<(RelId, Vec<u32>)> = l
                     .cols
@@ -248,9 +257,7 @@ pub fn execute_global(catalog: &Catalog, batch: &QueryBatch, plan: &GlobalPlan) 
                     .collect();
                 let n_left_cols = l.cols.len();
                 let mut qsets = QuerySetColumn::new(width);
-                #[allow(clippy::needless_range_loop)]
-                for i in 0..l_vids.len() {
-                    let key = l_column.value(l_vids[i] as usize);
+                for (i, &key) in l_keys.iter().enumerate() {
                     table.probe(key, |r_row| {
                         if qsets.push_and(l.qsets.row(i), r.qsets.row(r_row as usize)) {
                             for (k, (_, buf)) in cols.iter_mut().enumerate() {
@@ -279,13 +286,19 @@ pub fn execute_global(catalog: &Catalog, batch: &QueryBatch, plan: &GlobalPlan) 
         let query = batch.query(q);
         let out = &outputs[node_id];
         let (w, b) = (q.index() / 64, q.index() % 64);
+        let projected: Vec<Vec<i64>> = query
+            .projections
+            .iter()
+            .map(|&(rel, col)| {
+                let mut vals = Vec::new();
+                catalog.relation(rel).column(col).gather(out.vids_of(rel), &mut vals);
+                vals
+            })
+            .collect();
         for i in 0..out.qsets.len() {
             if (out.qsets.row(i)[w] >> b) & 1 == 1 {
                 values.clear();
-                for &(rel, col) in &query.projections {
-                    let vid = out.vids_of(rel)[i];
-                    values.push(catalog.relation(rel).column(col).value(vid as usize));
-                }
+                values.extend(projected.iter().map(|vals| vals[i]));
                 per_query[qi].rows += 1;
                 per_query[qi].checksum =
                     per_query[qi].checksum.wrapping_add(row_hash(&values));

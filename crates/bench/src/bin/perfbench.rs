@@ -6,7 +6,8 @@
 //! view in and out of cache, and along the hash chains), windowed-relation expiry (the
 //! streaming layer's reclamation path), three data-parallel kernels (filter
 //! masking, bulk query-set intersection, survivor compaction — DESIGN.md
-//! §14), the router in its count-only, one-class projected and
+//! §14), the late-materialization gather from a packed base column, the
+//! router in its count-only, one-class projected and
 //! three-class projected shapes, and the
 //! control plane: admitting a 256-query batch, planning a 256-query join
 //! phase, and Q-table lookups. Emits `BENCH_perf.json` so successive PRs
@@ -319,6 +320,35 @@ fn bench_filter_mask(quick: bool, runs: usize) -> BenchResult {
         }
         std::hint::black_box(acc);
         n as u64
+    })
+}
+
+/// Late materialization from base storage: `Column::gather` of
+/// `store_sales.ss_item_sk` (sf 4) through a 1024-row selection, once a
+/// contiguous list (a scan vector's vIDs) and once a random one (a probe's
+/// matches), per repetition.
+fn bench_column_gather(quick: bool, runs: usize) -> BenchResult {
+    const ROWS: u32 = 1024;
+    let ds = tpcds::generate(4.0, 42);
+    let rel = ds.catalog.relation(ds.meta.store().fact);
+    let column = rel.column(rel.column_id("ss_item_sk").expect("store_sales.ss_item_sk"));
+    let n = rel.rows() as u32;
+    let start = n / 3;
+    let contiguous: Vec<u32> = (start..start + ROWS).collect();
+    let mut v = 5i64;
+    let random: Vec<u32> = (0..ROWS).map(|_| lcg(&mut v).rem_euclid(n as i64) as u32).collect();
+    let reps: u64 = if quick { 1 << 10 } else { 1 << 13 };
+    let mut out = Vec::new();
+    bench("column_gather", "values", runs, || {
+        let mut acc = 0i64;
+        for _ in 0..reps {
+            for rows in [&contiguous, &random] {
+                column.gather(std::hint::black_box(rows), &mut out);
+                acc = acc.wrapping_add(out.last().copied().unwrap_or(0));
+            }
+        }
+        std::hint::black_box(acc);
+        reps * 2 * u64::from(ROWS)
     })
 }
 
@@ -653,6 +683,7 @@ fn main() {
         ),
         bench_stem_expiry(quick, runs),
         bench_filter_mask(quick, runs),
+        bench_column_gather(quick, runs),
         bench_qset_and(quick, runs),
         bench_compaction(quick, runs),
         bench_routing("routing_count_only", 0, quick, runs),

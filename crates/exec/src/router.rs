@@ -46,7 +46,7 @@ use crate::kernels::{bit_of, pairs, route as kernel};
 use crate::output::{row_hash, Outputs};
 use crate::planner::{Leaf, ProjCol};
 use roulette_core::{QueryId, QuerySet, QuerySetColumn, RelId};
-use roulette_storage::{Catalog, Column};
+use roulette_storage::{Catalog, Offsets};
 
 /// One query's staged output: row count, checksum, and (when collecting)
 /// the projected rows in a flat value store — `data` holds the rows'
@@ -307,9 +307,13 @@ fn route_class(
             kernel::hash_column(vals, hashes);
             route_vals.extend_from_slice(vals);
         } else {
-            match column {
-                Column::Int64(base) => hash_projected(base, carried, rows, whole, hashes),
-                Column::Dict { codes, .. } => hash_projected(codes, carried, rows, whole, hashes),
+            // One width dispatch per column per tile.
+            let (offsets, base) = column.packed();
+            match offsets {
+                Offsets::U8(o) => hash_projected(o, base, carried, rows, whole, hashes),
+                Offsets::U16(o) => hash_projected(o, base, carried, rows, whole, hashes),
+                Offsets::U32(o) => hash_projected(o, base, carried, rows, whole, hashes),
+                Offsets::U64(o) => hash_projected(o, base, carried, rows, whole, hashes),
             }
         }
     }
@@ -353,17 +357,18 @@ fn route_class(
 /// through the row list, or — when the class owns the whole tile — straight
 /// through the carried vIDs.
 #[inline]
-fn hash_projected<T: Copy + Into<i64>>(
-    base: &[T],
+fn hash_projected<T: Copy + Into<u64>>(
+    offsets: &[T],
+    base: i64,
     carried: &[u32],
     rows: &[u32],
     whole: bool,
     hashes: &mut [u64],
 ) {
     if whole {
-        kernel::hash_vids(base, carried, hashes);
+        kernel::hash_vids(offsets, base, carried, hashes);
     } else {
-        kernel::hash_gathered(base, carried, rows, hashes);
+        kernel::hash_gathered(offsets, base, carried, rows, hashes);
     }
 }
 

@@ -426,8 +426,10 @@ impl Stem {
         }
         let inner = self.inner.get_mut();
         let mut idx = StemIndex::with_capacity(inner.vids.len());
-        for &vid in &inner.vids {
-            idx.insert(column.value(vid as usize));
+        let mut keys = Vec::new();
+        column.gather(&inner.vids, &mut keys);
+        for key in keys {
+            idx.insert(key);
         }
         inner.indices.push(idx);
         self.key_cols.push(col);
@@ -1014,7 +1016,7 @@ mod tests {
         let q = QuerySet::full(1);
         // Entries reference base rows 0..4 before the second index exists.
         stem.insert_vector(&[0, 1, 2, 3], &qcol(&[&q, &q, &q, &q]), &[vec![0, 1, 2, 3]], &global);
-        let base = roulette_storage::Column::Int64(vec![7, 8, 7, 8]);
+        let base = roulette_storage::Column::from_i64(&[7, 8, 7, 8]);
         let idx = stem.ensure_index(ColId(5), &base);
         assert_eq!(idx, 1);
         // Idempotent.

@@ -34,6 +34,9 @@ pub struct ServerMetrics {
     pub active_connections: Arc<Gauge>,
     /// 1 while the server is draining, else 0.
     pub draining: Arc<Gauge>,
+    /// Heap bytes of the hosted catalog's columns (`Catalog::memory_bytes`),
+    /// set at start and at every stream snapshot swap.
+    pub catalog_bytes: Arc<Gauge>,
     /// End-to-end query latency in microseconds (admission to terminal
     /// response line), HDR-style power-of-two buckets.
     pub latency_us: Arc<Histogram>,
@@ -95,6 +98,10 @@ impl ServerMetrics {
                 "roulette_server_draining",
                 "1 while the server is draining, else 0",
             ),
+            catalog_bytes: reg.gauge(
+                "roulette_server_catalog_bytes",
+                "Heap bytes of the hosted catalog's packed columns",
+            ),
             latency_us: reg.histogram(
                 "roulette_server_latency_us",
                 "End-to-end query latency, microseconds",
@@ -113,12 +120,14 @@ mod tests {
         let m = ServerMetrics::register(&reg);
         m.admitted.inc();
         m.queue_depth.set(3);
+        m.catalog_bytes.set(4096);
         m.latency_us.record(1500);
         let mut out = Vec::new();
         reg.render_prometheus(&mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("roulette_server_admitted_total 1"), "{text}");
         assert!(text.contains("roulette_server_queue_depth 3"), "{text}");
+        assert!(text.contains("roulette_server_catalog_bytes 4096"), "{text}");
         assert!(text.contains("roulette_server_latency_us"), "{text}");
     }
 

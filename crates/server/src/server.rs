@@ -192,6 +192,7 @@ impl Server {
             .local_addr()
             .map_err(|e| Error::Internal(format!("local_addr: {e}")))?;
         let metrics = ServerMetrics::register(telemetry.registry());
+        metrics.catalog_bytes.set(catalog.memory_bytes() as u64);
         let queue = AdmissionQueue::new(config.queue_capacity);
         let shared = Arc::new(Shared {
             config,
@@ -336,7 +337,10 @@ fn stream_loop(
                 .record_event(now, EventKind::WindowExpiry { relation, expired });
         }
         match store.snapshot() {
-            Ok(c) => *shared.catalog.write() = Arc::new(c),
+            Ok(c) => {
+                shared.metrics.catalog_bytes.set(c.memory_bytes() as u64);
+                *shared.catalog.write() = Arc::new(c);
+            }
             Err(_) => return,
         }
     }
@@ -775,9 +779,15 @@ mod tests {
         Server::start(config, ds.catalog, Telemetry::with_defaults()).unwrap()
     }
 
+    /// The `roulette_server_catalog_bytes` gauge.
+    fn catalog_bytes(server: &Server) -> u64 {
+        server.telemetry().registry().gauge("roulette_server_catalog_bytes", "").get()
+    }
+
     #[test]
     fn ping_faults_and_unknown_verbs() {
         let server = start_demo(ServerConfig::default());
+        assert_eq!(catalog_bytes(&server), demo_dataset(11).catalog.memory_bytes() as u64);
         let mut c = Client::connect(server.local_addr());
         c.send(&Request::Ping);
         assert_eq!(c.recv(), Response::Pong);
@@ -971,6 +981,8 @@ mod tests {
             .counter("roulette_window_expired_tuples_total", "")
             .total();
         assert!(expired > 0, "window expiry ran during the serve");
+        // Each swap re-sets the gauge to the new snapshot's footprint.
+        assert!(catalog_bytes(&server) > 0);
         let report = server.shutdown();
         assert_eq!(report.leaked, 0, "{report:?}");
         assert_eq!(report.admitted, report.terminal, "{report:?}");

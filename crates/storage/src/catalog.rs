@@ -66,6 +66,12 @@ impl Catalog {
         &self.relations[id.index()]
     }
 
+    /// Heap bytes of every relation's columns
+    /// ([`Relation::memory_bytes`]).
+    pub fn memory_bytes(&self) -> usize {
+        self.relations.iter().map(Relation::memory_bytes).sum()
+    }
+
     /// Relation id by name.
     pub fn relation_id(&self, name: &str) -> Result<RelId> {
         self.by_name

@@ -41,8 +41,9 @@ fn split_record(line: &str) -> Result<Vec<String>> {
 /// Parses CSV text into a relation named `name`.
 ///
 /// Column types are inferred from the data: a column whose every non-empty
-/// value parses as `i64` becomes `Int64` (empty cells become 0); anything
-/// else is dictionary-encoded.
+/// value parses as `i64` becomes an integer column (empty cells become 0),
+/// packed by its span like every [`Column`]; anything else is
+/// dictionary-encoded.
 pub fn relation_from_csv_str(name: &str, text: &str) -> Result<Relation> {
     let mut lines = text.lines().filter(|l| !l.trim().is_empty());
     let header = lines
@@ -159,6 +160,32 @@ mod tests {
         let x = rel.column_id("x").unwrap();
         assert_eq!(rel.column(x).value(0), -5);
         assert_eq!(rel.column(x).min_max(), Some((-5, 10)));
+    }
+
+    #[test]
+    fn extreme_integers_round_trip() {
+        let cols: [&[i64]; 3] = [
+            &[i64::MIN, -1, 0, i64::MAX],
+            &[-300, -44, -300, -45],
+            &[i64::MIN, i64::MIN + 1, i64::MIN, i64::MIN + 255],
+        ];
+        let mut text = String::from("wide,neg,low\n");
+        for ((a, b), c) in cols[0].iter().zip(cols[1]).zip(cols[2]) {
+            text += &format!("{a},{b},{c}\n");
+        }
+        let rel = relation_from_csv_str("t", &text).unwrap();
+        let mut out = Vec::new();
+        for ((name, col), (src, width)) in rel.columns().zip(cols.iter().zip([8, 2, 1])) {
+            col.gather_range(0, 4, &mut out);
+            assert_eq!(out, *src, "{name}");
+            assert_eq!(col.packed().0.width(), width, "{name}");
+            let back: Vec<String> = out.iter().map(i64::to_string).collect();
+            let reparsed = relation_from_csv_str("t", &format!("{name}\n{}\n", back.join("\n")));
+            reparsed.unwrap().columns().for_each(|(_, c)| {
+                c.gather_range(0, 4, &mut out);
+                assert_eq!(out, *src, "{name} reloaded");
+            });
+        }
     }
 
     #[test]

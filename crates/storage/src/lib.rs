@@ -19,7 +19,7 @@ pub mod scan;
 pub mod stats;
 
 pub use catalog::{Catalog, FkEdge};
-pub use column::Column;
+pub use column::{Column, Offsets};
 pub use csv::{relation_from_csv_path, relation_from_csv_str};
 pub use relation::{Relation, RelationBuilder};
 pub use scan::{IngestVector, Ingestion};

@@ -51,6 +51,11 @@ impl Relation {
         &self.column_names[id.index()]
     }
 
+    /// Heap bytes of the relation's columns ([`Column::memory_bytes`]).
+    pub fn memory_bytes(&self) -> usize {
+        self.columns.iter().map(Column::memory_bytes).sum()
+    }
+
     /// Iterates `(name, column)` pairs in declaration order.
     pub fn columns(&self) -> impl Iterator<Item = (&str, &Column)> {
         self.column_names.iter().map(|s| s.as_str()).zip(self.columns.iter())
@@ -79,9 +84,10 @@ impl RelationBuilder {
         RelationBuilder { name: name.into(), columns: Vec::new() }
     }
 
-    /// Adds an `i64` column.
+    /// Adds an integer column, packed as it is added (the values' span
+    /// picks the offset width; `data` is dropped).
     pub fn int64(&mut self, name: impl Into<String>, data: Vec<i64>) -> &mut Self {
-        self.columns.push((name.into(), Column::Int64(data)));
+        self.columns.push((name.into(), Column::from_i64(&data)));
         self
     }
 

@@ -81,15 +81,9 @@ impl Stats {
         if st.sample.is_empty() {
             return 1.0;
         }
-        let column = catalog.relation(rel).column(col);
-        let hits = st
-            .sample
-            .iter()
-            .filter(|&&r| {
-                let v = column.value(r as usize);
-                v >= lo && v <= hi
-            })
-            .count();
+        let mut values = Vec::new();
+        catalog.relation(rel).column(col).gather(&st.sample, &mut values);
+        let hits = values.iter().filter(|&&v| v >= lo && v <= hi).count();
         // Laplace-smoothed so zero-hit samples don't zero out plans.
         (hits as f64 + 0.5) / (st.sample.len() as f64 + 1.0)
     }
@@ -104,11 +98,12 @@ impl Stats {
         if st.sample.is_empty() {
             return 1.0;
         }
-        let column = catalog.relation(rel).column(col);
+        let mut values = Vec::new();
+        catalog.relation(rel).column(col).gather(&st.sample, &mut values);
         let mut freq: std::collections::HashMap<i64, u32> =
             std::collections::HashMap::with_capacity(st.sample.len());
-        for &r in &st.sample {
-            *freq.entry(column.value(r as usize)).or_insert(0) += 1;
+        for v in values {
+            *freq.entry(v).or_insert(0) += 1;
         }
         let d = freq.len() as f64;
         let n = st.sample.len() as f64;

@@ -22,7 +22,7 @@
 //! tuples or queries shared the session (DESIGN.md §13).
 
 use roulette_core::{Error, Result};
-use roulette_storage::{Catalog, Relation, RelationBuilder};
+use roulette_storage::{Catalog, Column, Relation, RelationBuilder};
 
 /// The logical clock: ticks are arbitrary monotone units (the stream
 /// driver advances one tick per epoch).
@@ -125,11 +125,12 @@ impl WindowedRelation {
     /// [`Relation`] for batch execution. With a window at least as long as
     /// the whole stream, the snapshot is row-identical to a statically
     /// built relation holding the same tuples — the basis of the
-    /// differential expiry tests.
+    /// differential expiry tests. Each column is packed straight from the
+    /// window's buffer.
     pub fn snapshot(&self) -> Result<Relation> {
         let mut b = RelationBuilder::new(self.name.clone());
         for (name, col) in self.column_names.iter().zip(self.columns.iter()) {
-            b.int64(name.clone(), col.clone());
+            b.column(name.clone(), Column::from_i64(col));
         }
         b.try_build()
     }

@@ -28,7 +28,7 @@ use roulette::exec::{
 };
 use std::sync::atomic::AtomicU32;
 use roulette::query::SpjQuery;
-use roulette::storage::{Catalog, RelationBuilder};
+use roulette::storage::{Catalog, Column, Offsets, RelationBuilder};
 
 /// Deterministic value stream (same constants as the perf harness).
 fn lcg(v: &mut i64) -> i64 {
@@ -294,40 +294,110 @@ fn count_kernel_matches_per_row_membership_for_all_widths_and_tails() {
     }
 }
 
+/// Folds `column`'s values at the carried `vids` (through `rows`, or every
+/// tuple when `rows` is `None`) into `hashes`, the way the router's fused
+/// path does: one width dispatch, then the packed kernel.
+fn hash_packed(column: &Column, vids: &[u32], rows: Option<&[u32]>, hashes: &mut [u64]) {
+    fn fold<T: Copy + Into<u64>>(
+        offsets: &[T],
+        base: i64,
+        vids: &[u32],
+        rows: Option<&[u32]>,
+        hashes: &mut [u64],
+    ) {
+        match rows {
+            Some(rows) => route::hash_gathered(offsets, base, vids, rows, hashes),
+            None => route::hash_vids(offsets, base, vids, hashes),
+        }
+    }
+    match column.packed() {
+        (Offsets::U8(o), base) => fold(o, base, vids, rows, hashes),
+        (Offsets::U16(o), base) => fold(o, base, vids, rows, hashes),
+        (Offsets::U32(o), base) => fold(o, base, vids, rows, hashes),
+        (Offsets::U64(o), base) => fold(o, base, vids, rows, hashes),
+    }
+}
+
 #[test]
 fn column_hash_kernels_match_row_hash() {
     let mut s = 43;
-    let base_i64: Vec<i64> = (0..97).map(|_| lcg(&mut s)).collect();
-    let base_u32: Vec<u32> = (0..97).map(|_| lcg(&mut s) as u32).collect();
+    // Columns on negative frames at every width boundary (span 255 | 256,
+    // 65 535 | 65 536, u32::MAX | u32::MAX + 1, the whole i64 range), one
+    // on a positive frame, then a dictionary column (frame 0).
+    let spans: [(i64, u64, usize); 8] = [
+        (1_000, 200, 1),
+        (-1_000, 255, 1),
+        (-300, 256, 2),
+        (-70_000, 65_535, 2),
+        (-5, 65_536, 4),
+        (-(1 << 40), u32::MAX as u64, 4),
+        (-1, u32::MAX as u64 + 1, 8),
+        (i64::MIN, u64::MAX, 8),
+    ];
+    // Each column beside its `i64` source, the oracle's values.
+    let mut columns: Vec<(Column, Vec<i64>)> = spans
+        .iter()
+        .map(|&(min, span, width)| {
+            let mut src: Vec<i64> = (0..97)
+                .map(|_| {
+                    let draw = lcg(&mut s) as u64;
+                    let off = if span == u64::MAX { draw << 31 } else { draw % (span + 1) };
+                    min.wrapping_add(off as i64)
+                })
+                .collect();
+            src[0] = min;
+            src[1] = min.wrapping_add(span as i64);
+            let c = Column::from_i64(&src);
+            assert_eq!(c.packed().0.width(), width, "span {span}");
+            assert_eq!(c.packed().1, min);
+            (c, src)
+        })
+        .collect();
+    let names: Vec<String> = (0..97).map(|_| format!("s{}", lcg(&mut s) % 300)).collect();
+    let mut dict: Vec<&String> = Vec::new();
+    let codes = names
+        .iter()
+        .map(|name| match dict.iter().position(|d| *d == name) {
+            Some(code) => code as i64,
+            None => {
+                dict.push(name);
+                dict.len() as i64 - 1
+            }
+        })
+        .collect();
+    columns.push((Column::dict_from_strings(&names), codes));
     for &n in &ROWS {
         let vids: Vec<u32> = (0..n + 3).map(|_| lcg(&mut s).rem_euclid(97) as u32).collect();
         // A query's row list: a sparse ascending subset of the tuples.
         let rows: Vec<u32> = (0..n as u32).filter(|i| i % 3 != 1).collect();
-        for n_cols in 0..=4usize {
-            // Alternate an Int64 and a dictionary-code column; column 2
-            // repeats column 0 (the same column projected twice).
-            let value = |c: usize, r: u32| -> i64 {
-                let vid = vids[r as usize] as usize;
-                if c.is_multiple_of(2) { base_i64[vid] } else { base_u32[vid] as i64 }
-            };
+        // Projection lists cycle through the widths; the last list
+        // repeats a column (the same column projected twice).
+        for n_cols in 0..=columns.len() + 1 {
+            let proj: Vec<&(Column, Vec<i64>)> =
+                (0..n_cols).map(|c| &columns[c % columns.len()]).collect();
+            let value = |(_, src): &(Column, Vec<i64>), r: u32| src[vids[r as usize] as usize];
             let (mut fused, mut staged) = (vec![7; 2], vec![9; 1]);
             route::hash_seed(&mut fused, rows.len());
             route::hash_seed(&mut staged, rows.len());
-            for c in 0..n_cols {
-                if c.is_multiple_of(2) {
-                    route::hash_gathered(&base_i64, &vids, &rows, &mut fused);
-                } else {
-                    route::hash_gathered(&base_u32, &vids, &rows, &mut fused);
-                }
+            let mut whole = Vec::new();
+            route::hash_seed(&mut whole, n);
+            for &c in &proj {
+                hash_packed(&c.0, &vids, Some(&rows), &mut fused);
+                hash_packed(&c.0, &vids[..n], None, &mut whole);
                 let col: Vec<i64> = rows.iter().map(|&r| value(c, r)).collect();
                 route::hash_column(&col, &mut staged);
             }
-            let want = rows.iter().fold(0u64, |acc, &r| {
-                let row: Vec<i64> = (0..n_cols).map(|c| value(c, r)).collect();
-                acc.wrapping_add(row_hash(&row))
-            });
+            let sum_over = |rows: &mut dyn Iterator<Item = u32>| {
+                rows.fold(0u64, |acc, r| {
+                    let row: Vec<i64> = proj.iter().map(|&c| value(c, r)).collect();
+                    acc.wrapping_add(row_hash(&row))
+                })
+            };
+            let want = sum_over(&mut rows.iter().copied());
             assert_eq!(route::hash_sum(&fused), want, "fused rows={n} cols={n_cols}");
             assert_eq!(route::hash_sum(&staged), want, "staged rows={n} cols={n_cols}");
+            let want_whole = sum_over(&mut (0..n as u32));
+            assert_eq!(route::hash_sum(&whole), want_whole, "whole rows={n} cols={n_cols}");
         }
     }
 }
