@@ -17,8 +17,12 @@
 //!
 //! ```text
 //! perfbench [--quick] [--out <path>] [--baseline <path>] [--gate] [--gate-floor <f>]
+//! perfbench [--quick] --only <name>
 //! ```
 //!
+//! Each bench runs in a fresh process (the harness re-executes itself with
+//! `--only <name>` and parses the row the child prints), so no bench reads
+//! a heap another left behind; `--only` alone writes no JSON.
 //! `--quick` shrinks workload sizes and the repetition count for CI smoke
 //! runs. `--baseline` points at a `BENCH_perf.json` produced by an earlier
 //! build: its episode-throughput anchor is carried forward, and every
@@ -39,6 +43,7 @@ use roulette_query::generator::{chains_queries, tpcds_pool, SensitivityParams};
 use roulette_query::QueryBatch;
 use roulette_storage::datagen::chains::{self, ChainsParams};
 use roulette_storage::datagen::tpcds;
+use std::process::{Command, Stdio};
 use std::sync::atomic::AtomicU32;
 use std::time::{Duration, Instant};
 
@@ -47,7 +52,7 @@ use std::time::{Duration, Instant};
 struct BenchResult {
     name: &'static str,
     /// What one work item is (for the JSON's `unit` field).
-    unit: &'static str,
+    unit: String,
     work: u64,
     runs: usize,
     median: Duration,
@@ -84,7 +89,7 @@ fn bench(
     }
     times.sort_unstable();
     let median = times[times.len() / 2];
-    let r = BenchResult { name, unit, work, runs, median, baseline_per_sec: None };
+    let r = BenchResult { name, unit: unit.into(), work, runs, median, baseline_per_sec: None };
     println!(
         "{:<28} {:>12.0} {}/s   (median of {} over {} items, {:.1} ms)",
         r.name,
@@ -521,6 +526,65 @@ fn bench_routing(name: &'static str, shape: usize, quick: bool, runs: usize) -> 
     })
 }
 
+/// Every bench, in the order `BENCH_perf.json` lists them.
+const BENCHES: [&str; 17] = [
+    "episode_chains", "stem_insert", "stem_contended_insert", "stem_probe",
+    "stem_probe_chained", "stem_probe_out_of_cache", "stem_expiry", "filter_mask",
+    "column_gather", "qset_and", "compaction", "routing_count_only", "routing_projected",
+    "routing_projected_classes", "admit_batch_256", "plan_join_256", "qtable_lookup",
+];
+
+/// Runs bench `name` in this process.
+fn run_bench(name: &'static str, quick: bool, runs: usize) -> Option<BenchResult> {
+    let in_cache = if quick { 1 << 18 } else { 1 << 21 };
+    let out_of_cache = if quick { 1 << 17 } else { 1 << 20 };
+    Some(match name {
+        "episode_chains" => bench_episode_chains(quick, runs),
+        "stem_insert" => bench_stem_insert(quick, runs),
+        "stem_contended_insert" => bench_stem_contended_insert(quick, runs),
+        "stem_probe" => bench_stem_probe(name, 1 << 15, 64, in_cache, false, runs),
+        "stem_probe_chained" => bench_stem_probe(name, 1 << 15, 64, in_cache, true, runs),
+        "stem_probe_out_of_cache" => bench_stem_probe(name, 1 << 19, 256, out_of_cache, false, runs),
+        "stem_expiry" => bench_stem_expiry(quick, runs),
+        "filter_mask" => bench_filter_mask(quick, runs),
+        "column_gather" => bench_column_gather(quick, runs),
+        "qset_and" => bench_qset_and(quick, runs),
+        "compaction" => bench_compaction(quick, runs),
+        "routing_count_only" => bench_routing(name, 0, quick, runs),
+        "routing_projected" => bench_routing(name, 1, quick, runs),
+        "routing_projected_classes" => bench_routing(name, 2, quick, runs),
+        "admit_batch_256" => bench_admit_batch(quick, runs),
+        "plan_join_256" => bench_plan_join(quick, runs),
+        "qtable_lookup" => bench_qtable_lookup(quick, runs),
+        _ => return None,
+    })
+}
+
+/// Prefix of the line a `--only` child prints its row on:
+/// `<prefix> <unit> <work> <runs> <median_ns>`.
+const ROW: &str = "perfbench-row";
+
+/// Runs bench `name` in a fresh copy of this process (`--only`), echoes
+/// its output and parses its row back.
+fn run_isolated(name: &'static str, quick: bool) -> BenchResult {
+    let exe = std::env::current_exe().expect("perfbench's own path");
+    let mut cmd = Command::new(exe);
+    cmd.args(["--only", name]).args(quick.then_some("--quick")).stderr(Stdio::inherit());
+    let out = cmd.output().expect("spawn perfbench --only");
+    assert!(out.status.success(), "perfbench --only {name} failed: {}", out.status);
+    let text = String::from_utf8_lossy(&out.stdout);
+    text.lines().filter(|l| !l.starts_with(ROW)).for_each(|l| println!("{l}"));
+    let row = text.lines().find_map(|l| l.strip_prefix(ROW)).unwrap_or_default();
+    let mut fields = row.split_whitespace();
+    let unit = fields.next().unwrap_or_default().to_string();
+    let mut num = || fields.next().and_then(|f| f.parse::<u64>().ok());
+    let (Some(work), Some(runs), Some(median_ns)) = (num(), num(), num()) else {
+        panic!("perfbench --only {name} printed no row");
+    };
+    let median = Duration::from_nanos(median_ns);
+    BenchResult { name, unit, work, runs: runs as usize, median, baseline_per_sec: None }
+}
+
 /// A bench row parsed back out of a previous `BENCH_perf.json`.
 struct BaselineBench {
     name: String,
@@ -661,38 +725,19 @@ fn main() {
     let baseline = flag("--baseline").and_then(|p| read_baseline(&p));
     let runs = if quick { 3 } else { 5 };
 
+    if let Some(only) = flag("--only") {
+        let Some(r) = BENCHES.into_iter().find(|&b| b == only).and_then(|b| run_bench(b, quick, runs))
+        else {
+            eprintln!("perfbench: unknown bench {only:?}; one of {}", BENCHES.join(", "));
+            std::process::exit(2);
+        };
+        println!("{ROW} {} {} {} {}", r.unit, r.work, r.runs, r.median.as_nanos());
+        return;
+    }
+
     println!("perfbench (quick={quick}, median of {runs})");
-    // The threaded bench runs first: the benches after it read the heap
-    // state it and `episode_chains` leave, so a fixed order keeps their
-    // numbers comparable across commits.
-    let contended = bench_stem_contended_insert(quick, runs);
-    let probes_in_cache = if quick { 1 << 18 } else { 1 << 21 };
-    let mut results = vec![
-        bench_episode_chains(quick, runs),
-        bench_stem_insert(quick, runs),
-        contended,
-        bench_stem_probe("stem_probe", 1 << 15, 64, probes_in_cache, false, runs),
-        bench_stem_probe("stem_probe_chained", 1 << 15, 64, probes_in_cache, true, runs),
-        bench_stem_probe(
-            "stem_probe_out_of_cache",
-            1 << 19,
-            256,
-            if quick { 1 << 17 } else { 1 << 20 },
-            false,
-            runs,
-        ),
-        bench_stem_expiry(quick, runs),
-        bench_filter_mask(quick, runs),
-        bench_column_gather(quick, runs),
-        bench_qset_and(quick, runs),
-        bench_compaction(quick, runs),
-        bench_routing("routing_count_only", 0, quick, runs),
-        bench_routing("routing_projected", 1, quick, runs),
-        bench_routing("routing_projected_classes", 2, quick, runs),
-        bench_admit_batch(quick, runs),
-        bench_plan_join(quick, runs),
-        bench_qtable_lookup(quick, runs),
-    ];
+    let mut results: Vec<BenchResult> =
+        BENCHES.into_iter().map(|name| run_isolated(name, quick)).collect();
 
     let mut baseline_eps = None;
     if let Some(b) = &baseline {

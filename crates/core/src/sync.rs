@@ -46,17 +46,11 @@ pub enum LockRank {
     /// the pop and swapped by the stream epoch thread; nothing nests
     /// inside it.
     ServerCatalog,
-    /// Engine core: the step-driven path owns its scratch arena for the
-    /// whole episode, and every other engine lock nests inside it.
-    SessionScratch,
-    /// Ingestion feeds the episode (circular scans, completion flushing).
+    /// Ingestion hands out each episode's vector (circular scans,
+    /// completion flushing); released before the episode runs.
     SessionIngestion,
-    /// Per-worker morsel queues: a refill pushes grabbed vectors under the
-    /// ingestion latch; steals take a single victim queue with nothing
-    /// held.
-    SessionWork,
-    /// The policy is consulted during planning, inside scratch (and after
-    /// ingestion state is read).
+    /// The policy is consulted during planning, after ingestion state is
+    /// read.
     SessionPolicy,
     /// The greedy fallback policy used by the watchdog replan path.
     EngineFallback,
@@ -83,12 +77,10 @@ pub enum LockRank {
 
 impl LockRank {
     /// Every rank, in order.
-    pub const ALL: [LockRank; 15] = [
+    pub const ALL: [LockRank; 13] = [
         LockRank::AdmissionQueue,
         LockRank::ServerCatalog,
-        LockRank::SessionScratch,
         LockRank::SessionIngestion,
-        LockRank::SessionWork,
         LockRank::SessionPolicy,
         LockRank::EngineFallback,
         LockRank::SessionTraces,
@@ -485,12 +477,12 @@ mod tests {
     #[test]
     fn in_order_nesting_is_admitted() {
         let mut held = 0;
-        for r in [LockRank::SessionScratch, LockRank::SessionPolicy, LockRank::Stem] {
+        for r in [LockRank::SessionIngestion, LockRank::SessionPolicy, LockRank::Stem] {
             held = admit(held, r).expect("increasing ranks nest");
         }
         assert_eq!(
             held,
-            bit(LockRank::SessionScratch) | bit(LockRank::SessionPolicy) | bit(LockRank::Stem)
+            bit(LockRank::SessionIngestion) | bit(LockRank::SessionPolicy) | bit(LockRank::Stem)
         );
         // Skipping ranks is fine; only the order matters.
         assert!(admit(bit(LockRank::AdmissionQueue), LockRank::LoadgenLatencies).is_some());
@@ -501,7 +493,7 @@ mod tests {
         assert_eq!(admit(bit(LockRank::SessionPolicy), LockRank::SessionIngestion), None);
         assert_eq!(admit(bit(LockRank::EventRing), LockRank::Stem), None);
         // Any held rank above the new one rejects it, even among lower ones.
-        let held = bit(LockRank::SessionScratch) | bit(LockRank::OutputsErrors);
+        let held = bit(LockRank::SessionIngestion) | bit(LockRank::OutputsErrors);
         assert_eq!(admit(held, LockRank::Stem), None);
     }
 
@@ -527,13 +519,13 @@ mod tests {
     #[test]
     fn guards_drop_in_any_order() {
         let a = Mutex::new(LockRank::SessionIngestion, ());
-        let b = Mutex::new(LockRank::SessionWork, ());
+        let b = Mutex::new(LockRank::SessionPolicy, ());
         let c = RwLock::new(LockRank::Stem, ());
         let ga = a.lock();
         let gb = b.lock();
         let gc = c.read();
         let all =
-            bit(LockRank::SessionIngestion) | bit(LockRank::SessionWork) | bit(LockRank::Stem);
+            bit(LockRank::SessionIngestion) | bit(LockRank::SessionPolicy) | bit(LockRank::Stem);
         assert_eq!(rank::held_set(), all);
         drop(gb);
         assert_eq!(rank::held_set(), bit(LockRank::SessionIngestion) | bit(LockRank::Stem));
@@ -544,7 +536,7 @@ mod tests {
         assert!(no_locks_held());
         // The middle rank is free again.
         let _gb = b.lock();
-        assert_eq!(rank::held_set(), bit(LockRank::SessionWork));
+        assert_eq!(rank::held_set(), bit(LockRank::SessionPolicy));
     }
 
     #[cfg(debug_assertions)]
@@ -588,7 +580,7 @@ mod tests {
     fn no_locks_held_tracks_guards() {
         assert!(no_locks_held());
         assert_no_locks_held();
-        let m = Mutex::new(LockRank::SessionWork, ());
+        let m = Mutex::new(LockRank::SessionPolicy, ());
         let l = RwLock::new(LockRank::Stem, ());
         {
             let _g = m.lock();

@@ -33,17 +33,9 @@ use roulette_policy::{ExecutionLog, GreedyPolicy, Policy, QLearningPolicy};
 use roulette_query::{QueryBatch, SpjQuery};
 use roulette_storage::{Catalog, IngestVector, Ingestion};
 use roulette_telemetry::{EventKind, Recorder};
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// Vectors a worker prefetches from the shared ingestion state per refill
-/// of its morsel queue. Batching amortizes the ingestion latch (one
-/// acquisition per `MORSEL` episodes instead of one per episode) while
-/// keeping queues shallow enough that work stealing has something to take
-/// and completion information stays fresh.
-const MORSEL: usize = 4;
 
 /// Aggregate execution statistics of one batch/session.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -235,9 +227,6 @@ impl<'a> RouletteEngine<'a> {
                 ),
             ),
             stems: (0..self.catalog.len()).map(|_| None).collect(),
-            work: (0..self.config.workers.max(1))
-                .map(|_| Mutex::new(LockRank::SessionWork, VecDeque::new()))
-                .collect(),
             scan_done: (0..self.catalog.len()).map(|_| AtomicBool::new(false)).collect(),
             scan_epoch: AtomicU64::new(0),
             filters: Vec::new(),
@@ -264,7 +253,8 @@ impl<'a> RouletteEngine<'a> {
             closed: false,
             recorder: self.recorder.clone(),
             telemetry_done: (0..capacity).map(|_| AtomicBool::new(false)).collect(),
-            scratch: Mutex::new(LockRank::SessionScratch, EpisodeScratch::new()),
+            log: ExecutionLog::new(),
+            scratch: EpisodeScratch::new(),
         }
     }
 }
@@ -276,16 +266,8 @@ pub struct Session<'a> {
     batch: QueryBatch,
     ingestion: Mutex<Ingestion>,
     stems: Vec<Option<Stem>>,
-    /// Per-worker morsel queues. A worker pops its own queue from the
-    /// front (preserving ingestion order), refills it with up to [`MORSEL`]
-    /// vectors under one ingestion latch when empty, and steals from the
-    /// back of a sibling's queue when ingestion is drained — so a straggler
-    /// stuck in a long episode no longer idles the pool behind it.
-    /// Rank `SessionWork`, after `SessionIngestion` (a refill pushes under
-    /// both); never nested with another worker's queue.
-    work: Vec<Mutex<VecDeque<IngestVector>>>,
     /// Lock-free mirror of `Ingestion::scan_complete`, synced under the
-    /// ingestion latch wherever the schedule changes (refill, admission,
+    /// ingestion latch wherever the schedule changes (hand-out, admission,
     /// quarantine). Lets [`complete_now`](Self::complete_now) derive the
     /// completeness set per episode without touching the ingestion latch.
     scan_done: Vec<AtomicBool>,
@@ -338,10 +320,11 @@ pub struct Session<'a> {
     /// Per-query "terminal event emitted" flags, so each query produces at
     /// most one completion/quarantine marker in the telemetry stream.
     telemetry_done: Vec<AtomicBool>,
-    /// The [`step`](Self::step)-driven execution path's episode arena.
-    /// Worker threads each own a local arena instead; this one exists so
-    /// single-stepping reuses buffers across calls too.
-    scratch: Mutex<EpisodeScratch>,
+    /// The [`step`](Self::step)-driven path's execution log and episode
+    /// arena, so single-stepping reuses buffers across calls. Worker
+    /// threads each own a local pair instead.
+    log: ExecutionLog,
+    scratch: EpisodeScratch,
 }
 
 impl<'a> Session<'a> {
@@ -628,54 +611,22 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// Hands `worker` its next episode vector: own queue first (front —
-    /// ingestion order), then a [`MORSEL`]-sized refill from the shared
-    /// ingestion state, then a steal from the back of a sibling's queue.
-    /// `None` means ingestion is drained and every queue was observed
-    /// empty — the run is out of work for this worker.
-    fn next_task(&self, worker: usize) -> Option<IngestVector> {
-        let own = self.work.get(worker)?;
-        if let Some(iv) = own.lock().pop_front() {
-            return Some(iv);
+    /// Hands out the next episode vector from the shared ingestion cursor,
+    /// stamped with the query-set of this moment, so a query admitted
+    /// since the last hand-out rides it. `None` means ingestion is drained.
+    fn next_vector(&self) -> Option<IngestVector> {
+        let mut ing = self.ingestion.lock();
+        let iv = ing.next();
+        let pending = iv.as_ref().and_then(|iv| self.pending_episodes.get(iv.rel.index()));
+        if let Some(pending) = pending {
+            // Bumped under the latch, so it orders consistently with scan
+            // completion. ordering: Release pairs with complete_now's load
+            // — a reader that sees pending == 0 also sees every hand-out.
+            pending.fetch_add(1, Ordering::Release);
         }
-        // Refill: batch up to MORSEL hand-outs under one ingestion latch.
-        // The pending counters are bumped at grab time, under the latch,
-        // so they order consistently with scan completion; completeness is
-        // derived per episode by complete_now, not here.
-        {
-            let mut ing = self.ingestion.lock();
-            let mut q = own.lock();
-            while q.len() < MORSEL {
-                let Some(iv) = ing.next() else { break };
-                if let Some(pending) = self.pending_episodes.get(iv.rel.index()) {
-                    // ordering: Release pairs with complete_now's load — a
-                    // reader that sees pending == 0 also sees every hand-out.
-                    pending.fetch_add(1, Ordering::Release);
-                }
-                q.push_back(iv);
-            }
-            drop(q);
-            self.flush_completions(&ing);
-            self.sync_scan_flags(&ing);
-        }
-        if let Some(iv) = own.lock().pop_front() {
-            return Some(iv);
-        }
-        // Steal: ingestion is drained; take the newest vector off the back
-        // of a sibling's queue so stragglers don't idle the pool. One
-        // victim latch at a time, never nested with our own.
-        let n = self.work.len();
-        for off in 1..n {
-            let victim = (worker + off) % n;
-            let stolen = self.work.get(victim).and_then(|q| q.lock().pop_back());
-            if let Some(iv) = stolen {
-                if let Some(rec) = &self.recorder {
-                    rec.record_steal(1);
-                }
-                return Some(iv);
-            }
-        }
-        None
+        self.flush_completions(&ing);
+        self.sync_scan_flags(&ing);
+        iv
     }
 
     /// Derives the completeness set — relations whose scan is done AND
@@ -685,10 +636,6 @@ impl<'a> Session<'a> {
     /// currently-executing vector's query bits can still arrive (later
     /// admissions introduce only new bits, and scan the relation again for
     /// them).
-    ///
-    /// Freshness matters under morsel batching: a vector's grab-time
-    /// snapshot would still count its queue-mates as pending and miss
-    /// pruning opportunities the single-vector loop used to see.
     fn complete_now(&self) -> RelSet {
         loop {
             // ordering: SeqCst seqlock read — pairs with admit's epoch
@@ -759,36 +706,30 @@ impl<'a> Session<'a> {
         }
     }
 
-    fn worker_loop(&self, worker: usize) {
-        let mut log = ExecutionLog::new();
-        let mut scratch = EpisodeScratch::new();
-        let quarantine = |q: QueryId, e: Error| self.quarantine(q, e);
-        let shared = self.shared_view(&quarantine);
-        while let Some(iv) = self.next_task(worker) {
-            let complete = self.complete_now();
-            let trace =
-                self.run_episode_guarded(&shared, &iv, complete, &mut log, &mut scratch);
-            self.finish_episode(iv.rel);
-            if let Some(t) = trace {
-                self.traces.lock().push(t);
-            }
-        }
-    }
-
-    /// Executes one episode; returns `false` when no input is pending.
-    pub fn step(&mut self) -> bool {
-        let Some(iv) = self.next_task(0) else { return false };
+    /// The one episode body of [`step`](Self::step) and every worker of
+    /// [`run_workers`](Self::run_workers): takes the next vector, runs its
+    /// episode and retires it. Returns `false` when ingestion is drained.
+    fn run_next(&self, log: &mut ExecutionLog, scratch: &mut EpisodeScratch) -> bool {
+        let Some(iv) = self.next_vector() else { return false };
         let complete = self.complete_now();
-        let mut log = ExecutionLog::new();
         let quarantine = |q: QueryId, e: Error| self.quarantine(q, e);
         let shared = self.shared_view(&quarantine);
-        let mut scratch = self.scratch.lock();
-        let trace = self.run_episode_guarded(&shared, &iv, complete, &mut log, &mut scratch);
+        let trace = self.run_episode_guarded(&shared, &iv, complete, log, scratch);
         self.finish_episode(iv.rel);
         if let Some(t) = trace {
             self.traces.lock().push(t);
         }
         true
+    }
+
+    /// Executes one episode; returns `false` when no input is pending.
+    pub fn step(&mut self) -> bool {
+        let mut log = std::mem::take(&mut self.log);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let ran = self.run_next(&mut log, &mut scratch);
+        self.log = log;
+        self.scratch = scratch;
+        ran
     }
 
     /// Runs episodes until all admitted queries' input is consumed, using
@@ -800,17 +741,18 @@ impl<'a> Session<'a> {
     /// Shared-reference form of [`run`](Self::run), for callers that need
     /// to act on the session concurrently while it executes — e.g. a
     /// serving frontend's deadline sweeper calling
-    /// [`quarantine`](Self::quarantine) from another thread.
+    /// [`quarantine`](Self::quarantine) from another thread. The calling
+    /// thread is one of the workers.
     pub fn run_workers(&self) {
-        if self.config.workers <= 1 {
-            self.worker_loop(0);
-            return;
-        }
-        let workers = self.config.workers.min(self.work.len());
+        let worker_loop = || {
+            let (mut log, mut scratch) = (ExecutionLog::new(), EpisodeScratch::new());
+            while self.run_next(&mut log, &mut scratch) {}
+        };
         std::thread::scope(|scope| {
-            for w in 0..workers {
-                scope.spawn(move || self.worker_loop(w));
+            for _ in 1..self.config.workers {
+                scope.spawn(worker_loop);
             }
+            worker_loop();
         });
     }
 
@@ -915,8 +857,8 @@ impl<'a> Session<'a> {
 
     /// Finalizes the session into a [`BatchOutcome`].
     pub fn finish(self) -> BatchOutcome {
-        // Catch completions that landed after the last worker drained
-        // `next_work` (e.g. step()-driven sessions).
+        // Catch completions that landed after the last hand-out (e.g.
+        // step()-driven sessions that never asked for one past the end).
         self.flush_completions(&self.ingestion.lock());
         let stats = self.stats();
         BatchOutcome {
@@ -1404,7 +1346,7 @@ mod tests {
         session.admit(query((0, 1023), (0, 299))).unwrap();
         session.admit(query((1024, 2047), (300, 511))).unwrap();
         while session.step() {}
-        let pooled = session.scratch.lock().max_pooled_rows();
+        let pooled = session.scratch.max_pooled_rows();
         let out = session.finish();
         assert_eq!([out.per_query[0].rows, out.per_query[1].rows], [4 * 256 * 75, 4 * 256 * 53]);
         assert!(pooled <= 4 * PROBE_TILE, "a pooled buffer holds {pooled} rows of capacity");

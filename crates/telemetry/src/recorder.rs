@@ -102,12 +102,6 @@ pub trait Recorder: Send + Sync {
         let _ = bytes;
     }
 
-    /// Called when a worker steals queued episode tasks from a sibling's
-    /// morsel queue instead of idling.
-    fn record_steal(&self, tasks: u64) {
-        let _ = tasks;
-    }
-
     /// Called once per episode with the scratch arena's buffer-reuse
     /// counters: acquisitions served from a pool (`hits`) vs. freshly
     /// allocated (`misses`). A healthy steady state is all hits.
@@ -151,7 +145,6 @@ mod tests {
         r.record_probe_batch(64);
         r.record_probe_keys(48, 16);
         r.record_view_bytes(4096);
-        r.record_steal(1);
         r.record_scratch(12, 3);
         r.record_event(1, EventKind::Admission { query: 0 });
         r.record_policy_probe(

@@ -49,7 +49,6 @@ pub struct Telemetry {
     probe_view_keys: Arc<ShardedCounter>,
     probe_chain_keys: Arc<ShardedCounter>,
     view_bytes: Arc<Gauge>,
-    steals: Arc<ShardedCounter>,
     vector_fill_permille: Arc<Histogram>,
     selection_survivors_permille: Arc<Histogram>,
     scratch_hits: Arc<ShardedCounter>,
@@ -119,10 +118,6 @@ impl Telemetry {
         let view_bytes = registry.gauge(
             "roulette_stem_view_bytes",
             "Resident bytes of STeM dense-key views (not part of the governed STeM footprint)",
-        );
-        let steals = registry.counter(
-            "roulette_worker_steals_total",
-            "Episode tasks stolen from a sibling worker's morsel queue",
         );
         let vector_fill_permille = registry.histogram(
             "roulette_vector_fill_permille",
@@ -209,7 +204,6 @@ impl Telemetry {
             probe_view_keys,
             probe_chain_keys,
             view_bytes,
-            steals,
             vector_fill_permille,
             selection_survivors_permille,
             scratch_hits,
@@ -322,10 +316,6 @@ impl Recorder for Telemetry {
         self.view_bytes.set(bytes);
     }
 
-    fn record_steal(&self, tasks: u64) {
-        self.steals.add(tasks);
-    }
-
     fn record_scratch(&self, hits: u64, misses: u64) {
         self.scratch_hits.add(hits);
         self.scratch_misses.add(misses);
@@ -419,15 +409,6 @@ mod tests {
         // 512/1024 = 500 permille.
         assert!(text.contains("roulette_vector_fill_permille_sum 500"));
         assert!(text.contains("roulette_selection_survivors_permille_sum 500"));
-    }
-
-    #[test]
-    fn steal_counter_accumulates() {
-        let t = Telemetry::default();
-        t.record_steal(1);
-        t.record_steal(2);
-        let text = prom(&t);
-        assert!(text.contains("roulette_worker_steals_total 3"));
     }
 
     #[test]

@@ -38,6 +38,40 @@ fn staggered_admissions_match_isolated_execution() {
 }
 
 #[test]
+fn admission_rides_the_next_episode() {
+    // Every episode hands out one vector stamped with the query-set of
+    // that moment, so a query admitted between two steps rides the second
+    // step's vector: its progress moves at once. A scheduler that stamps
+    // vectors ahead of running them (a prefetch queue) leaves q2 at 0
+    // here. Both queries must still end with isolated execution's rows.
+    let c = fact_dim_catalog();
+    let template = fact_dim_query(&c, (100, 600), (0, 500), true);
+    let qat = QatEngine::new(&c, ExecMode::Vectorized, 1);
+    let (solo, mut solo_rows) = qat.execute_collect(&template);
+    solo_rows.sort_unstable();
+    assert!(solo.rows > 0, "degenerate workload");
+    for workers in [1usize, 4] {
+        let cfg =
+            EngineConfig::default().with_vector_size(128).unwrap().with_workers(workers).unwrap();
+        let engine = RouletteEngine::new(&c, cfg);
+        let mut session = engine.session(2);
+        session.collect_rows().unwrap();
+        let q1 = session.admit(template.clone()).unwrap();
+        assert!(session.step());
+        let q2 = session.admit(template.clone()).unwrap();
+        assert!(session.step());
+        assert!(session.progress(q2) > 0.0, "{workers} workers: q2 missed the next episode");
+        session.run();
+        for q in [q1, q2] {
+            let mut rows = session.take_collected(q);
+            rows.sort_unstable();
+            assert_eq!(rows, solo_rows, "{workers} workers: {q:?}'s rows");
+        }
+        assert_eq!(session.finish().per_query, [solo, solo], "{workers} workers");
+    }
+}
+
+#[test]
 fn admission_based_on_scan_progress() {
     // Fig. 14's pacing: admit the next instance when the previous one's
     // input is X% consumed. All instances of the same query must agree.
@@ -216,8 +250,8 @@ fn elided_builds_match_the_build_everything_oracle() {
             // the dimensions' last episodes against the first fact vectors: a
             // fact vector that starts while a dimension episode is still
             // pending is built, one that starts later is elided — possibly
-            // none, if a worker is descheduled holding a queued dimension
-            // vector for the whole (short) fact scan. Stepped to the first
+            // none, if a worker is descheduled mid-way through a dimension
+            // episode for the whole (short) fact scan. Stepped to the first
             // elision, every dimension has retired before the workers start,
             // so all of them elide, concurrently.
             for stepped in [false, true] {
@@ -278,6 +312,34 @@ fn run_with_stats(
     (session.finish().per_query, rows, stats, stem_len)
 }
 
+/// dim(pk, w) with 2 000 rows and fact(fk, v) with 20 000, a fifth of
+/// whose foreign keys dangle.
+fn fact_dim_catalog() -> Catalog {
+    let mut c = Catalog::new();
+    let mut d = RelationBuilder::new("dim");
+    d.int64("pk", (0..2_000).collect());
+    d.int64("w", (0..2_000).map(|i| i * 7 % 1_000).collect());
+    c.add(d.build()).unwrap();
+    let mut f = RelationBuilder::new("fact");
+    f.int64("fk", (0..20_000).map(|i| i % 2_500).collect());
+    f.int64("v", (0..20_000).map(|i| i * 13 % 997).collect());
+    c.add(f.build()).unwrap();
+    c
+}
+
+/// fact ⋈ dim with ranges on `dim.w` and `fact.v`; projects `fact.v`,
+/// `dim.w` when `project`, else counts.
+fn fact_dim_query(c: &Catalog, w: (i64, i64), v: (i64, i64), project: bool) -> SpjQuery {
+    let b = SpjQuery::builder(c)
+        .relation("fact")
+        .relation("dim")
+        .join(("fact", "fk"), ("dim", "pk"))
+        .range("dim", "w", w.0, w.1)
+        .range("fact", "v", v.0, v.1);
+    let b = if project { b.project("fact", "v").project("dim", "w") } else { b };
+    b.build().unwrap()
+}
+
 /// Runs `session` one episode at a time, on the calling thread, until its
 /// statistics satisfy `done`.
 fn step_until(session: &mut Session<'_>, what: &str, done: impl Fn(&EngineStats) -> bool) {
@@ -295,25 +357,8 @@ fn admission_extending_a_built_filter_group_matches_isolated_execution() {
     // after the session drained. Driven by `step()` and by `run_workers()`
     // (the serving frontend's path, which never calls `run` or `step`), at
     // 1 and 4 workers, for both filter forms.
-    let mut c = Catalog::new();
-    let mut d = RelationBuilder::new("dim");
-    d.int64("pk", (0..2_000).collect());
-    d.int64("w", (0..2_000).map(|i| i * 7 % 1_000).collect());
-    c.add(d.build()).unwrap();
-    let mut f = RelationBuilder::new("fact");
-    f.int64("fk", (0..20_000).map(|i| i % 2_500).collect());
-    f.int64("v", (0..20_000).map(|i| i * 13 % 997).collect());
-    c.add(f.build()).unwrap();
-    let query = |w: (i64, i64), v: (i64, i64), project: bool| {
-        let b = SpjQuery::builder(&c)
-            .relation("fact")
-            .relation("dim")
-            .join(("fact", "fk"), ("dim", "pk"))
-            .range("dim", "w", w.0, w.1)
-            .range("fact", "v", v.0, v.1);
-        let b = if project { b.project("fact", "v").project("dim", "w") } else { b };
-        b.build().unwrap()
-    };
+    let c = fact_dim_catalog();
+    let query = |w, v, project| fact_dim_query(&c, w, v, project);
     let first = query((100, 600), (0, 500), false);
     let mid_run = query((400, 900), (200, 900), true);
     let after_drain = [query((0, 50), (450, 460), false), query((650, 650), (0, 996), true)];

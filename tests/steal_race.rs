@@ -1,18 +1,17 @@
-//! Interleaving stress: morsel work stealing racing quarantine, eviction,
-//! and drain.
-//!
-//! The morsel scheduler hands episode-sized tasks to per-worker queues and
-//! lets idle workers steal from siblings' backs. These tests drive that
-//! machinery through seeded adversarial interleavings (admission_race.rs
-//! style — per-thread xorshift* jitter so a failure reproduces from its
-//! seed) while quarantines, memory-pressure evictions, and a server drain
-//! land mid-flight. The contracts under test:
+//! Interleaving stress: workers sharing one ingestion cursor (one vector
+//! per episode; the names date from a work-stealing scheduler) racing
+//! quarantine, eviction, and drain. Four workers run through seeded
+//! adversarial interleavings (admission_race.rs style — per-thread
+//! xorshift* jitter so a failure reproduces from its seed) while
+//! quarantines, memory-pressure evictions, and a server drain land between
+//! hand-outs. The contracts under test:
 //!
 //! * every admitted query reaches **exactly one** terminal outcome
-//!   (`Complete` or `Quarantined` with an attributed error) — a stolen
-//!   vector must neither lose its episode nor run it twice;
-//! * a wire `DRAIN` over a multi-worker stealing engine accounts every
-//!   admitted query (`leaked == 0`, `admitted == terminal`).
+//!   (`Complete` or `Quarantined` with an attributed error) — a handed-out
+//!   vector must neither lose its episode nor run it twice, and a
+//!   quarantine that unschedules a scan mid-run must not strand it;
+//! * a wire `DRAIN` over a multi-worker engine accounts every admitted
+//!   query (`leaked == 0`, `admitted == terminal`).
 
 use roulette::core::{EngineConfig, Error, QueryId};
 use roulette::exec::{CompletionStatus, RouletteEngine};
@@ -47,7 +46,7 @@ impl Rng {
 }
 
 /// fact(fk, v) ⋈ dim(pk, w) with enough fact rows that 4 workers chew
-/// through many episode vectors — the backlog stealing feeds on.
+/// through many episode vectors, so the races land between hand-outs.
 fn catalog(rows: usize) -> Catalog {
     let mut c = Catalog::new();
     let fk: Vec<i64> = (0..rows as i64).map(|i| i % 40).collect();
@@ -103,8 +102,8 @@ fn steal_race(seed: u64, budget: Option<usize>) {
     }
     let session = &session;
     std::thread::scope(|scope| {
-        // Saboteurs fire external quarantines between episode grabs,
-        // steals, and completions, at seeded instants.
+        // Saboteurs fire external quarantines between hand-outs, episodes
+        // and completions, at seeded instants.
         for s in 0..SABOTEURS {
             scope.spawn(move || {
                 let mut rng = Rng::new(seed.wrapping_add(s as u64));
@@ -164,7 +163,7 @@ fn stealing_races_quarantine_across_seeds() {
 #[test]
 fn stealing_races_memory_pressure_eviction() {
     // A budget small enough that the governor's final rung must evict,
-    // concurrently with stealing workers and external quarantines.
+    // concurrently with four workers and external quarantines.
     for seed in [17, 6151] {
         steal_race(seed, Some(96 * 1024));
     }
@@ -199,9 +198,9 @@ fn run_query(addr: std::net::SocketAddr, sql: &str) -> bool {
 
 #[test]
 fn drain_over_sharded_stealing_engine_leaks_nothing() {
-    // The admission_race drain contract, re-run over the multi-worker
-    // work-stealing engine: a wire DRAIN racing a jittered client fleet
-    // must account every admitted query.
+    // The admission_race drain contract, re-run over a 4-worker engine: a
+    // wire DRAIN racing a jittered client fleet must account every
+    // admitted query.
     let seed = 67u64;
     let pool = demo_sql(11, 12).expect("demo workload");
     let ds = demo_dataset(11);

@@ -1,8 +1,8 @@
-//! Worker-ladder scaling guard for the work-stealing engine.
+//! Worker-ladder scaling guard for workers sharing one ingestion cursor.
 //!
 //! The fig19 harness plots the speedup curve; this test pins its shape:
-//! with morsel work stealing, adding workers
-//! must never *degrade* batch throughput. On a many-core machine the
+//! with every worker taking one vector per episode under the ingestion
+//! latch, adding workers must never *degrade* batch throughput. On a many-core machine the
 //! ladder climbs; on a starved single-core CI box the best we can demand
 //! is that extra workers cost no more than scheduling overhead — so each
 //! rung is measured best-of-3 and held to a generous floor of the best
